@@ -358,8 +358,9 @@ void KvStore::BackgroundJob(uint64_t read_base, uint64_t read_pages,
     uint64_t write_next, write_end;
     int outstanding = 0;
     Callback done;
-    // The pump lambda captures the job that owns it; the cycle is broken
-    // explicitly when the last chunk completes.
+    // Holds the job weakly: the in-flight chunks' callbacks own it, so a job
+    // abandoned mid-flight (a crash) is freed with them instead of leaking
+    // through a self-reference.
     std::function<void()> pump;
   };
   auto job = std::make_shared<Job>();
@@ -370,7 +371,8 @@ void KvStore::BackgroundJob(uint64_t read_base, uint64_t read_pages,
   job->done = std::move(done);
 
   const uint64_t ns_pages = io_->namespace_pages();
-  job->pump = [this, job, ns_pages]() {
+  job->pump = [this, weak = std::weak_ptr<Job>(job), ns_pages]() {
+    const std::shared_ptr<Job> job = weak.lock();
     while (job->outstanding < config_.flush_iodepth &&
            (job->read_next < job->read_end || job->write_next < job->write_end)) {
       const bool is_read = job->read_next < job->read_end;
@@ -387,7 +389,6 @@ void KvStore::BackgroundJob(uint64_t read_base, uint64_t read_pages,
         if (job->outstanding == 0 && job->read_next >= job->read_end &&
             job->write_next >= job->write_end) {
           Callback finished = std::move(job->done);
-          job->pump = nullptr;
           finished();
           return;
         }

@@ -1,6 +1,8 @@
 #include "src/nvme/device.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "src/core/invariant.h"
@@ -183,13 +185,20 @@ bool Device::Enqueue(int sqid, NvmeCommand cmd) {
 void Device::RingDoorbell(int sqid) {
   nsqs_[sqid]->RingDoorbell(sim_->now());
   SyncArmed(sqid);
+  stall_min_head_pages_ = 0;
   KickController();
 }
 
 void Device::KickController() {
   if (stalled_) {
-    stalled_ = false;
     fetch_stall_ns_ += sim_->now() - stall_since_;
+    stall_since_ = sim_->now();
+    // The armed heads are those the last failed scan saw: if the smallest
+    // still does not fit, the scan would fail again. Stay stalled.
+    if (config_.max_inflight_pages - inflight_pages_ < stall_min_head_pages_) {
+      return;
+    }
+    stalled_ = false;
   }
   ControllerStep();
 }
@@ -215,6 +224,7 @@ int Device::SelectNsq() {
   // device capacity (small commands slip past stalled bulky ones). The armed
   // bitmap jumps straight between armed queues — same visit order as the
   // naive (rr_next_ + i) % n walk, without touching unarmed queues.
+  int min_head_pages = config_.max_inflight_pages + 1;
   for (int pass = 0; pass < 2; ++pass) {
     int sqid = pass == 0 ? rr_next_ : 0;
     const int end = pass == 0 ? n : rr_next_;
@@ -229,17 +239,19 @@ int Device::SelectNsq() {
       if (sqid >= end) {
         break;
       }
-      SubmissionQueue& sq = *nsqs_[sqid];
-      if (inflight_pages_ + static_cast<int>(sq.PeekVisible().pages) <=
-          config_.max_inflight_pages) {
+      const int head_pages = static_cast<int>(nsqs_[sqid]->PeekVisible().pages);
+      if (inflight_pages_ + head_pages <= config_.max_inflight_pages) {
         current_sq_ = sqid;
         burst_used_ = 0;
         rr_next_ = (sqid + 1) % n;
         return sqid;
       }
+      min_head_pages = std::min(min_head_pages, head_pages);
       ++sqid;
     }
   }
+  // The scan visited every armed queue: this bound is exact.
+  stall_min_head_pages_ = min_head_pages;
   return -1;
 }
 
@@ -315,50 +327,61 @@ void Device::FinishFetch() {
   }
   inflight_pages_ += static_cast<int>(cmd.pages);
 
+  // Page-done events are scheduled as each page is placed; nothing else
+  // schedules in between, so their seq order is the page order.
+  const uint64_t cid = cmd.cid;
   const uint64_t base = GlobalPage(cmd.nsid, cmd.lba);
   Tick flash_start = 0;
-  std::vector<Tick> page_done;
-  page_done.reserve(cmd.pages);
+  uint32_t page_events = 1;
   if (cmd.is_flush) {
     // FLUSH: no flash page is touched; the cache drain runs on the controller
     // for flush_exec and the barrier action happens at completion post (so an
     // aborted flush persists nothing). Rides the normal completion machinery,
     // which keeps the lifecycle stamps valid.
     flash_start = sim_->now();
-    page_done.push_back(sim_->now() + config_.flush_exec);
+    sim_->At(sim_->now() + config_.flush_exec,
+             [this, cid]() { OnPageDone(cid); });
     inflight_pages_ -= static_cast<int>(cmd.pages) - 1;
   } else if (cmd.is_zone_reset) {
     // Zone reset: one erase-scale operation on the zone's first chip.
     flash_start = sim_->now();
-    page_done.push_back(sim_->now() + config_.flash.erase_time);
+    sim_->At(sim_->now() + config_.flash.erase_time,
+             [this, cid]() { OnPageDone(cid); });
     inflight_pages_ -= static_cast<int>(cmd.pages) - 1;
   } else {
+    page_events = cmd.pages;
+    // A write's pages land in the volatile write cache; they reach the
+    // persisted snapshot only via a flush barrier, a FUA completion, or
+    // (torn) a crash mid-service. Consecutive pages with the same hazard
+    // outcome share one extent: without faults, the whole command.
+    uint64_t run_lo = base;
+    VolatilePage run{cmd.cid};
     for (uint32_t p = 0; p < cmd.pages; ++p) {
       Tick start = 0;
-      page_done.push_back(
-          flash_.SchedulePage(sim_->now(), base + p, cmd.is_write, &start));
+      const Tick done =
+          flash_.SchedulePage(sim_->now(), base + p, cmd.is_write, &start);
+      sim_->At(done, [this, cid]() { OnPageDone(cid); });
       flash_start = p == 0 ? start : std::min(flash_start, start);
-      if (cmd.is_write) {
-        // The page lands in the volatile write cache; it reaches the
-        // persisted snapshot only via a flush barrier, a FUA completion, or
-        // (torn) a crash mid-service. Durability hazards are decided here —
-        // the same hazard point as flash errors — and are invisible on the
-        // transport path: the command still completes kOk.
-        VolatilePage vp;
-        vp.cid = cmd.cid;
-        if (faults_ != nullptr) {
-          vp.torn = faults_->TornWrite(sim_->now(), flash_.ChannelOf(base + p),
-                                       flash_.ChipOf(base + p));
-          vp.reorder_escape = faults_->ReorderWrite(sim_->now(), cmd.sqid);
-          if ((vp.torn || vp.reorder_escape) && trace_ != nullptr) {
-            trace_->Record(sim_->now(), TraceCategory::kFaultInject, cmd.cid,
-                           cmd.sqid,
-                           static_cast<int64_t>(vp.torn
-                                                    ? FaultKind::kTornWrite
-                                                    : FaultKind::kWriteReorder));
-          }
+      if (cmd.is_write && faults_ != nullptr) {
+        // Durability hazards are decided here — the same hazard point as
+        // flash errors — and are invisible on the transport path: the command
+        // still completes kOk.
+        VolatilePage vp{cmd.cid};
+        vp.torn = faults_->TornWrite(sim_->now(), flash_.ChannelOf(base + p),
+                                     flash_.ChipOf(base + p));
+        vp.reorder_escape = faults_->ReorderWrite(sim_->now(), cmd.sqid);
+        if ((vp.torn || vp.reorder_escape) && trace_ != nullptr) {
+          trace_->Record(sim_->now(), TraceCategory::kFaultInject, cmd.cid,
+                         cmd.sqid,
+                         static_cast<int64_t>(vp.torn
+                                                  ? FaultKind::kTornWrite
+                                                  : FaultKind::kWriteReorder));
         }
-        volatile_writes_[base + p] = vp;
+        if (vp != run) {
+          volatile_writes_.Assign(run_lo, base + p, run);
+          run_lo = base + p;
+          run = vp;
+        }
       }
       if (faults_ != nullptr &&
           faults_->FlashPageFails(sim_->now(), flash_.ChannelOf(base + p),
@@ -378,6 +401,9 @@ void Device::FinishFetch() {
         }
       }
     }
+    if (cmd.is_write) {
+      volatile_writes_.Assign(run_lo, base + cmd.pages, run);
+    }
   }
   cmd.flash_start_time = flash_start;
   if (trace_ != nullptr) {
@@ -389,15 +415,11 @@ void Device::FinishFetch() {
 
   InflightCommand ic;
   ic.cmd = cmd;
-  ic.pages_remaining = static_cast<uint32_t>(page_done.size());
-  const uint64_t cid = cmd.cid;
+  ic.pages_remaining = page_events;
   const bool inserted = inflight_.emplace(cid, ic).second;
   DD_CHECK(inserted) << "duplicate command id " << cid
                      << " in flight (NSQ " << cmd.sqid << ", tick "
                      << sim_->now() << ")";
-  for (Tick done : page_done) {
-    sim_->At(done, [this, cid]() { OnPageDone(cid); });
-  }
   ControllerStep();
 }
 
@@ -566,36 +588,34 @@ void Device::RaiseIrq(int ncq_id) {
 }
 
 void Device::PersistBarrier() {
-  for (auto it = volatile_writes_.begin(); it != volatile_writes_.end();) {
-    VolatilePage& vp = it->second;
-    if (vp.reorder_escape) {
-      // The reordered page escapes this barrier; the escape is consumed so
-      // the *next* flush persists it (a one-barrier reordering window).
-      vp.reorder_escape = false;
-      ++it;
-      continue;
-    }
-    persisted_[it->first] = PersistedPage{vp.cid, vp.torn};
-    it = volatile_writes_.erase(it);
-  }
+  volatile_writes_.EraseIf(
+      0, UINT64_MAX,
+      [this](uint64_t lo, uint64_t hi, const VolatilePage& vp) {
+        if (vp.reorder_escape) {
+          return false;
+        }
+        persisted_.Assign(lo, hi, PersistedPage{vp.cid, vp.torn});
+        return true;
+      });
+  // What is left escaped this barrier. The escape is consumed so the *next*
+  // flush persists it (a one-barrier reordering window).
+  volatile_writes_.ForEach(
+      [](uint64_t, uint64_t, VolatilePage& vp) { vp.reorder_escape = false; });
 }
 
 void Device::PersistPages(const NvmeCommand& cmd) {
   ++fua_persists_;
   const uint64_t base = GlobalPage(cmd.nsid, cmd.lba);
-  for (uint32_t p = 0; p < cmd.pages; ++p) {
-    auto it = volatile_writes_.find(base + p);
-    if (it == volatile_writes_.end()) {
-      // A later write to the same page already persisted (or overwrote) it.
-      continue;
-    }
-    // FUA persists this command's cache entry even if a later volatile write
-    // overwrote the page — but then the later cid is what recovery must see.
-    persisted_[base + p] = PersistedPage{it->second.cid, it->second.torn};
-    if (it->second.cid == cmd.cid) {
-      volatile_writes_.erase(it);
-    }
-  }
+  // Pages no longer volatile were already persisted (or overwritten and
+  // persisted) by a later write. FUA persists this command's cache entry even
+  // if a later volatile write overwrote the page — but then the later cid is
+  // what recovery must see, and that later write stays volatile.
+  volatile_writes_.EraseIf(
+      base, base + cmd.pages,
+      [this, &cmd](uint64_t lo, uint64_t hi, const VolatilePage& vp) {
+        persisted_.Assign(lo, hi, PersistedPage{vp.cid, vp.torn});
+        return vp.cid == cmd.cid;
+      });
 }
 
 void Device::Crash() {
@@ -605,37 +625,36 @@ void Device::Crash() {
   crashed_ = true;
   // Torn-marked volatile pages persist as corrupt; clean volatile pages are
   // simply lost (whatever the page held before, if anything, stays visible).
-  for (const auto& [gp, vp] : volatile_writes_) {
-    if (vp.torn) {
-      persisted_[gp] = PersistedPage{vp.cid, true};
-    }
-  }
+  volatile_writes_.ForEach(
+      [this](uint64_t lo, uint64_t hi, const VolatilePage& vp) {
+        if (vp.torn) {
+          persisted_.Assign(lo, hi, PersistedPage{vp.cid, true});
+        }
+      });
   volatile_writes_.clear();
   // Writes caught mid-flash-service: the crash interrupted the program. The
   // FTL maps a page to its new location only after the program completes, so
   // a page with a prior durable version keeps it (atomic remap — the
   // interrupted rewrite simply never happened), while a first write with
   // nothing to fall back to reads back torn. Recovery must detect the torn
-  // pages, never serve them.
+  // pages, never serve them. Ascending cid order: the oldest in-flight write
+  // claims an unmapped page first.
   for (const auto& [cid, ic] : inflight_) {
     if (!ic.cmd.is_write || ic.cmd.is_flush || ic.cmd.is_zone_reset ||
         ic.aborted) {
       continue;
     }
     const uint64_t base = GlobalPage(ic.cmd.nsid, ic.cmd.lba);
-    for (uint32_t p = 0; p < ic.cmd.pages; ++p) {
-      persisted_.emplace(base + p, PersistedPage{cid, true});
-    }
+    persisted_.FillGaps(base, base + ic.cmd.pages, PersistedPage{cid, true});
   }
 }
 
 PersistedPageView Device::PersistedAt(uint32_t nsid, Lba lba) const {
   PersistedPageView view;
-  auto it = persisted_.find(GlobalPage(nsid, lba));
-  if (it != persisted_.end()) {
+  if (const PersistedPage* pp = persisted_.Find(GlobalPage(nsid, lba))) {
     view.present = true;
-    view.cid = it->second.cid;
-    view.torn = it->second.torn;
+    view.cid = pp->cid;
+    view.torn = pp->torn;
   }
   return view;
 }
@@ -650,6 +669,7 @@ Device::AbortOutcome Device::AbortCommand(int sqid, uint64_t cid) {
   // reclaim both the ring slot and the NCQ in-flight count.
   if (nsqs_[sqid]->RemoveById(cid)) {
     SyncArmed(sqid);
+    stall_min_head_pages_ = 0;
     cq.AddInFlight(-1);
     return AbortOutcome::kRemovedFromQueue;
   }

@@ -30,6 +30,7 @@
 #include "src/core/types.h"
 #include "src/fault/fault_plan.h"
 #include "src/nvme/command.h"
+#include "src/nvme/extent_map.h"
 #include "src/nvme/flash.h"
 #include "src/nvme/queues.h"
 #include "src/sim/clock.h"
@@ -207,9 +208,11 @@ class Device {
   // reads the persisted snapshot as-is (volatile pages are not present).
   DD_OBSERVER PersistedPageView PersistedAt(uint32_t nsid, Lba lba) const;
   DD_OBSERVER size_t volatile_page_count() const {
-    return volatile_writes_.size();
+    return static_cast<size_t>(volatile_writes_.pages());
   }
-  DD_OBSERVER size_t persisted_page_count() const { return persisted_.size(); }
+  DD_OBSERVER size_t persisted_page_count() const {
+    return static_cast<size_t>(persisted_.pages());
+  }
   uint64_t flushes_completed() const { return flushes_completed_; }
   uint64_t flushes_ignored() const { return flushes_ignored_; }
   uint64_t fua_persists() const { return fua_persists_; }
@@ -299,6 +302,11 @@ class Device {
   std::deque<InflightCommand> completion_pending_;
   bool stalled_ = false;
   Tick stall_since_ = 0;
+  // Smallest armed head (in pages) the last failed SelectNsq scan saw. While
+  // stalled, a kick whose free capacity is still below it would fail the same
+  // scan, so it skips it. Doorbells and abort removals change the armed heads
+  // and reset it to 0, which never skips a scan that could succeed.
+  int stall_min_head_pages_ = 0;
   // One bit per NSQ, set iff armed() (kept in sync by SyncArmed).
   std::vector<uint64_t> armed_words_;
   int rr_next_ = 0;      // next NSQ for round-robin scan
@@ -334,6 +342,7 @@ class Device {
     uint64_t cid = 0;
     bool torn = false;            // kTornWrite fired on this page's program
     bool reorder_escape = false;  // kWriteReorder: skips the next flush
+    bool operator==(const VolatilePage&) const = default;
   };
   struct PersistedPage {
     uint64_t cid = 0;
@@ -344,9 +353,10 @@ class Device {
   void PersistBarrier();
   // Persists the pages of one (FUA) write command out of the volatile set.
   void PersistPages(const NvmeCommand& cmd);
-  // Keyed by device-global page. Ordered: recovery iterates these.
-  std::map<uint64_t, VolatilePage> volatile_writes_;
-  std::map<uint64_t, PersistedPage> persisted_;
+  // Keyed by device-global page, one node per written range (a write
+  // command's pages share a value unless a per-page hazard split them).
+  ExtentMap<VolatilePage> volatile_writes_;
+  ExtentMap<PersistedPage> persisted_;
   bool crashed_ = false;
   uint64_t flushes_completed_ = 0;
   uint64_t flushes_ignored_ = 0;  // kFlushIgnore injections that landed

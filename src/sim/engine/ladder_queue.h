@@ -1,27 +1,35 @@
-// Two-level bucketed event queue (ladder/calendar queue) for the DES core.
+// Two-rung ladder (calendar) queue over an overflow heap, the DES core's
+// event queue.
 //
-// Geometry: a sliding window of kBucketCount one-tick buckets covering
-// [window_start_, window_start_ + kBucketCount), indexed modularly
-// (bucket = tick % kBucketCount), plus a binary-heap overflow ladder for
-// events beyond the window. Because every live event is >= the clock, all
-// buckets behind the clock are empty, so the window slides forward with the
-// clock without moving a single chain - the vacated buckets simply start
-// representing ticks one window-length ahead, and overflow events that now
-// fit are refilled in (tick, seq) heap order. In steady state every push
-// with a delay under the window length is an O(1) bucket append and every
-// pop is O(1) off one chain; a three-level occupancy bitmap finds the next
-// non-empty bucket with a handful of count-trailing-zero instructions.
+// Geometry (one tick = one nanosecond):
+//   * fine rung: kBucketCount = 2^16 one-tick buckets indexed tick mod 2^16,
+//     for ticks in [window_start_, fine_end), window_start_ being the last
+//     popped tick;
+//   * coarse rung: kCoarseCount = 4096 buckets of kCoarseTicks = 2^14 ticks
+//     (16.4 us) indexed (tick >> 14) mod 4096, for the next ~67 ms;
+//   * overflow: a (tick, seq) binary heap for everything further out.
+// fine_end is the start of the first coarse bucket whose whole range does
+// not yet fit the fine window: as the clock advances, each coarse bucket is
+// distributed into the fine rung as soon as it fits, and heap events move
+// into the coarse buckets entering its horizon. Each pop slides the window
+// to the popped tick; buckets behind the clock are empty, so both rungs
+// re-purpose vacated buckets without moving a chain. A push is an O(1)
+// append to whichever rung covers its tick; occupancy bitmaps find the next
+// non-empty bucket with a few count-trailing-zero instructions.
 //
 // Ordering guarantee: events fire in strictly non-decreasing tick order;
 // events at equal ticks fire in schedule (seq) order - the exact total order
-// of the old binary-heap queue. Refills preserve it: a refilled event's seq
-// predates any later push to the same tick, and the heap yields (tick, seq)
-// ascending. Cancelled events leave a tombstone purged lazily when the
-// dispatch cursor reaches it.
+// of a binary heap on (tick, seq). A tick only ever moves heap -> coarse ->
+// fine, and each move happens before any push can target the tick's new
+// rung: heap events enter a coarse bucket in (tick, seq) order the moment it
+// joins the horizon, and a coarse chain (push order) is distributed whole the
+// moment it fits the fine window. So every chain is in seq order. Cancelled
+// events leave a tombstone purged lazily when the dispatch cursor reaches it.
 #ifndef DAREDEVIL_SRC_SIM_ENGINE_LADDER_QUEUE_H_
 #define DAREDEVIL_SRC_SIM_ENGINE_LADDER_QUEUE_H_
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -35,17 +43,83 @@
 
 namespace daredevil {
 
+// Three-level occupancy bitmap over kBits buckets: a bit per bucket, a bit
+// per l0 word, a bit per l1 word.
+template <uint32_t kBits>
+class OccupancyBitmap {
+  // Buckets summarized by one l1 word (64 l0 words of 64 bits).
+  static constexpr uint32_t kL1Span = 64 * 64;
+  static_assert(kBits % kL1Span == 0 && kBits <= 64 * kL1Span);
+
+ public:
+  bool empty() const { return l2_ == 0; }
+
+  void Set(uint32_t idx) {
+    l0_[idx >> 6] |= 1ull << (idx & 63);
+    l1_[idx >> 12] |= 1ull << ((idx >> 6) & 63);
+    l2_ |= 1ull << (idx >> 12);
+  }
+
+  void Clear(uint32_t idx) {
+    if ((l0_[idx >> 6] &= ~(1ull << (idx & 63))) == 0) {
+      if ((l1_[idx >> 12] &= ~(1ull << ((idx >> 6) & 63))) == 0) {
+        l2_ &= ~(1ull << (idx >> 12));
+      }
+    }
+  }
+
+  // First set bit in cyclic order starting at `start`, or -1 when empty.
+  int FirstCyclic(uint32_t start) const {
+    if (l2_ == 0) {
+      return -1;
+    }
+    const int hit = FirstAtOrAfter(start);
+    return hit >= 0 ? hit : FirstAtOrAfter(0);
+  }
+
+ private:
+  // First set bit at or after `from` (linear index order), or -1.
+  int FirstAtOrAfter(uint32_t from) const {
+    uint32_t w0 = from >> 6;
+    const uint64_t word = l0_[w0] & (~0ull << (from & 63));
+    if (word != 0) {
+      return static_cast<int>((w0 << 6) + static_cast<uint32_t>(std::countr_zero(word)));
+    }
+    uint32_t w1 = w0 >> 6;
+    const uint64_t word1 = l1_[w1] & ~(~0ull >> (63 - (w0 & 63)));  // bits > w0&63
+    if (word1 != 0) {
+      w0 = (w1 << 6) + static_cast<uint32_t>(std::countr_zero(word1));
+      return static_cast<int>((w0 << 6) +
+                              static_cast<uint32_t>(std::countr_zero(l0_[w0])));
+    }
+    const uint64_t word2 = w1 >= 63 ? 0 : l2_ & (~1ull << w1);  // bits > w1
+    if (word2 != 0) {
+      w1 = static_cast<uint32_t>(std::countr_zero(word2));
+      w0 = (w1 << 6) + static_cast<uint32_t>(std::countr_zero(l1_[w1]));
+      return static_cast<int>((w0 << 6) +
+                              static_cast<uint32_t>(std::countr_zero(l0_[w0])));
+    }
+    return -1;
+  }
+
+  std::array<uint64_t, kBits / 64> l0_{};
+  std::array<uint64_t, kBits / kL1Span> l1_{};
+  uint64_t l2_ = 0;
+};
+
 class LadderQueue {
  public:
-  // Window width in ticks (= nanoseconds). 64K covers the bulk of the
-  // simulated delays (sub-65us CPU, doorbell and device costs) so almost
-  // every push is an O(1) bucket append; sparse long timers (watchdogs,
-  // coalesce timeouts, far flash completions) take the heap path exactly as
-  // the old engine did for everything.
+  // Fine window width in ticks (= nanoseconds): the sub-65us CPU, doorbell
+  // and controller delays are O(1) appends here.
   static constexpr uint32_t kBucketCount = 1u << 16;
+  // Coarse rung: flash-scale delays (page reads/programs, erases, coalesce
+  // timeouts) up to ~67 ms. Small on purpose: its chains are part of every
+  // Simulator's set-up cost.
+  static constexpr uint32_t kCoarseShift = 14;
+  static constexpr Tick kCoarseTicks = Tick{1} << kCoarseShift;
+  static constexpr uint32_t kCoarseCount = 1u << 12;
 
-  LadderQueue()
-      : buckets_(kBucketCount), l0_(kBucketCount / 64, 0), l1_(16, 0) {}
+  LadderQueue() : buckets_(kBucketCount), coarse_(kCoarseCount) {}
   LadderQueue(const LadderQueue&) = delete;
   LadderQueue& operator=(const LadderQueue&) = delete;
 
@@ -63,8 +137,8 @@ class LadderQueue {
     rec.at = at;
     rec.seq = next_seq_++;
     rec.fn = std::move(fn);
-    if (at - window_start_ < static_cast<Tick>(kBucketCount)) {
-      AppendToBucket(BucketOf(at), slot);
+    if (CoarseOf(at) < coarse_next_ + kCoarseCount) {
+      Place(at, slot);
     } else {
       overflow_.push_back(OverflowEntry{at, rec.seq, slot});
       std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
@@ -95,52 +169,52 @@ class LadderQueue {
   // Pops the earliest live event whose tick is <= limit, writing its tick to
   // *at and moving its callable into *out. Returns false (popping nothing)
   // when the queue is empty or the earliest event lies beyond the limit.
-  // Find and pop are fused: one bitmap scan locates the bucket, tombstones
-  // are skipped inline, and there is no trailing failed probe when a tick's
-  // chain drains - the next call simply scans again. Events at equal ticks
-  // pop in schedule (seq) order; any earlier-bucket event always precedes any
-  // overflow event, because overflow only holds ticks beyond the window.
+  // Every fine event precedes every coarse event, which precedes every heap
+  // event, so the earliest event is the head of the first occupied bucket of
+  // the first non-empty rung (for the coarse rung: the earliest event of an
+  // unsorted chain). The window only slides to the tick of a live event, so
+  // it never passes the clock.
   bool PopEarliest(Tick limit, Tick* at, EventFn* out) {
     for (;;) {
       Tick tick;
-      int idx = FirstOccupiedCyclic(BucketOf(window_start_));
+      const int idx = fine_bits_.FirstCyclic(BucketOf(window_start_));
       if (idx >= 0) {
+        if (!PurgeFineHead(static_cast<uint32_t>(idx))) {
+          continue;  // the bucket held only tombstones
+        }
         tick = TickOf(static_cast<uint32_t>(idx));
-        if (tick > limit) {
-          return false;
+      } else if (!coarse_bits_.empty()) {
+        if (!EarliestCoarseTick(&tick)) {
+          continue;
         }
       } else {
         PurgeOverflowTombstones();
-        if (overflow_.empty() || overflow_.front().at > limit) {
+        if (overflow_.empty()) {
           return false;
         }
         tick = overflow_.front().at;
       }
-      // The popped tick is the new clock: slide the window so subsequent
-      // pushes stay bucket-eligible (and refill overflow events that fit).
-      Slide(tick);
-      Chain& c = buckets_[BucketOf(tick)];
-      while (c.head != kNilEvent) {
-        const uint32_t slot = c.head;
-        EventRecord& rec = arena_.slot(slot);
-        c.head = rec.next;
-        if (c.head == kNilEvent) {
-          c.tail = kNilEvent;
-          ClearBucket(BucketOf(tick));
-        }
-        if (rec.cancelled) {
-          arena_.Free(slot);
-          continue;
-        }
-        // The callable moves out of a mutable arena record; the old engine's
-        // move-from-const_cast-of-top() has no analogue here.
-        *out = std::move(rec.fn);
-        arena_.Free(slot);
-        --live_;
-        *at = tick;
-        return true;
+      if (tick > limit) {
+        return false;
       }
-      // The chain held only tombstones; rescan.
+      // The popped tick is the new clock: slide the window, demoting the
+      // coarse buckets and heap events that now fit (the popped event among
+      // them when it came from the coarse rung or the heap).
+      Slide(tick);
+      const uint32_t b = BucketOf(tick);
+      Chain& c = buckets_[b];
+      const uint32_t slot = c.head;
+      EventRecord& rec = arena_.slot(slot);
+      c.head = rec.next;
+      if (c.head == kNilEvent) {
+        c.tail = kNilEvent;
+        fine_bits_.Clear(b);
+      }
+      *out = std::move(rec.fn);
+      arena_.Free(slot);
+      --live_;
+      *at = tick;
+      return true;
     }
   }
 
@@ -174,104 +248,78 @@ class LadderQueue {
   static uint32_t BucketOf(Tick at) {
     return static_cast<uint32_t>(at) & (kBucketCount - 1);
   }
+  // Coarse bucket number of a tick (ticks are never negative).
+  static uint64_t CoarseOf(Tick at) {
+    return static_cast<uint64_t>(at) >> kCoarseShift;
+  }
+  static uint32_t CoarseIndex(uint64_t coarse) {
+    return static_cast<uint32_t>(coarse) & (kCoarseCount - 1);
+  }
 
-  // Absolute tick of an occupied bucket under the current window.
+  // Absolute tick of an occupied fine bucket under the current window.
   Tick TickOf(uint32_t idx) const {
     const uint32_t start = BucketOf(window_start_);
     const uint32_t delta = (idx - start) & (kBucketCount - 1);
     return window_start_ + delta;
   }
 
-  // Slides the window forward so it starts at `now`. All buckets for ticks
-  // in [window_start_, now) are empty (their events fired), so the slide
-  // re-purposes them for [window_start_ + kBucketCount, now + kBucketCount)
-  // without touching any chain; overflow events that now fit move into
-  // their buckets in (tick, seq) heap order.
-  void Slide(Tick now) {
-    if (now <= window_start_) {
-      return;
-    }
-    window_start_ = now;
-    if (!overflow_.empty() &&
-        overflow_.front().at - window_start_ < static_cast<Tick>(kBucketCount)) {
-      Refill();
+  // Appends to the fine bucket of `at` when its coarse bucket was already
+  // distributed, else to that coarse bucket (which must be in the horizon).
+  void Place(Tick at, uint32_t slot) {
+    const uint64_t coarse = CoarseOf(at);
+    if (coarse < coarse_next_) {
+      Append(buckets_[BucketOf(at)], fine_bits_, BucketOf(at), slot);
+    } else {
+      Append(coarse_[CoarseIndex(coarse)], coarse_bits_, CoarseIndex(coarse),
+             slot);
     }
   }
 
-  void AppendToBucket(uint32_t idx, uint32_t slot) {
-    Chain& c = buckets_[idx];
+  template <uint32_t kBits>
+  void Append(Chain& c, OccupancyBitmap<kBits>& bits, uint32_t idx,
+              uint32_t slot) {
+    arena_.slot(slot).next = kNilEvent;
     if (c.head == kNilEvent) {
       c.head = slot;
       c.tail = slot;
-      MarkBucket(idx);
+      bits.Set(idx);
     } else {
       arena_.slot(c.tail).next = slot;
       c.tail = slot;
     }
   }
 
-  void MarkBucket(uint32_t idx) {
-    l0_[idx >> 6] |= 1ull << (idx & 63);
-    l1_[idx >> 12] |= 1ull << ((idx >> 6) & 63);
-    l2_ |= 1ull << (idx >> 12);
-  }
-
-  void ClearBucket(uint32_t idx) {
-    if ((l0_[idx >> 6] &= ~(1ull << (idx & 63))) == 0) {
-      if ((l1_[idx >> 12] &= ~(1ull << ((idx >> 6) & 63))) == 0) {
-        l2_ &= ~(1ull << (idx >> 12));
-      }
+  // Slides the window forward so it starts at `now`, then distributes every
+  // coarse bucket whose whole range now fits [now, now + kBucketCount).
+  void Slide(Tick now) {
+    if (now <= window_start_) {
+      return;
+    }
+    window_start_ = now;
+    const uint64_t fits =
+        (static_cast<uint64_t>(now) + kBucketCount) >> kCoarseShift;
+    if (fits > coarse_next_) {
+      Demote(fits);
     }
   }
 
-  // First occupied bucket at or after `from` (linear index order), or -1.
-  int FirstOccupiedAtOrAfter(uint32_t from) const {
-    uint32_t w0 = from >> 6;
-    uint64_t word = l0_[w0] & (~0ull << (from & 63));
-    if (word != 0) {
-      return static_cast<int>((w0 << 6) + static_cast<uint32_t>(std::countr_zero(word)));
-    }
-    uint32_t w1 = w0 >> 6;
-    uint64_t word1 = l1_[w1] & ~(~0ull >> (63 - (w0 & 63)));  // bits > w0&63
-    if (word1 != 0) {
-      w0 = (w1 << 6) + static_cast<uint32_t>(std::countr_zero(word1));
-      return static_cast<int>((w0 << 6) +
-                              static_cast<uint32_t>(std::countr_zero(l0_[w0])));
-    }
-    const uint64_t word2 = w1 >= 63 ? 0 : l2_ & (~1ull << w1);  // bits > w1
-    if (word2 != 0) {
-      w1 = static_cast<uint32_t>(std::countr_zero(word2));
-      w0 = (w1 << 6) + static_cast<uint32_t>(std::countr_zero(l1_[w1]));
-      return static_cast<int>((w0 << 6) +
-                              static_cast<uint32_t>(std::countr_zero(l0_[w0])));
-    }
-    return -1;
-  }
-
-  // First occupied bucket in cyclic order starting at `start` (the bucket of
-  // window_start_), or -1 when all buckets are empty. Cyclic order equals
-  // tick order because the window spans exactly kBucketCount ticks.
-  int FirstOccupiedCyclic(uint32_t start) const {
-    if (l2_ == 0) {
-      return -1;
-    }
-    const int hit = FirstOccupiedAtOrAfter(start);
-    if (hit >= 0) {
-      return hit;
-    }
-    return FirstOccupiedAtOrAfter(0);
-  }
-
+  bool PurgeFineHead(uint32_t idx);
+  bool EarliestCoarseTick(Tick* tick);
+  void Demote(uint64_t coarse_next);
+  void Distribute(uint32_t coarse_idx);
   void PurgeOverflowTombstones();
-  void Refill();
 
   EventArena arena_;
   std::vector<Chain> buckets_;
-  std::vector<uint64_t> l0_;  // bit per bucket
-  std::vector<uint64_t> l1_;  // bit per l0_ word
-  uint64_t l2_ = 0;           // bit per l1_ word
+  OccupancyBitmap<kBucketCount> fine_bits_;
+  std::vector<Chain> coarse_;
+  OccupancyBitmap<kCoarseCount> coarse_bits_;
   std::vector<OverflowEntry> overflow_;
   Tick window_start_ = 0;
+  // First coarse bucket number not yet distributed: ticks below
+  // coarse_next_ << kCoarseShift are fine, the next kCoarseCount buckets
+  // coarse, the rest overflow.
+  uint64_t coarse_next_ = kBucketCount >> kCoarseShift;
   uint64_t next_seq_ = 0;
   size_t live_ = 0;
   uint64_t clamped_ = 0;

@@ -1,9 +1,11 @@
 // Unit tests for the zero-allocation event engine (src/sim/engine/):
-// ladder-queue ordering across bucket and window boundaries, overflow
-// spill/refill, cancellation semantics, the centralized past-time clamp, and
-// an old-vs-new determinism gate against a reference binary-heap queue.
+// ladder-queue ordering across bucket and window boundaries, demotion from
+// the coarse rung and the overflow heap, cancellation semantics, the
+// centralized past-time clamp, and two determinism gates against a reference
+// binary-heap queue (a recorded schedule, and a callback-driven workload).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -102,8 +104,9 @@ TEST(LadderQueueTest, SameTickFifoAcrossWindowBoundary) {
 }
 
 TEST(LadderQueueTest, SparseFarFutureSpillAndRefill) {
-  // Sparse events many windows apart all spill to the overflow heap; each
-  // pop slides the window and refills. Order must be globally ascending.
+  // Sparse events many windows apart spill to the coarse rung or the
+  // overflow heap; each pop slides the window and demotes what now fits.
+  // Order must be globally ascending.
   LadderQueue q;
   std::vector<Tick> at;
   Rng rng(7);
@@ -133,16 +136,16 @@ TEST(LadderQueueTest, SparseFarFutureSpillAndRefill) {
 }
 
 TEST(LadderQueueTest, RefillPreservesSeqOrderAgainstLaterPushes) {
-  // An overflow event refilled into a bucket must still fire before an event
+  // A far event demoted into a fine bucket must still fire before an event
   // pushed directly to the same tick afterwards (its seq is older).
   LadderQueue q;
   const Tick far = 3 * kWindow + 17;
   std::vector<int> order;
-  q.Push(0, far, [&order]() { order.push_back(1); });  // spills to overflow
+  q.Push(0, far, [&order]() { order.push_back(1); });  // beyond the fine rung
   Tick at = 0;
   EventFn fn;
-  // A near event whose pop slides the window far enough to refill nothing;
-  // then push a same-tick rival AFTER the spill (still before refill).
+  // A near event whose pop slides the window far enough to demote nothing;
+  // then push a same-tick rival AFTER the spill (still before demotion).
   q.Push(0, 5, [&order]() { order.push_back(0); });
   ASSERT_TRUE(q.PopEarliest(INT64_MAX, &at, &fn));
   fn();
@@ -263,6 +266,14 @@ class ReferenceEventQueue {
     }
     heap_.push(Entry{at, seq_++, tag});
   }
+  // Tick of the earliest entry (cancelled or not), false when empty.
+  bool Peek(Tick* at) const {
+    if (heap_.empty()) {
+      return false;
+    }
+    *at = heap_.top().at;
+    return true;
+  }
   bool Pop(Tick* at, int* tag) {
     if (heap_.empty()) {
       return false;
@@ -359,6 +370,311 @@ TEST(SimulatorEngineTest, MatchesReferenceHeapOnRecordedSchedule) {
   ASSERT_EQ(got.size(), want.size());
   ASSERT_EQ(got.size(), steps.size());
   EXPECT_EQ(got, want);
+}
+
+// --- Callback-driven differential gate ------------------------------------
+//
+// The recorded schedule above pushes everything from tick 0. Here both the
+// Simulator and the reference heap run one workload whose events schedule
+// and cancel other events from inside their callbacks, across RunUntil
+// limits and an idle jump. The workload's choices are a function of its seed
+// and of the dispatch sequence it observes, so two engines that dispatch
+// identically make identical choices and the first divergence shows up as a
+// differing log entry.
+
+constexpr uint32_t kCoarseShift = LadderQueue::kCoarseShift;
+constexpr Tick kCoarseSpan =
+    static_cast<Tick>(LadderQueue::kCoarseCount) * LadderQueue::kCoarseTicks;
+
+// Rung boundaries of the ladder whose window starts at `ws` (the last popped
+// tick): ticks below FineEnd are in the fine rung, ticks below CoarseEnd in
+// the coarse rung, the rest in the overflow heap.
+Tick FineEnd(Tick ws) {
+  return ((ws + kWindow) >> kCoarseShift) << kCoarseShift;
+}
+Tick CoarseEnd(Tick ws) { return FineEnd(ws) + kCoarseSpan; }
+
+class DiffEngine {
+ public:
+  virtual ~DiffEngine() = default;
+  virtual Tick now() const = 0;
+  virtual void Push(Tick at, int tag) = 0;
+  virtual bool Cancel(int tag) = 0;
+  virtual void RunUntil(Tick limit) = 0;
+};
+
+class DiffWorkload {
+ public:
+  enum Op : int { kFire, kCancelled, kCancelMissed };
+  struct LogEntry {
+    Op op;
+    Tick tick;
+    int tag;
+    bool operator==(const LogEntry&) const = default;
+  };
+  enum Rung { kFine, kCoarse, kHeap };
+
+  explicit DiffWorkload(uint64_t seed) : rng_(seed) {}
+  void Attach(DiffEngine* engine) { engine_ = engine; }
+
+  // Dispatch hook: logs the event, then (unless quiet) reacts by scheduling
+  // and cancelling.
+  void OnFire(int tag) {
+    const Tick now = engine_->now();
+    if (last_fire_ >= 0 && now - last_fire_ > kCoarseSpan) {
+      ++idle_jumps_;
+    }
+    last_fire_ = now;
+    log_.push_back({kFire, now, tag});
+    Unpend(tag);
+    if (quiet_) {
+      return;
+    }
+    // Keep roughly 400..1200 events pending.
+    const size_t n = pending_.size() < 400    ? 2
+                     : pending_.size() > 1200 ? 0
+                                              : rng_.NextBelow(3);
+    for (size_t i = 0; i < n; ++i) {
+      PushAt(now + DrawDelay());
+    }
+    if (rng_.NextBool(0.15)) {
+      CancelPending();
+    }
+    if (rng_.NextBool(0.02)) {
+      CancelAny();  // usually a fired or cancelled tag: must miss on both
+    }
+  }
+
+  void PushAt(Tick at) {
+    const int tag = static_cast<int>(at_.size());
+    at_.push_back(std::max(at, engine_->now()));
+    pos_.push_back(static_cast<int>(pending_.size()));
+    pending_.push_back(tag);
+    engine_->Push(at, tag);
+  }
+
+  // Delays from every rung and from the exact rung boundaries of the current
+  // window (the last popped tick).
+  Tick DrawDelay() {
+    const Tick now = engine_->now();
+    const Tick fine = FineEnd(last_fire_ < 0 ? 0 : last_fire_) - now;
+    const Tick coarse = CoarseEnd(last_fire_ < 0 ? 0 : last_fire_) - now;
+    switch (rng_.NextBelow(6)) {
+      case 0:
+        return 0;
+      case 1:
+        return Below(fine);
+      case 2:
+        return fine + Below(kCoarseSpan);
+      case 3: {
+        const Tick edges[] = {fine - 1,   fine,   fine + 1,
+                              coarse - 1, coarse, coarse + 1};
+        return edges[rng_.NextBelow(6)];
+      }
+      case 4:
+        return coarse + Below(kCoarseSpan);
+      default:
+        return 68 * kMillisecond + Below(100 * kMillisecond);
+    }
+  }
+
+  // Cancels a pending event, preferring one in a randomly chosen rung (fine
+  // events are rare: they fire soon after they are pushed).
+  void CancelPending() {
+    if (pending_.empty()) {
+      return;
+    }
+    const auto want = static_cast<Rung>(rng_.NextBelow(3));
+    int tag = -1;
+    Rung rung = kFine;
+    for (int tries = 0; tries < 32 && (tag < 0 || rung != want); ++tries) {
+      tag = pending_[rng_.NextBelow(pending_.size())];
+      rung = RungOf(at_[static_cast<size_t>(tag)]);
+    }
+    ++cancels_[rung];
+    Cancel(tag);
+  }
+
+  void CancelAny() {
+    if (!at_.empty()) {
+      Cancel(static_cast<int>(rng_.NextBelow(at_.size())));
+    }
+  }
+
+  void Cancel(int tag) {
+    const bool hit = engine_->Cancel(tag);
+    log_.push_back({hit ? kCancelled : kCancelMissed, engine_->now(), tag});
+    if (hit) {
+      Unpend(tag);
+    }
+  }
+
+  // RunUntil, counting limits that end inside a coarse bucket not yet
+  // distributed (beyond the fine rung of the final window).
+  void RunUntil(Tick limit) {
+    engine_->RunUntil(limit);
+    const Tick ws = last_fire_ < 0 ? 0 : last_fire_;
+    if (limit >= FineEnd(ws) && limit < CoarseEnd(ws)) {
+      ++limits_in_coarse_;
+    }
+  }
+
+  // A random tick in [0, bound), 0 when bound <= 0.
+  Tick Below(Tick bound) {
+    return bound <= 0 ? 0
+                      : static_cast<Tick>(
+                            rng_.NextBelow(static_cast<uint64_t>(bound)));
+  }
+  void set_quiet(bool quiet) { quiet_ = quiet; }
+  size_t pending() const { return pending_.size(); }
+  const std::vector<LogEntry>& log() const { return log_; }
+  int cancels(Rung r) const { return cancels_[r]; }
+  int limits_in_coarse() const { return limits_in_coarse_; }
+  int idle_jumps() const { return idle_jumps_; }
+
+ private:
+  Rung RungOf(Tick at) const {
+    const Tick ws = last_fire_ < 0 ? 0 : last_fire_;
+    return at < FineEnd(ws) ? kFine : (at < CoarseEnd(ws) ? kCoarse : kHeap);
+  }
+
+  void Unpend(int tag) {
+    const int i = pos_[static_cast<size_t>(tag)];
+    if (i < 0) {
+      return;
+    }
+    const int moved = pending_.back();
+    pending_[static_cast<size_t>(i)] = moved;
+    pos_[static_cast<size_t>(moved)] = i;
+    pending_.pop_back();
+    pos_[static_cast<size_t>(tag)] = -1;
+  }
+
+  Rng rng_;
+  DiffEngine* engine_ = nullptr;
+  bool quiet_ = false;
+  Tick last_fire_ = -1;
+  std::vector<Tick> at_;      // by tag: scheduled tick (after clamping)
+  std::vector<int> pos_;      // by tag: index in pending_, -1 once gone
+  std::vector<int> pending_;  // tags neither fired nor cancelled
+  std::vector<LogEntry> log_;
+  int cancels_[3] = {0, 0, 0};
+  int limits_in_coarse_ = 0;
+  int idle_jumps_ = 0;
+};
+
+class SimulatorDiffEngine : public DiffEngine {
+ public:
+  explicit SimulatorDiffEngine(DiffWorkload* w) : w_(w) { w_->Attach(this); }
+  Tick now() const override { return sim_.now(); }
+  void Push(Tick at, int tag) override {
+    handles_.resize(std::max(handles_.size(), static_cast<size_t>(tag) + 1));
+    handles_[static_cast<size_t>(tag)] =
+        sim_.ScheduleAt(at, [this, tag]() { w_->OnFire(tag); });
+  }
+  bool Cancel(int tag) override {
+    return sim_.Cancel(handles_[static_cast<size_t>(tag)]);
+  }
+  void RunUntil(Tick limit) override { sim_.RunUntil(limit); }
+
+ private:
+  DiffWorkload* w_;
+  Simulator sim_;
+  std::vector<TimerHandle> handles_;
+};
+
+class ReferenceDiffEngine : public DiffEngine {
+ public:
+  explicit ReferenceDiffEngine(DiffWorkload* w) : w_(w) { w_->Attach(this); }
+  Tick now() const override { return now_; }
+  void Push(Tick at, int tag) override {
+    live_.resize(std::max(live_.size(), static_cast<size_t>(tag) + 1), false);
+    live_[static_cast<size_t>(tag)] = true;
+    q_.Push(now_, at, tag);
+  }
+  bool Cancel(int tag) override {
+    const bool was_live = live_[static_cast<size_t>(tag)];
+    live_[static_cast<size_t>(tag)] = false;
+    return was_live;
+  }
+  void RunUntil(Tick limit) override {
+    Tick at = 0;
+    int tag = 0;
+    while (q_.Peek(&at) && at <= limit) {
+      q_.Pop(&at, &tag);
+      if (!live_[static_cast<size_t>(tag)]) {
+        continue;  // cancelled
+      }
+      live_[static_cast<size_t>(tag)] = false;
+      now_ = at;
+      w_->OnFire(tag);
+    }
+    now_ = std::max(now_, limit);
+  }
+
+ private:
+  DiffWorkload* w_;
+  ReferenceEventQueue q_;
+  Tick now_ = 0;
+  std::vector<bool> live_;  // by tag
+};
+
+// One scripted run: RunUntil segments (each followed by pushes at the limit
+// tick from outside any callback), a full drain, an idle jump past the
+// coarse horizon, more segments, and a final drain.
+void RunDiffScript(DiffWorkload& w, const DiffEngine& e) {
+  for (int i = 0; i < 200; ++i) {
+    w.PushAt(w.DrawDelay());
+  }
+  auto segments = [&w, &e](int count) {
+    for (int i = 0; i < count; ++i) {
+      w.RunUntil(e.now() + w.Below(10 * kMillisecond));
+      w.PushAt(e.now());
+      w.PushAt(e.now() + w.DrawDelay());
+    }
+  };
+  segments(300);
+  w.set_quiet(true);
+  w.RunUntil(e.now() + kSecond);
+  ASSERT_EQ(w.pending(), 0u);
+  w.set_quiet(false);
+  w.PushAt(e.now() + 100 * kMillisecond);
+  w.PushAt(e.now() + 100 * kMillisecond);
+  w.RunUntil(e.now() + 150 * kMillisecond);
+  segments(300);
+  w.set_quiet(true);
+  w.RunUntil(e.now() + kSecond);
+  ASSERT_EQ(w.pending(), 0u);
+}
+
+TEST(SimulatorEngineTest, MatchesReferenceHeapUnderCallbacksCancelsAndLimits) {
+  constexpr uint64_t kSeed = 20261017;
+  DiffWorkload want(kSeed);
+  ReferenceDiffEngine reference(&want);
+  RunDiffScript(want, reference);
+  DiffWorkload got(kSeed);
+  SimulatorDiffEngine simulator(&got);
+  RunDiffScript(got, simulator);
+
+  const auto& a = want.log();
+  const auto& b = got.log();
+  size_t same = 0;
+  while (same < a.size() && same < b.size() && a[same] == b[same]) {
+    ++same;
+  }
+  ASSERT_EQ(same, a.size())
+      << "first divergence at log entry " << same << ": reference (op "
+      << a[same].op << ", tick " << a[same].tick << ", tag " << a[same].tag
+      << ")";
+  ASSERT_EQ(b.size(), a.size());
+
+  // The script reached every case it is meant to cover.
+  EXPECT_GT(a.size(), 10000u);
+  EXPECT_GE(got.cancels(DiffWorkload::kFine), 20);
+  EXPECT_GE(got.cancels(DiffWorkload::kCoarse), 20);
+  EXPECT_GE(got.cancels(DiffWorkload::kHeap), 20);
+  EXPECT_GE(got.limits_in_coarse(), 50);
+  EXPECT_GE(got.idle_jumps(), 1);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // backpressure, namespaces, and interrupt generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "src/nvme/device.h"
@@ -275,6 +278,111 @@ TEST_F(DeviceTest, CapacityBackpressureSkipsBulkyHead) {
   EXPECT_EQ(device.commands_completed(), 1u);
   EXPECT_EQ(device.nsq(0).visible(), 1u);
   EXPECT_GT(device.fetch_stall_ns(), 0);
+}
+
+// While the device is stalled on capacity, kicks skip the arbitration scan
+// when the free buffer cannot hold the smallest armed head. These pin what
+// that must not change: when commands are fetched, and the stall clock.
+// One chip, so a multi-page command retires its pages at distinct ticks.
+DeviceConfig OneChipConfig() {
+  DeviceConfig config = SmallConfig();
+  config.max_inflight_pages = 8;
+  config.flash.channels = 1;
+  config.flash.chips_per_channel = 1;
+  return config;
+}
+
+// Steps to idle, recording each step that retired a flash page (the device
+// buffer shrank): its tick and fetch_stall_ns() right after it.
+std::vector<std::pair<Tick, Tick>> StepRecordingPageRetires(
+    Simulator& sim, const Device& device) {
+  std::vector<std::pair<Tick, Tick>> retires;
+  int pages = device.inflight_pages();
+  while (sim.Step()) {
+    if (device.inflight_pages() < pages) {
+      retires.emplace_back(sim.now(), device.fetch_stall_ns());
+    }
+    pages = device.inflight_pages();
+  }
+  return retires;
+}
+
+// Simulated time in [lo, hi) up to tick t.
+Tick Overlap(Tick t, Tick lo, Tick hi) {
+  return std::max<Tick>(0, std::min(t, hi) - lo);
+}
+
+TEST_F(DeviceTest, StalledDeviceFetchesNewSmallCommandAtNextPageDone) {
+  Device device(&sim_, OneChipConfig());
+  std::map<uint64_t, NvmeCompletion> cqes;
+  device.SetIrqHandler([&](int ncq) {
+    for (const NvmeCompletion& c : device.DrainCompletions(ncq, 100)) {
+      cqes[c.cid] = c;
+    }
+    device.IrqDone(ncq);
+  });
+  // A fills the 8-page buffer; B (4 pages) stalls the controller behind it.
+  ASSERT_TRUE(device.Enqueue(0, MakeCmd(1, 0, 0, 8)));
+  ASSERT_TRUE(device.Enqueue(1, MakeCmd(2, 0, 100, 4)));
+  device.RingDoorbell(0);
+  device.RingDoorbell(1);
+  sim_.RunUntil(10 * kMicrosecond);
+  ASSERT_EQ(device.inflight_pages(), 8);
+  // A 1-page doorbell mid-stall: smaller than B, so the first freed page
+  // must go to it, not wait for B's four.
+  ASSERT_TRUE(device.Enqueue(2, MakeCmd(3, 0, 200, 1)));
+  device.RingDoorbell(2);
+  EXPECT_EQ(device.commands_fetched(), 1u);
+  const auto retires = StepRecordingPageRetires(sim_, device);
+  ASSERT_EQ(cqes.size(), 3u);
+  ASSERT_FALSE(retires.empty());
+  const NvmeCompletion& a = cqes[1];
+  const NvmeCompletion& b = cqes[2];
+  const NvmeCompletion& c = cqes[3];
+  EXPECT_EQ(c.fetch_start_time, retires.front().first);
+  EXPECT_LT(c.fetch_start_time, b.fetch_start_time);
+  // Two stall episodes: behind A until C slips in, then behind C until B
+  // fits. The stall clock must read exactly their length at every kick.
+  auto stalled_by = [&](Tick t) {
+    return Overlap(t, a.fetch_time, c.fetch_start_time) +
+           Overlap(t, c.fetch_time, b.fetch_start_time);
+  };
+  for (const auto& [at, stall_ns] : retires) {
+    EXPECT_EQ(stall_ns, stalled_by(at)) << "page retired at tick " << at;
+  }
+  EXPECT_GT(device.fetch_stall_ns(), 0);
+  EXPECT_EQ(device.fetch_stall_ns(), stalled_by(sim_.now()));
+}
+
+TEST_F(DeviceTest, AbortingStalledBulkyHeadLetsNextKickFetchCommandBehindIt) {
+  Device device(&sim_, OneChipConfig());
+  std::map<uint64_t, NvmeCompletion> cqes;
+  device.SetIrqHandler([&](int ncq) {
+    for (const NvmeCompletion& c : device.DrainCompletions(ncq, 100)) {
+      cqes[c.cid] = c;
+    }
+    device.IrqDone(ncq);
+  });
+  // A fills the buffer; NSQ 1 holds a bulky B (8 pages) with a 1-page D
+  // queued behind it.
+  ASSERT_TRUE(device.Enqueue(0, MakeCmd(1, 0, 0, 8)));
+  ASSERT_TRUE(device.Enqueue(1, MakeCmd(2, 0, 100, 8)));
+  ASSERT_TRUE(device.Enqueue(1, MakeCmd(4, 0, 200, 1)));
+  device.RingDoorbell(0);
+  device.RingDoorbell(1);
+  // Step to A's first page completion: one free page, still short of B.
+  while (device.inflight_pages() != 7 && sim_.Step()) {
+  }
+  ASSERT_EQ(device.inflight_pages(), 7);
+  EXPECT_EQ(device.commands_fetched(), 1u);
+  EXPECT_EQ(device.AbortCommand(1, 2), Device::AbortOutcome::kRemovedFromQueue);
+  // The abort kicks nothing; the next page completion must fetch D.
+  const auto retires = StepRecordingPageRetires(sim_, device);
+  ASSERT_FALSE(retires.empty());
+  ASSERT_EQ(cqes.count(4), 1u);
+  EXPECT_EQ(cqes[4].fetch_start_time, retires.front().first);
+  EXPECT_EQ(cqes.count(2), 0u);
+  EXPECT_EQ(device.commands_fetched(), 2u);
 }
 
 TEST_F(DeviceTest, BulkyCommandFetchesWhenCapacityFrees) {
