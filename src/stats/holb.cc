@@ -1,20 +1,16 @@
 #include "src/stats/holb.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
+#include "src/core/invariant.h"
 #include "src/stats/metrics.h"
 #include "src/stats/table.h"
 
 namespace daredevil {
 
 namespace {
-
-// A head-occupancy or fetch-engine interval with its owning record.
-struct OwnedInterval {
-  Tick begin = 0;
-  Tick end = 0;
-  const RequestRecord* owner = nullptr;
-};
 
 Tick Overlap(Tick a_begin, Tick a_end, Tick b_begin, Tick b_end) {
   const Tick begin = a_begin > b_begin ? a_begin : b_begin;
@@ -30,44 +26,12 @@ std::string TenantKey(const HolbOptions& opts, uint64_t tenant_id) {
   return "tenant" + std::to_string(tenant_id);
 }
 
-std::string SizeKey(const HolbOptions& opts, uint32_t pages) {
-  const std::string threshold = std::to_string(opts.bulk_threshold_pages);
-  return pages >= opts.bulk_threshold_pages ? "bulk(>=" + threshold + "p)"
-                                            : "small(<" + threshold + "p)";
-}
-
-void Charge(std::map<std::string, HolbRow>& rows, const std::string& key,
-            Tick head_ns, Tick fetch_ns) {
-  HolbRow& row = rows[key];
-  row.key = key;
-  ++row.blocking_events;
-  row.head_block_ns += head_ns;
-  row.fetch_slot_ns += fetch_ns;
-}
-
-std::vector<HolbRow> RankRows(std::map<std::string, HolbRow>& rows,
-                              size_t top_n) {
-  std::vector<HolbRow> out;
-  out.reserve(rows.size());
-  for (auto& [key, row] : rows) {
-    out.push_back(row);
-  }
-  std::sort(out.begin(), out.end(), [](const HolbRow& a, const HolbRow& b) {
-    if (a.total_ns() != b.total_ns()) {
-      return a.total_ns() > b.total_ns();
-    }
-    return a.key < b.key;
-  });
-  if (out.size() > top_n) {
-    out.resize(top_n);
-  }
-  return out;
-}
+using Interval = BlockingIntervals::Interval;
 
 // First interval whose end is past `at` (intervals are disjoint + sorted).
-size_t LowerBoundByEnd(const std::vector<OwnedInterval>& v, Tick at) {
+size_t LowerBoundByEnd(const Interval* v, size_t n, Tick at) {
   size_t lo = 0;
-  size_t hi = v.size();
+  size_t hi = n;
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
     if (v[mid].end <= at) {
@@ -80,6 +44,249 @@ size_t LowerBoundByEnd(const std::vector<OwnedInterval>& v, Tick at) {
 }
 
 }  // namespace
+
+// --- BlockingIntervals -------------------------------------------------------
+
+BlockingIntervals::BlockingIntervals(const std::vector<RequestRecord>& records)
+    : nsq_slot_(records.size()), head_start_(records.size()) {
+  DD_CHECK(records.size() <= UINT32_MAX) << "record positions must fit 32 bits";
+  const auto n = static_cast<uint32_t>(records.size());
+  // FIFO fetch order: (fetch_start, id), position as the last tie-break.
+  auto fetch_order = [&records](uint32_t a, uint32_t b) {
+    const RequestRecord& ra = records[a];
+    const RequestRecord& rb = records[b];
+    if (ra.fetch_start != rb.fetch_start) {
+      return ra.fetch_start < rb.fetch_start;
+    }
+    if (ra.id != rb.id) {
+      return ra.id < rb.id;
+    }
+    return a < b;
+  };
+  std::vector<uint32_t> order(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), fetch_order);
+  fetches_.reserve(n);
+  for (uint32_t i : order) {
+    fetches_.push_back({records[i].fetch_start, records[i].fetch, i});
+  }
+
+  // Heads: the same order, grouped by NSQ (a stable pass keeps it per NSQ).
+  std::stable_sort(order.begin(), order.end(),
+                   [&records](uint32_t a, uint32_t b) {
+                     return records[a].nsq < records[b].nsq;
+                   });
+  heads_.reserve(n);
+  for (uint32_t i : order) {
+    const RequestRecord& r = records[i];
+    if (nsqs_.empty() || nsqs_.back().nsq != r.nsq) {
+      nsqs_.push_back({r.nsq, static_cast<uint32_t>(heads_.size()), 0});
+    }
+    const Tick prev_departure = nsqs_.back().count > 0 ? heads_.back().end : 0;
+    const Tick visible = r.doorbell > 0 ? r.doorbell : r.nsq_enqueue;
+    const Tick head_start = std::max(visible, prev_departure);
+    heads_.push_back({head_start, r.fetch_start, i});
+    ++nsqs_.back().count;
+    nsq_slot_[i] = static_cast<uint32_t>(nsqs_.size() - 1);
+    head_start_[i] = head_start;
+  }
+}
+
+// --- HolbAnalyzer ------------------------------------------------------------
+
+HolbAnalyzer::HolbAnalyzer(const std::vector<RequestRecord>& records,
+                           const BlockingIntervals& intervals,
+                           const HolbOptions& opts)
+    : records_(records),
+      intervals_(intervals),
+      opts_(opts),
+      tenant_key_of_(records.size()),
+      size_key_of_(records.size()) {
+  DD_CHECK(intervals.size() == records.size())
+      << "interval index built from a different record set";
+  const std::string threshold = std::to_string(opts_.bulk_threshold_pages);
+  size_keys_ = {"small(<" + threshold + "p)", "bulk(>=" + threshold + "p)"};
+  // Tenants sharing a display name share a row, as string-keyed rows would.
+  std::map<uint64_t, uint32_t> key_of_tenant;
+  std::map<std::string, uint32_t> key_of_name;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const RequestRecord& r = records[i];
+    auto it = key_of_tenant.find(r.tenant_id);
+    if (it == key_of_tenant.end()) {
+      std::string key = TenantKey(opts_, r.tenant_id);
+      auto [name_it, added] = key_of_name.emplace(
+          key, static_cast<uint32_t>(tenant_keys_.size()));
+      if (added) {
+        tenant_keys_.push_back(std::move(key));
+      }
+      it = key_of_tenant.emplace(r.tenant_id, name_it->second).first;
+    }
+    tenant_key_of_[i] = it->second;
+    size_key_of_[i] = r.pages >= opts_.bulk_threshold_pages ? 1 : 0;
+  }
+
+  by_tenant_completion_.resize(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    by_tenant_completion_[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(by_tenant_completion_.begin(), by_tenant_completion_.end(),
+            [&records](uint32_t a, uint32_t b) {
+              const RequestRecord& ra = records[a];
+              const RequestRecord& rb = records[b];
+              if (ra.tenant_id != rb.tenant_id) {
+                return ra.tenant_id < rb.tenant_id;
+              }
+              if (ra.complete != rb.complete) {
+                return ra.complete < rb.complete;
+              }
+              return a < b;
+            });
+}
+
+HolbAnalyzer::Pass HolbAnalyzer::StartPass() const {
+  Pass pass;
+  pass.by_tenant.resize(tenant_keys_.size());
+  pass.by_size.resize(size_keys_.size());
+  return pass;
+}
+
+Tick HolbAnalyzer::ChargeOverlaps(const Interval* v, size_t n, Tick begin,
+                                  Tick end, size_t self,
+                                  Tick Tally::*mechanism, Pass& pass) const {
+  Tick sum = 0;
+  for (size_t i = LowerBoundByEnd(v, n, begin); i < n; ++i) {
+    const Interval& iv = v[i];
+    if (iv.begin >= end) {
+      break;
+    }
+    if (iv.record == self) {
+      continue;
+    }
+    const Tick ns = Overlap(begin, end, iv.begin, iv.end);
+    if (ns <= 0) {
+      continue;
+    }
+    sum += ns;
+    for (Tally* t : {&pass.by_tenant[tenant_key_of_[iv.record]],
+                     &pass.by_size[size_key_of_[iv.record]]}) {
+      ++t->blocking_events;
+      t->*mechanism += ns;
+    }
+  }
+  return sum;
+}
+
+void HolbAnalyzer::ChargeVictim(size_t v, Pass& pass) const {
+  const RequestRecord& victim = records_[v];
+  const Tick wait_begin = victim.nsq_enqueue;
+  const Tick wait_end = victim.fetch_start;
+  ++pass.report.victims;
+  if (wait_end <= wait_begin) {
+    return;
+  }
+  pass.report.total_wait_ns += wait_end - wait_begin;
+
+  // Same-NSQ head blocking: other requests occupying the head while the
+  // victim waited. Head intervals are disjoint within an NSQ, so overlaps
+  // never double-count.
+  const BlockingIntervals::NsqHeads& nsq = intervals_.NsqOf(v);
+  pass.report.attributed_head_ns +=
+      ChargeOverlaps(intervals_.heads().data() + nsq.first, nsq.count,
+                     wait_begin, wait_end, v, &Tally::head_block_ns, pass);
+
+  // Fetch-slot blocking: once at its own head, the victim waits for the
+  // serialized fetch engine to clear other queues' commands. Fetch
+  // intervals are globally disjoint (one engine), so again no
+  // double-counting, and the head/fetch windows partition the wait.
+  const Tick head_begin = intervals_.head_start(v);
+  if (head_begin < wait_end) {
+    const std::vector<Interval>& fetches = intervals_.fetches();
+    pass.report.attributed_fetch_ns +=
+        ChargeOverlaps(fetches.data(), fetches.size(), head_begin, wait_end, v,
+                       &Tally::fetch_slot_ns, pass);
+  }
+}
+
+HolbReport HolbAnalyzer::FinishPass(Pass& pass) const {
+  auto rank = [this](const std::vector<Tally>& tallies,
+                     const std::vector<std::string>& keys) {
+    std::vector<HolbRow> rows;
+    for (size_t k = 0; k < tallies.size(); ++k) {
+      if (tallies[k].blocking_events == 0) {
+        continue;  // never charged: no row
+      }
+      rows.push_back({keys[k], tallies[k].blocking_events,
+                      tallies[k].head_block_ns, tallies[k].fetch_slot_ns});
+    }
+    std::sort(rows.begin(), rows.end(), [](const HolbRow& a, const HolbRow& b) {
+      if (a.total_ns() != b.total_ns()) {
+        return a.total_ns() > b.total_ns();
+      }
+      return a.key < b.key;
+    });
+    if (rows.size() > opts_.top_n) {
+      rows.resize(opts_.top_n);
+    }
+    return rows;
+  };
+  HolbReport& report = pass.report;
+  const Tick attributed = report.attributed_head_ns + report.attributed_fetch_ns;
+  report.residual_ns =
+      report.total_wait_ns > attributed ? report.total_wait_ns - attributed : 0;
+  report.by_tenant = rank(pass.by_tenant, tenant_keys_);
+  report.by_size = rank(pass.by_size, size_keys_);
+  return std::move(report);
+}
+
+HolbReport HolbAnalyzer::Report() const {
+  if (records_.empty()) {
+    return HolbReport();
+  }
+  Pass pass = StartPass();
+  for (size_t v = 0; v < records_.size(); ++v) {
+    const RequestRecord& victim = records_[v];
+    if (opts_.victims_latency_sensitive_only && !victim.latency_sensitive) {
+      continue;
+    }
+    if (opts_.victim_tenant_id != 0 &&
+        victim.tenant_id != opts_.victim_tenant_id) {
+      continue;
+    }
+    if (victim.complete < opts_.victim_complete_begin ||
+        (opts_.victim_complete_end >= 0 &&
+         victim.complete >= opts_.victim_complete_end)) {
+      continue;
+    }
+    ChargeVictim(v, pass);
+  }
+  return FinishPass(pass);
+}
+
+HolbReport HolbAnalyzer::TenantWindow(uint64_t tenant_id, Tick begin,
+                                      Tick end) const {
+  if (records_.empty()) {
+    return HolbReport();
+  }
+  // The window's victims are one contiguous run of by_tenant_completion_.
+  const auto first = std::lower_bound(
+      by_tenant_completion_.begin(), by_tenant_completion_.end(), begin,
+      [this, tenant_id](uint32_t i, Tick at) {
+        const RequestRecord& r = records_[i];
+        return r.tenant_id != tenant_id ? r.tenant_id < tenant_id
+                                        : r.complete < at;
+      });
+  Pass pass = StartPass();
+  for (auto it = first; it != by_tenant_completion_.end(); ++it) {
+    const RequestRecord& victim = records_[*it];
+    if (victim.tenant_id != tenant_id || (end >= 0 && victim.complete >= end)) {
+      break;
+    }
+    ChargeVictim(*it, pass);
+  }
+  return FinishPass(pass);
+}
 
 Tick HolbReport::BulkHeadBlockNs() const {
   for (const HolbRow& row : by_size) {
@@ -153,137 +360,8 @@ std::string HolbReport::ToTable() const {
 
 HolbReport AnalyzeHolBlocking(const std::vector<RequestRecord>& records,
                               const HolbOptions& opts) {
-  HolbReport report;
-  if (records.empty()) {
-    return report;
-  }
-
-  // Reconstruct the per-NSQ head-occupancy intervals (same derivation as the
-  // trace export's NSQ tracks) and the serialized fetch-engine intervals.
-  std::map<int, std::vector<OwnedInterval>> heads_by_nsq;
-  // The victim's own head interval, keyed by record index.
-  std::map<const RequestRecord*, Tick> own_head_start;
-  {
-    std::map<int, std::vector<const RequestRecord*>> by_nsq;
-    for (const RequestRecord& r : records) {
-      by_nsq[r.nsq].push_back(&r);
-    }
-    for (auto& [nsq, rqs] : by_nsq) {
-      std::sort(rqs.begin(), rqs.end(),
-                [](const RequestRecord* a, const RequestRecord* b) {
-                  if (a->fetch_start != b->fetch_start) {
-                    return a->fetch_start < b->fetch_start;
-                  }
-                  return a->id < b->id;
-                });
-      Tick prev_departure = 0;
-      auto& intervals = heads_by_nsq[nsq];
-      intervals.reserve(rqs.size());
-      for (const RequestRecord* r : rqs) {
-        const Tick visible = r->doorbell > 0 ? r->doorbell : r->nsq_enqueue;
-        const Tick head_start = std::max(visible, prev_departure);
-        intervals.push_back({head_start, r->fetch_start, r});
-        own_head_start[r] = head_start;
-        prev_departure = r->fetch_start;
-      }
-    }
-  }
-  std::vector<OwnedInterval> fetches;
-  fetches.reserve(records.size());
-  for (const RequestRecord& r : records) {
-    fetches.push_back({r.fetch_start, r.fetch, &r});
-  }
-  std::sort(fetches.begin(), fetches.end(),
-            [](const OwnedInterval& a, const OwnedInterval& b) {
-              if (a.begin != b.begin) {
-                return a.begin < b.begin;
-              }
-              return a.owner->id < b.owner->id;
-            });
-
-  std::map<std::string, HolbRow> by_tenant;
-  std::map<std::string, HolbRow> by_size;
-
-  for (const RequestRecord& victim : records) {
-    if (opts.victims_latency_sensitive_only && !victim.latency_sensitive) {
-      continue;
-    }
-    if (opts.victim_tenant_id != 0 &&
-        victim.tenant_id != opts.victim_tenant_id) {
-      continue;
-    }
-    if (victim.complete < opts.victim_complete_begin ||
-        (opts.victim_complete_end >= 0 &&
-         victim.complete >= opts.victim_complete_end)) {
-      continue;
-    }
-    const Tick wait_begin = victim.nsq_enqueue;
-    const Tick wait_end = victim.fetch_start;
-    ++report.victims;
-    if (wait_end <= wait_begin) {
-      continue;
-    }
-    report.total_wait_ns += wait_end - wait_begin;
-
-    // Same-NSQ head blocking: other requests occupying the head while the
-    // victim waited. Head intervals are disjoint within an NSQ, so overlaps
-    // never double-count.
-    const auto heads_it = heads_by_nsq.find(victim.nsq);
-    if (heads_it != heads_by_nsq.end()) {
-      const auto& heads = heads_it->second;
-      for (size_t i = LowerBoundByEnd(heads, wait_begin); i < heads.size();
-           ++i) {
-        const OwnedInterval& iv = heads[i];
-        if (iv.begin >= wait_end) {
-          break;
-        }
-        if (iv.owner == &victim) {
-          continue;
-        }
-        const Tick ns = Overlap(wait_begin, wait_end, iv.begin, iv.end);
-        if (ns <= 0) {
-          continue;
-        }
-        report.attributed_head_ns += ns;
-        Charge(by_tenant, TenantKey(opts, iv.owner->tenant_id), ns, 0);
-        Charge(by_size, SizeKey(opts, iv.owner->pages), ns, 0);
-      }
-    }
-
-    // Fetch-slot blocking: once at its own head, the victim waits for the
-    // serialized fetch engine to clear other queues' commands. Fetch
-    // intervals are globally disjoint (one engine), so again no
-    // double-counting, and the head/fetch windows partition the wait.
-    const auto own_it = own_head_start.find(&victim);
-    const Tick head_begin =
-        own_it != own_head_start.end() ? own_it->second : wait_end;
-    if (head_begin < wait_end) {
-      for (size_t i = LowerBoundByEnd(fetches, head_begin); i < fetches.size();
-           ++i) {
-        const OwnedInterval& iv = fetches[i];
-        if (iv.begin >= wait_end) {
-          break;
-        }
-        if (iv.owner == &victim) {
-          continue;
-        }
-        const Tick ns = Overlap(head_begin, wait_end, iv.begin, iv.end);
-        if (ns <= 0) {
-          continue;
-        }
-        report.attributed_fetch_ns += ns;
-        Charge(by_tenant, TenantKey(opts, iv.owner->tenant_id), 0, ns);
-        Charge(by_size, SizeKey(opts, iv.owner->pages), 0, ns);
-      }
-    }
-  }
-
-  const Tick attributed = report.attributed_head_ns + report.attributed_fetch_ns;
-  report.residual_ns =
-      report.total_wait_ns > attributed ? report.total_wait_ns - attributed : 0;
-  report.by_tenant = RankRows(by_tenant, opts.top_n);
-  report.by_size = RankRows(by_size, opts.top_n);
-  return report;
+  const BlockingIntervals intervals(records);
+  return HolbAnalyzer(records, intervals, opts).Report();
 }
 
 }  // namespace daredevil

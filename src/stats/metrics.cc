@@ -1,5 +1,6 @@
 #include "src/stats/metrics.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -11,6 +12,61 @@ namespace daredevil {
 
 // --- JsonWriter -----------------------------------------------------------
 
+void AppendJsonString(std::string& out, std::string_view s) {
+  out += '"';
+  // Copy runs of plain characters in one append; escape the rest.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escaped = nullptr;
+    switch (c) {
+      case '"':
+        escaped = "\\\"";
+        break;
+      case '\\':
+        escaped = "\\\\";
+        break;
+      case '\n':
+        escaped = "\\n";
+        break;
+      case '\t':
+        escaped = "\\t";
+        break;
+      case '\r':
+        escaped = "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) {
+          continue;
+        }
+    }
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    if (escaped != nullptr) {
+      out += escaped;
+    } else {
+      constexpr char kHex[] = "0123456789abcdef";
+      const auto u = static_cast<unsigned char>(c);
+      const char unicode[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+      out.append(unicode, sizeof(unicode));
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+  out += '"';
+}
+
+void AppendJsonInt(std::string& out, int64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+void AppendJsonUInt(std::string& out, uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
 void JsonWriter::BeforeValue() {
   if (after_key_) {
     after_key_ = false;
@@ -21,36 +77,6 @@ void JsonWriter::BeforeValue() {
       out_ += ',';
     }
     first_.back() = false;
-  }
-}
-
-void JsonWriter::Escape(std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out_ += "\\\"";
-        break;
-      case '\\':
-        out_ += "\\\\";
-        break;
-      case '\n':
-        out_ += "\\n";
-        break;
-      case '\t':
-        out_ += "\\t";
-        break;
-      case '\r':
-        out_ += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out_ += buf;
-        } else {
-          out_ += c;
-        }
-    }
   }
 }
 
@@ -84,34 +110,27 @@ JsonWriter& JsonWriter::EndArray() {
 
 JsonWriter& JsonWriter::Key(std::string_view k) {
   BeforeValue();
-  out_ += '"';
-  Escape(k);
-  out_ += "\":";
+  AppendJsonString(out_, k);
+  out_ += ':';
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::String(std::string_view v) {
   BeforeValue();
-  out_ += '"';
-  Escape(v);
-  out_ += '"';
+  AppendJsonString(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(int64_t v) {
   BeforeValue();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out_ += buf;
+  AppendJsonInt(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::UInt(uint64_t v) {
   BeforeValue();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out_ += buf;
+  AppendJsonUInt(out_, v);
   return *this;
 }
 

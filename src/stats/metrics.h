@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/stats/histogram.h"
@@ -27,10 +28,20 @@ class Machine;   // src/sim/cpu.h
 
 // --- JSON -----------------------------------------------------------------
 
+// The JsonWriter's value encoders, for emitters that render many small
+// values straight into one buffer (the trace exporter).
+// Appends `s` quoted, escaping quotes, backslashes and control characters.
+void AppendJsonString(std::string& out, std::string_view s);
+// Integers go through std::to_chars: the digits of printf's %lld / %llu.
+void AppendJsonInt(std::string& out, int64_t v);
+void AppendJsonUInt(std::string& out, uint64_t v);
+
 // Minimal JSON emitter (no external deps). Callers alternate Key()/value
 // calls inside objects; comma placement is handled automatically.
 class JsonWriter {
  public:
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
+
   JsonWriter& BeginObject();
   JsonWriter& EndObject();
   JsonWriter& BeginArray();
@@ -45,10 +56,11 @@ class JsonWriter {
   JsonWriter& Raw(std::string_view json);
 
   const std::string& str() const { return out_; }
+  // Hands the document over without copying; the writer is left empty.
+  std::string Release() { return std::move(out_); }
 
  private:
   void BeforeValue();
-  void Escape(std::string_view s);
 
   std::string out_;
   std::vector<bool> first_;  // per open container: no value emitted yet

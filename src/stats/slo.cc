@@ -7,7 +7,6 @@
 #include "src/stats/holb.h"
 #include "src/stats/metrics.h"
 #include "src/stats/table.h"
-#include "src/stats/trace_export.h"
 
 namespace daredevil {
 
@@ -361,10 +360,8 @@ std::string SloReport::ToTable() const {
 
 // --- Episode attribution ---------------------------------------------------
 
-void AttributeSloEpisodes(SloReport& report,
-                          const std::vector<RequestRecord>& records,
-                          const std::map<uint64_t, std::string>& tenant_names) {
-  if (report.empty() || records.empty()) {
+void AttributeSloEpisodes(SloReport& report, const HolbAnalyzer& holb) {
+  if (report.empty() || holb.empty()) {
     return;
   }
   for (auto& [name, r] : report.tenants) {
@@ -373,13 +370,7 @@ void AttributeSloEpisodes(SloReport& report,
     }
     std::map<std::string, SloBlameRow> merged;
     for (SloEpisode& ep : r.episodes) {
-      HolbOptions opts;
-      opts.victims_latency_sensitive_only = false;
-      opts.victim_tenant_id = r.tenant_id;
-      opts.victim_complete_begin = ep.begin;
-      opts.victim_complete_end = ep.end;
-      opts.tenant_names = tenant_names;
-      const HolbReport hr = AnalyzeHolBlocking(records, opts);
+      const HolbReport hr = holb.TenantWindow(r.tenant_id, ep.begin, ep.end);
       // Dominant blocker: the top-ranked tenant other than the victim
       // itself (queueing behind your own requests is not interference).
       const HolbRow* top = nullptr;

@@ -17,10 +17,10 @@
 //     fast burn rate reaches the alert threshold.
 //
 // Episodes are cross-linked with the HOL-blocking attribution (holb.h): each
-// episode re-runs the attribution pass restricted to the tenant's requests
-// that completed inside the episode, so a violation carries its dominant
-// blocker ("T3 via same-queue-head") instead of just a timestamp range. The
-// Perfetto exporter renders episodes as slices on a per-tenant SLO track.
+// episode queries the run's interval index for the tenant's requests that
+// completed inside the episode, so a violation carries its dominant blocker
+// ("T3 via same-queue-head") instead of just a timestamp range. The Perfetto
+// exporter renders episodes as slices on a per-tenant SLO track.
 //
 // Determinism: the tracker is fed from the delivery path but only accumulates
 // counts - it never schedules events or draws randomness - and the report is
@@ -42,8 +42,8 @@
 
 namespace daredevil {
 
-class JsonWriter;      // src/stats/metrics.h
-struct RequestRecord;  // src/stats/trace_export.h
+class HolbAnalyzer;  // src/stats/holb.h
+class JsonWriter;    // src/stats/metrics.h
 
 // A latency objective for one tenant or one tenant group.
 struct SloSpec {
@@ -216,13 +216,13 @@ class SloTracker {
 };
 
 // Cross-links violation episodes with the HOL-blocking attribution: for each
-// episode, re-runs AnalyzeHolBlocking over `records` with the victims
-// restricted to the episode's tenant and completion range, then fills
-// blame/mechanism/blame_ns and the per-tenant attribution ranking. Pure
-// post-processing over captured records; deterministic.
-void AttributeSloEpisodes(SloReport& report,
-                          const std::vector<RequestRecord>& records,
-                          const std::map<uint64_t, std::string>& tenant_names);
+// episode, attributes the waits of the tenant's requests completing inside
+// it (HolbAnalyzer::TenantWindow, the same rows as a filtered
+// AnalyzeHolBlocking pass), then fills blame/mechanism/blame_ns and the
+// per-tenant attribution ranking: each episode's rows, ranked and cut to
+// the analyzer's top_n, summed. Row keys are the analyzer's tenant names.
+// Pure post-processing over captured records; deterministic.
+void AttributeSloEpisodes(SloReport& report, const HolbAnalyzer& holb);
 
 }  // namespace daredevil
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstddef>
 #include <cstdio>
+#include <iterator>
 
-#include "src/core/invariant.h"
+#include "src/stats/holb.h"
 #include "src/stats/metrics.h"
 #include "src/stats/slo.h"
 #include "src/stats/state_sampler.h"
@@ -79,52 +82,68 @@ void RequestTimelineLog::Clear() {
 
 namespace {
 
-std::string Quoted(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
+// Lifecycle stages of a request's nested async slices (ChromeEventKind::
+// kStage, `sub` indexes this table).
+struct Stage {
+  const char* name;
+  Tick RequestRecord::*begin;
+  Tick RequestRecord::*end;
+};
+constexpr Stage kStages[] = {
+    {"submit", &RequestRecord::issue, &RequestRecord::nsq_enqueue},
+    {"nsq-wait", &RequestRecord::nsq_enqueue, &RequestRecord::fetch_start},
+    {"fetch", &RequestRecord::fetch_start, &RequestRecord::fetch},
+    {"flash", &RequestRecord::fetch, &RequestRecord::flash_end},
+    {"completion-wait", &RequestRecord::flash_end, &RequestRecord::drain},
+    {"delivery", &RequestRecord::drain, &RequestRecord::complete},
+};
+
+// Appends events in emission order, stamping each with its emission index.
+class EventSink {
+ public:
+  explicit EventSink(std::vector<ChromeEvent>& out) : out_(out) {}
+
+  ChromeEvent& Add(ChromeEventKind kind, char ph, Tick ts, int pid, int tid,
+                   uint32_t ref = 0) {
+    ChromeEvent& e = out_.emplace_back();
+    e.kind = kind;
+    e.ph = ph;
+    e.ts = ts;
+    e.pid = pid;
+    e.tid = tid;
+    e.ref = ref;
+    e.seq = static_cast<uint32_t>(out_.size() - 1);
+    return e;
   }
-  out += '"';
-  return out;
-}
-
-std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
-  auto it = input.tenant_names.find(tenant_id);
-  if (it != input.tenant_names.end()) {
-    return it->second;
+  // A 'b' at `begin` and its 'e' at `end`, both with async id `id`.
+  void AddAsync(ChromeEventKind kind, Tick begin, Tick end, int pid,
+                uint32_t ref, uint64_t id, uint32_t sub = 0) {
+    ChromeEvent& b = Add(kind, 'b', begin, pid, 0, ref);
+    b.id = id;
+    b.sub = sub;
+    ChromeEvent& e = Add(kind, 'e', end, pid, 0, ref);
+    e.id = id;
+    e.sub = sub;
   }
-  return "tenant" + std::to_string(tenant_id);
-}
+  void AddSlice(ChromeEventKind kind, Tick begin, Tick end, int pid, int tid,
+                uint32_t ref) {
+    Add(kind, 'X', begin, pid, tid, ref).dur = end > begin ? end - begin : 0;
+  }
 
-std::string RequestLabel(const RequestRecord& r) {
-  std::string label = "rq " + std::to_string(r.id);
-  label += r.latency_sensitive ? " L" : " T";
-  label += " " + std::to_string(r.pages) + "p";
-  label += r.is_write ? " W" : " R";
-  return label;
-}
+ private:
+  std::vector<ChromeEvent>& out_;
+};
 
-void AddMeta(std::vector<ChromeEvent>& out, int pid, int tid, const char* what,
-             const std::string& name) {
-  ChromeEvent e;
-  e.ph = 'M';
-  e.pid = pid;
-  e.tid = tid;
-  e.name = what;
-  e.args.emplace_back("name", Quoted(name));
-  out.push_back(e);
-}
-
-void BuildMetadata(const TraceExportInput& input,
-                   const std::vector<RequestRecord>& records,
-                   std::vector<ChromeEvent>& out) {
-  AddMeta(out, kTracePidHost, 0, "process_name",
-          "host (" + input.stack_name + ")");
+void BuildMetadata(const TraceExportInput& input, EventSink& sink) {
+  auto process = [&sink](int pid) {
+    sink.Add(ChromeEventKind::kProcessName, 'M', 0, pid, 0);
+  };
+  auto thread = [&sink](int pid, int tid) {
+    sink.Add(ChromeEventKind::kThreadName, 'M', 0, pid, tid);
+  };
+  process(kTracePidHost);
   for (int c = 0; c < input.num_cores; ++c) {
-    AddMeta(out, kTracePidHost, c, "thread_name", "core " + std::to_string(c));
+    thread(kTracePidHost, c);
   }
   // Only name NSQ tracks that actually carry events (128 idle tracks would
   // drown the view on a WS-M device).
@@ -135,7 +154,7 @@ void BuildMetadata(const TraceExportInput& input,
       nsq_used[static_cast<size_t>(nsq)] = true;
     }
   };
-  for (const RequestRecord& r : records) {
+  for (const RequestRecord& r : input.requests) {
     mark(r.nsq);
   }
   for (const TraceEvent& e : input.events) {
@@ -144,75 +163,44 @@ void BuildMetadata(const TraceExportInput& input,
       mark(static_cast<int>(e.a));
     }
   }
-  AddMeta(out, kTracePidNsq, 0, "process_name", "NSQ head occupancy");
+  process(kTracePidNsq);
   for (size_t i = 0; i < nsq_used.size(); ++i) {
-    if (!nsq_used[i]) {
-      continue;
+    if (nsq_used[i]) {
+      thread(kTracePidNsq, static_cast<int>(i));
     }
-    const int nsq = static_cast<int>(i);
-    auto it = input.nsq_labels.find(nsq);
-    AddMeta(out, kTracePidNsq, nsq, "thread_name",
-            it != input.nsq_labels.end() ? it->second
-                                         : "NSQ " + std::to_string(nsq));
   }
-  AddMeta(out, kTracePidDevice, 0, "process_name", "device controller");
-  AddMeta(out, kTracePidDevice, 0, "thread_name", "fetch engine");
-  AddMeta(out, kTracePidNcq, 0, "process_name", "NCQ residency");
-  AddMeta(out, kTracePidRequests, 0, "process_name", "request lifecycles");
-  AddMeta(out, kTracePidCounters, 0, "process_name", "sampled state");
-  AddMeta(out, kTracePidControl, 0, "process_name", "stack control");
-  AddMeta(out, kTracePidControl, 0, "thread_name", "scheduling");
+  process(kTracePidDevice);
+  thread(kTracePidDevice, 0);
+  process(kTracePidNcq);
+  process(kTracePidRequests);
+  process(kTracePidCounters);
+  process(kTracePidControl);
+  thread(kTracePidControl, 0);
   if (input.slo != nullptr && !input.slo->empty()) {
-    AddMeta(out, kTracePidSlo, 0, "process_name", "SLO conformance");
-    int tid = 0;
-    for (const auto& [tenant, r] : input.slo->tenants) {
-      AddMeta(out, kTracePidSlo, tid, "thread_name", "SLO " + tenant);
-      ++tid;
+    process(kTracePidSlo);
+    for (size_t tid = 0; tid < input.slo->tenants.size(); ++tid) {
+      thread(kTracePidSlo, static_cast<int>(tid));
     }
   }
 }
 
 // Violation episodes as X slices and per-window fast burn rates as counters,
 // one track per SLO-tracked tenant (map order = tid order).
-void BuildSloEvents(const TraceExportInput& input,
-                    std::vector<ChromeEvent>& out) {
+void BuildSloEvents(const TraceExportInput& input, EventSink& sink) {
   if (input.slo == nullptr || input.slo->empty()) {
     return;
   }
-  auto fmt = [](double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.15g", v);
-    return std::string(buf);
-  };
   int tid = 0;
   for (const auto& [tenant, r] : input.slo->tenants) {
-    for (const SloEpisode& ep : r.episodes) {
-      ChromeEvent x;
-      x.ph = 'X';
-      x.ts = ep.begin;
-      x.dur = ep.duration();
-      x.pid = kTracePidSlo;
-      x.tid = tid;
-      x.cat = "slo";
-      x.name = "SLO violation " + tenant;
-      x.args.emplace_back("peak_burn", fmt(ep.peak_burn));
-      x.args.emplace_back("bad", std::to_string(ep.bad));
-      x.args.emplace_back("total", std::to_string(ep.total));
-      x.args.emplace_back("blame",
-                          Quoted(ep.blame.empty() ? "unattributed" : ep.blame));
-      x.args.emplace_back("mechanism", Quoted(ep.mechanism));
-      out.push_back(x);
+    for (size_t i = 0; i < r.episodes.size(); ++i) {
+      const SloEpisode& ep = r.episodes[i];
+      sink.Add(ChromeEventKind::kSloEpisode, 'X', ep.begin, kTracePidSlo, tid,
+               static_cast<uint32_t>(i))
+          .dur = ep.duration();
     }
-    for (const SloWindow& win : r.windows) {
-      ChromeEvent c;
-      c.ph = 'C';
-      c.ts = win.start;
-      c.pid = kTracePidSlo;
-      c.tid = tid;
-      c.name = "burn " + tenant;
-      c.args.emplace_back("fast", fmt(win.fast_burn));
-      c.args.emplace_back("slow", fmt(win.slow_burn));
-      out.push_back(c);
+    for (size_t i = 0; i < r.windows.size(); ++i) {
+      sink.Add(ChromeEventKind::kSloBurn, 'C', r.windows[i].start,
+               kTracePidSlo, tid, static_cast<uint32_t>(i));
     }
     ++tid;
   }
@@ -221,294 +209,122 @@ void BuildSloEvents(const TraceExportInput& input,
 // Per-request nested async lifecycle slices plus the resource-track slices
 // derived from the record set.
 void BuildRequestEvents(const TraceExportInput& input,
-                        const std::vector<RequestRecord>& records,
-                        std::vector<ChromeEvent>& out) {
-  struct Phase {
-    const char* name;
-    Tick RequestRecord::*begin;
-    Tick RequestRecord::*end;
-  };
-  static constexpr Phase kPhases[] = {
-      {"submit", &RequestRecord::issue, &RequestRecord::nsq_enqueue},
-      {"nsq-wait", &RequestRecord::nsq_enqueue, &RequestRecord::fetch_start},
-      {"fetch", &RequestRecord::fetch_start, &RequestRecord::fetch},
-      {"flash", &RequestRecord::fetch, &RequestRecord::flash_end},
-      {"completion-wait", &RequestRecord::flash_end, &RequestRecord::drain},
-      {"delivery", &RequestRecord::drain, &RequestRecord::complete},
-  };
-
-  for (const RequestRecord& r : records) {
-    const std::string tenant = TenantName(input, r.tenant_id);
-    ChromeEvent outer;
-    outer.ph = 'b';
-    outer.ts = r.issue;
-    outer.pid = kTracePidRequests;
-    outer.has_id = true;
+                        const BlockingIntervals& intervals, EventSink& sink) {
+  for (size_t i = 0; i < input.requests.size(); ++i) {
+    const RequestRecord& r = input.requests[i];
+    const auto ref = static_cast<uint32_t>(i);
+    ChromeEvent& outer =
+        sink.Add(ChromeEventKind::kRequest, 'b', r.issue, kTracePidRequests, 0, ref);
     outer.id = r.id;
-    outer.cat = "rq";
-    outer.name = RequestLabel(r);
-    outer.args.emplace_back("tenant", Quoted(tenant));
-    outer.args.emplace_back("nsq", std::to_string(r.nsq));
-    outer.args.emplace_back("ncq", std::to_string(r.ncq));
-    outer.args.emplace_back("pages", std::to_string(r.pages));
-    out.push_back(outer);
-    for (const Phase& phase : kPhases) {
-      const Tick begin = r.*(phase.begin);
-      const Tick end = r.*(phase.end);
+    for (uint32_t s = 0; s < std::size(kStages); ++s) {
+      const Tick begin = r.*(kStages[s].begin);
+      const Tick end = r.*(kStages[s].end);
       if (end < begin) {
         continue;  // defensive: a torn timeline must not unbalance b/e
       }
-      ChromeEvent b;
-      b.ph = 'b';
-      b.ts = begin;
-      b.pid = kTracePidRequests;
-      b.has_id = true;
-      b.id = r.id;
-      b.cat = "rq";
-      b.name = phase.name;
-      out.push_back(b);
-      ChromeEvent e = b;
-      e.ph = 'e';
-      e.ts = end;
-      out.push_back(e);
+      sink.AddAsync(ChromeEventKind::kStage, begin, end, kTracePidRequests,
+                    ref, r.id, s);
     }
-    ChromeEvent end = outer;
-    end.ph = 'e';
-    end.ts = r.complete;
-    end.args.clear();
-    out.push_back(end);
+    sink.Add(ChromeEventKind::kRequest, 'e', r.complete, kTracePidRequests, 0,
+             ref)
+        .id = r.id;
 
     // Flash service (overlaps across chips -> async under the device pid).
-    {
-      ChromeEvent b;
-      b.ph = 'b';
-      b.ts = r.flash_start;
-      b.pid = kTracePidDevice;
-      b.has_id = true;
-      b.id = r.id;
-      b.cat = "flash";
-      b.name = "flash " + RequestLabel(r);
-      out.push_back(b);
-      ChromeEvent e = b;
-      e.ph = 'e';
-      e.ts = r.flash_end;
-      out.push_back(e);
-    }
+    sink.AddAsync(ChromeEventKind::kFlash, r.flash_start, r.flash_end,
+                  kTracePidDevice, ref, r.id);
     // NCQ residency: completion posted -> drained by the driver.
-    {
-      ChromeEvent b;
-      b.ph = 'b';
-      b.ts = r.cqe_post;
-      b.pid = kTracePidNcq;
-      b.has_id = true;
-      b.id = r.id;
-      b.cat = "cqe";
-      b.name = "cqe " + RequestLabel(r) + " NCQ" + std::to_string(r.ncq);
-      out.push_back(b);
-      ChromeEvent e = b;
-      e.ph = 'e';
-      e.ts = r.drain;
-      out.push_back(e);
-    }
+    sink.AddAsync(ChromeEventKind::kCqe, r.cqe_post, r.drain, kTracePidNcq,
+                  ref, r.id);
     // Host-core instants + the cross-core IRQ hop flow arrow.
-    {
-      ChromeEvent i;
-      i.ph = 'i';
-      i.ts = r.submit;
-      i.pid = kTracePidHost;
-      i.tid = r.submit_core;
-      i.name = "submit rq" + std::to_string(r.id);
-      out.push_back(i);
-      ChromeEvent d = i;
-      d.ts = r.drain;
-      d.tid = r.irq_core;
-      d.name = "drain rq" + std::to_string(r.id);
-      out.push_back(d);
-      ChromeEvent c = i;
-      c.ts = r.complete;
-      c.tid = r.complete_core;
-      c.name = "complete rq" + std::to_string(r.id);
-      out.push_back(c);
-    }
+    sink.Add(ChromeEventKind::kSubmit, 'i', r.submit, kTracePidHost,
+             r.submit_core, ref);
+    sink.Add(ChromeEventKind::kDrain, 'i', r.drain, kTracePidHost, r.irq_core,
+             ref);
+    sink.Add(ChromeEventKind::kComplete, 'i', r.complete, kTracePidHost,
+             r.complete_core, ref);
     if (r.complete_core != r.irq_core) {
-      ChromeEvent s;
-      s.ph = 's';
-      s.ts = r.drain;
-      s.pid = kTracePidHost;
-      s.tid = r.irq_core;
-      s.has_id = true;
-      s.id = r.id;
-      s.cat = "irq-hop";
-      s.name = "irq-hop";
-      out.push_back(s);
-      ChromeEvent f = s;
-      f.ph = 'f';
-      f.ts = r.complete;
-      f.tid = r.complete_core;
-      out.push_back(f);
+      sink.Add(ChromeEventKind::kIrqHop, 's', r.drain, kTracePidHost,
+               r.irq_core, ref)
+          .id = r.id;
+      sink.Add(ChromeEventKind::kIrqHop, 'f', r.complete, kTracePidHost,
+               r.complete_core, ref)
+          .id = r.id;
     }
   }
 
-  // NSQ head-occupancy: within one NSQ the controller fetches FIFO, so the
-  // request at the head occupies it from max(its visibility, the previous
-  // head's departure) until its own fetch start. These slices are disjoint
-  // by construction - exactly the HOL-blocking picture.
-  std::map<int, std::vector<const RequestRecord*>> by_nsq;
-  for (const RequestRecord& r : records) {
-    by_nsq[r.nsq].push_back(&r);
-  }
-  for (auto& [nsq, rqs] : by_nsq) {
-    std::sort(rqs.begin(), rqs.end(),
-              [](const RequestRecord* a, const RequestRecord* b) {
-                if (a->fetch_start != b->fetch_start) {
-                  return a->fetch_start < b->fetch_start;
-                }
-                return a->id < b->id;
-              });
-    Tick prev_departure = 0;
-    for (const RequestRecord* r : rqs) {
-      const Tick visible = r->doorbell > 0 ? r->doorbell : r->nsq_enqueue;
-      const Tick head_start = std::max(visible, prev_departure);
-      ChromeEvent x;
-      x.ph = 'X';
-      x.ts = head_start;
-      x.dur = r->fetch_start > head_start ? r->fetch_start - head_start : 0;
-      x.pid = kTracePidNsq;
-      x.tid = nsq;
-      x.name = RequestLabel(*r);
-      x.args.emplace_back("tenant", Quoted(TenantName(input, r->tenant_id)));
-      x.args.emplace_back("pages", std::to_string(r->pages));
-      out.push_back(x);
-      prev_departure = r->fetch_start;
+  // NSQ head occupancy and the fetch engine, from the same derivation the
+  // HOL analysis uses (holb.h): disjoint slices per track by construction.
+  for (const BlockingIntervals::NsqHeads& nsq : intervals.nsqs()) {
+    for (uint32_t k = 0; k < nsq.count; ++k) {
+      const BlockingIntervals::Interval& iv = intervals.heads()[nsq.first + k];
+      sink.AddSlice(ChromeEventKind::kNsqHead, iv.begin, iv.end, kTracePidNsq,
+                    nsq.nsq, iv.record);
     }
   }
-
-  // Fetch engine: serialized in the controller, so plain X slices.
-  std::vector<const RequestRecord*> by_fetch;
-  by_fetch.reserve(records.size());
-  for (const RequestRecord& r : records) {
-    by_fetch.push_back(&r);
-  }
-  std::sort(by_fetch.begin(), by_fetch.end(),
-            [](const RequestRecord* a, const RequestRecord* b) {
-              if (a->fetch_start != b->fetch_start) {
-                return a->fetch_start < b->fetch_start;
-              }
-              return a->id < b->id;
-            });
-  for (const RequestRecord* r : by_fetch) {
-    ChromeEvent x;
-    x.ph = 'X';
-    x.ts = r->fetch_start;
-    x.dur = r->fetch > r->fetch_start ? r->fetch - r->fetch_start : 0;
-    x.pid = kTracePidDevice;
-    x.tid = 0;
-    x.name = "fetch " + RequestLabel(*r);
-    x.args.emplace_back("nsq", std::to_string(r->nsq));
-    out.push_back(x);
+  for (const BlockingIntervals::Interval& iv : intervals.fetches()) {
+    sink.AddSlice(ChromeEventKind::kFetch, iv.begin, iv.end, kTracePidDevice,
+                  0, iv.record);
   }
 }
 
-void BuildTraceEventInstants(const TraceExportInput& input,
-                             bool have_records,
-                             std::vector<ChromeEvent>& out) {
-  for (const TraceEvent& te : input.events) {
-    ChromeEvent e;
-    e.ph = 'i';
-    e.ts = te.at;
-    switch (te.category) {
-      case TraceCategory::kDoorbell:
-        e.pid = kTracePidNsq;
-        e.tid = static_cast<int>(te.a);
-        e.name = "doorbell";
-        e.args.emplace_back("batch", std::to_string(te.b));
-        break;
-      case TraceCategory::kIrq:
-        e.pid = kTracePidHost;
-        e.tid = static_cast<int>(te.b);
-        e.name = "irq NCQ" + std::to_string(te.a);
-        break;
-      case TraceCategory::kSchedule:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "nq-schedule";
-        e.args.emplace_back("id", std::to_string(te.id));
-        e.args.emplace_back("a", std::to_string(te.a));
-        e.args.emplace_back("b", std::to_string(te.b));
-        break;
-      case TraceCategory::kMigrate:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "migrate tenant" + std::to_string(te.id);
-        e.args.emplace_back("a", std::to_string(te.a));
-        e.args.emplace_back("b", std::to_string(te.b));
-        break;
-      case TraceCategory::kSubmit:
-        // Redundant with record-derived instants when records exist (and the
-        // trace ring may have dropped its oldest events, so records win).
-        if (have_records) {
-          continue;
-        }
-        e.pid = kTracePidHost;
-        e.tid = static_cast<int>(te.a);
-        e.name = "submit rq" + std::to_string(te.id);
-        break;
-      case TraceCategory::kDeliver:
-        if (have_records) {
-          continue;
-        }
-        e.pid = kTracePidHost;
-        e.tid = static_cast<int>(te.a);
-        e.name = "deliver rq" + std::to_string(te.id);
-        break;
-      // Fault-path events land on the control track: they are rare, global
-      // in scope, and reading them against the NSQ/core tracks is exactly
-      // how an injected fault's blast radius is attributed. The numeric kind
-      // mirrors FaultKind (src/fault/fault_plan.h); stats sits below the
-      // fault layer in the DAG, so the name table is not reachable here.
-      case TraceCategory::kFaultInject:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "fault-inject";
-        e.args.emplace_back("id", std::to_string(te.id));
-        e.args.emplace_back("where", std::to_string(te.a));
-        e.args.emplace_back("kind", std::to_string(te.b));
-        break;
-      case TraceCategory::kTimeout:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "timeout rq" + std::to_string(te.id);
-        e.args.emplace_back("nsq", std::to_string(te.a));
-        e.args.emplace_back("attempt", std::to_string(te.b));
-        break;
-      case TraceCategory::kRetry:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "retry rq" + std::to_string(te.id);
-        e.args.emplace_back("nsq", std::to_string(te.a));
-        e.args.emplace_back("attempt", std::to_string(te.b));
-        break;
-      case TraceCategory::kAbort:
-        e.pid = kTracePidControl;
-        e.tid = 0;
-        e.name = "abort rq" + std::to_string(te.id);
-        e.args.emplace_back("nsq", std::to_string(te.a));
-        e.args.emplace_back("attempt", std::to_string(te.b));
-        break;
-      default:
-        continue;  // lifecycle categories are covered by record slices
-    }
-    out.push_back(e);
+// The track a TraceLog event lands on; false for categories the record
+// slices already cover.
+bool TraceEventTrack(const TraceEvent& te, bool have_records, int* pid,
+                     int* tid) {
+  switch (te.category) {
+    case TraceCategory::kDoorbell:
+      *pid = kTracePidNsq;
+      *tid = static_cast<int>(te.a);
+      return true;
+    case TraceCategory::kIrq:
+      *pid = kTracePidHost;
+      *tid = static_cast<int>(te.b);
+      return true;
+    case TraceCategory::kSubmit:
+    case TraceCategory::kDeliver:
+      // Redundant with record-derived instants when records exist (and the
+      // trace ring may have dropped its oldest events, so records win).
+      *pid = kTracePidHost;
+      *tid = static_cast<int>(te.a);
+      return !have_records;
+    // Fault-path events land on the control track: they are rare, global
+    // in scope, and reading them against the NSQ/core tracks is exactly
+    // how an injected fault's blast radius is attributed.
+    case TraceCategory::kSchedule:
+    case TraceCategory::kMigrate:
+    case TraceCategory::kFaultInject:
+    case TraceCategory::kTimeout:
+    case TraceCategory::kRetry:
+    case TraceCategory::kAbort:
+      *pid = kTracePidControl;
+      *tid = 0;
+      return true;
+    default:
+      return false;  // lifecycle categories are covered by record slices
   }
 }
 
-void BuildCounterEvents(const TraceExportInput& input,
-                        std::vector<ChromeEvent>& out) {
+void BuildTraceEventInstants(const TraceExportInput& input, EventSink& sink) {
+  const bool have_records = !input.requests.empty();
+  for (size_t i = 0; i < input.events.size(); ++i) {
+    const TraceEvent& te = input.events[i];
+    int pid = 0;
+    int tid = 0;
+    if (TraceEventTrack(te, have_records, &pid, &tid)) {
+      sink.Add(ChromeEventKind::kTraceEvent, 'i', te.at, pid, tid,
+               static_cast<uint32_t>(i));
+    }
+  }
+}
+
+void BuildCounterEvents(const TraceExportInput& input, EventSink& sink) {
   if (input.sampler == nullptr) {
     return;
   }
   const auto& times = input.sampler->times();
+  uint32_t series = 0;
   for (const auto& [name, values] : input.sampler->series()) {
+    const uint32_t index = series++;
     bool all_zero = true;
     for (double v : values) {
       if (v != 0.0) {
@@ -520,16 +336,9 @@ void BuildCounterEvents(const TraceExportInput& input,
       continue;
     }
     for (size_t i = 0; i < times.size() && i < values.size(); ++i) {
-      ChromeEvent c;
-      c.ph = 'C';
-      c.ts = times[i];
-      c.pid = kTracePidCounters;
-      c.tid = 0;
-      c.name = name;
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.15g", values[i]);
-      c.args.emplace_back("value", buf);
-      out.push_back(c);
+      sink.Add(ChromeEventKind::kCounter, 'C', times[i], kTracePidCounters, 0,
+               static_cast<uint32_t>(i))
+          .sub = index;
     }
   }
 }
@@ -537,70 +346,441 @@ void BuildCounterEvents(const TraceExportInput& input,
 }  // namespace
 
 std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input) {
-  std::vector<ChromeEvent> meta;
-  std::vector<ChromeEvent> data;
-  BuildMetadata(input, input.requests, meta);
-  BuildRequestEvents(input, input.requests, data);
-  BuildTraceEventInstants(input, !input.requests.empty(), data);
-  BuildCounterEvents(input, data);
-  BuildSloEvents(input, data);
-  // Stable sort keeps emission order for equal timestamps, which preserves
-  // begin/end pairing within each request's nested async slices.
-  std::stable_sort(data.begin(), data.end(),
-                   [](const ChromeEvent& a, const ChromeEvent& b) {
-                     return a.ts < b.ts;
-                   });
-  meta.insert(meta.end(), data.begin(), data.end());
-  return meta;
+  // Built before the event vector is reserved: allocated after it, these
+  // short-lived arrays left the heap fragmented (peak RSS 43 -> 51 MB in
+  // perfbench's blkmq-slo workload on a 4-core VM).
+  const BlockingIntervals intervals(input.requests);
+  // At most 25 events per record (lifecycle, resource tracks, instants).
+  size_t capacity = input.requests.size() * 25 + input.events.size() +
+                    static_cast<size_t>(std::max(input.num_cores, 0)) +
+                    static_cast<size_t>(std::max(input.nr_nsq, 0)) + 16;
+  if (input.sampler != nullptr) {
+    capacity += input.sampler->times().size() * input.sampler->series().size();
+  }
+  if (input.slo != nullptr) {
+    for (const auto& [tenant, r] : input.slo->tenants) {
+      capacity += 1 + r.episodes.size() + r.windows.size();
+    }
+  }
+  std::vector<ChromeEvent> events;
+  events.reserve(capacity);
+  EventSink sink(events);
+  BuildMetadata(input, sink);
+  const size_t data_begin = events.size();
+  BuildRequestEvents(input, intervals, sink);
+  BuildTraceEventInstants(input, sink);
+  BuildCounterEvents(input, sink);
+  BuildSloEvents(input, sink);
+  // Equal timestamps keep emission order, which preserves begin/end pairing
+  // within each request's nested async slices.
+  std::sort(events.begin() + static_cast<std::ptrdiff_t>(data_begin),
+            events.end(), [](const ChromeEvent& a, const ChromeEvent& b) {
+              return a.ts != b.ts ? a.ts < b.ts : a.seq < b.seq;
+            });
+  return events;
 }
 
-// --- Serialization ---------------------------------------------------------
+// --- Rendering ---------------------------------------------------------------
 
 namespace {
 
 // Chrome trace timestamps are microseconds; ticks are nanoseconds. Fixed
 // "<us>.<ns%1000>" formatting keeps the export byte-deterministic (no
-// floating-point rounding in play).
-std::string MicrosFromTicks(Tick ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  return buf;
+// floating-point rounding in play): printf's "%lld.%03lld" of
+// (ns / 1000, ns % 1000), digit for digit, via to_chars.
+void AppendMicros(std::string& out, Tick ns) {
+  char buf[48];
+  char* p = std::to_chars(buf, buf + 24, ns / 1000).ptr;
+  *p++ = '.';
+  Tick frac = ns % 1000;  // negative for negative ns, as printf prints it
+  if (frac < 0) {
+    *p++ = '-';
+    frac = -frac;
+  } else if (frac < 100) {
+    *p++ = '0';
+  }
+  if (frac < 10) {
+    *p++ = '0';
+  }
+  p = std::to_chars(p, buf + sizeof(buf), frac).ptr;
+  out.append(buf, p);
 }
 
-void AppendEventJson(JsonWriter& w, const ChromeEvent& e) {
-  w.BeginObject();
-  const char ph[2] = {e.ph, '\0'};
-  w.Key("ph").String(ph);
+// Counter and burn-rate values: "%.15g" keeps integer-valued doubles exact.
+void AppendDouble(std::string& out, double v) {
+  char buf[40];
+  const int n = std::snprintf(buf, sizeof(buf), "%.15g", v);
+  out.append(buf, static_cast<size_t>(n));
+}
+
+// "rq <id> <L|T> <pages>p <W|R>".
+void AppendRequestLabel(std::string& out, const RequestRecord& r) {
+  out += "rq ";
+  AppendJsonUInt(out, r.id);
+  out += r.latency_sensitive ? " L " : " T ";
+  AppendJsonUInt(out, r.pages);
+  out += r.is_write ? "p W" : "p R";
+}
+
+// Opens an args member: `,"args":{"key":` for the first, `,"key":` after.
+void AppendArg(std::string& out, bool first, std::string_view key) {
+  out += first ? ",\"args\":{\"" : ",\"";
+  out += key;
+  out += "\":";
+}
+
+std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
+  auto it = input.tenant_names.find(tenant_id);
+  if (it != input.tenant_names.end()) {
+    return it->second;
+  }
+  return "tenant" + std::to_string(tenant_id);
+}
+
+}  // namespace
+
+ChromeEventRenderer::ChromeEventRenderer(const TraceExportInput& input)
+    : input_(input) {
+  for (const RequestRecord& r : input.requests) {
+    if (quoted_tenants_.count(r.tenant_id) == 0) {
+      std::string quoted;
+      AppendJsonString(quoted, TenantName(input, r.tenant_id));
+      quoted_tenants_.emplace(r.tenant_id, std::move(quoted));
+    }
+  }
+  if (input.slo != nullptr) {
+    for (const auto& [tenant, report] : input.slo->tenants) {
+      slo_.emplace_back(&tenant, &report);
+    }
+  }
+  if (input.sampler != nullptr) {
+    for (const auto& [name, values] : input.sampler->series()) {
+      series_.emplace_back(&name, &values);
+    }
+  }
+}
+
+const std::string& ChromeEventRenderer::QuotedTenant(uint64_t tenant_id) const {
+  return quoted_tenants_.at(tenant_id);
+}
+
+std::string_view ChromeEventRenderer::Category(const ChromeEvent& e) const {
+  switch (e.kind) {
+    case ChromeEventKind::kRequest:
+    case ChromeEventKind::kStage:
+      return "rq";
+    case ChromeEventKind::kFlash:
+      return "flash";
+    case ChromeEventKind::kCqe:
+      return "cqe";
+    case ChromeEventKind::kIrqHop:
+      return "irq-hop";
+    case ChromeEventKind::kSloEpisode:
+      return "slo";
+    default:
+      return "";
+  }
+}
+
+std::string ChromeEventRenderer::Name(const ChromeEvent& e) const {
+  std::string name;
+  AppendName(name, e);
+  return name;
+}
+
+void ChromeEventRenderer::AppendName(std::string& out,
+                                     const ChromeEvent& e) const {
+  const RequestRecord* r =
+      e.ref < input_.requests.size() ? &input_.requests[e.ref] : nullptr;
+  switch (e.kind) {
+    case ChromeEventKind::kProcessName:
+      out += "process_name";
+      return;
+    case ChromeEventKind::kThreadName:
+      out += "thread_name";
+      return;
+    case ChromeEventKind::kRequest:
+    case ChromeEventKind::kNsqHead:
+      AppendRequestLabel(out, *r);
+      return;
+    case ChromeEventKind::kStage:
+      out += kStages[e.sub].name;
+      return;
+    case ChromeEventKind::kFlash:
+      out += "flash ";
+      AppendRequestLabel(out, *r);
+      return;
+    case ChromeEventKind::kCqe:
+      out += "cqe ";
+      AppendRequestLabel(out, *r);
+      out += " NCQ";
+      AppendJsonInt(out, r->ncq);
+      return;
+    case ChromeEventKind::kSubmit:
+      out += "submit rq";
+      AppendJsonUInt(out, r->id);
+      return;
+    case ChromeEventKind::kDrain:
+      out += "drain rq";
+      AppendJsonUInt(out, r->id);
+      return;
+    case ChromeEventKind::kComplete:
+      out += "complete rq";
+      AppendJsonUInt(out, r->id);
+      return;
+    case ChromeEventKind::kIrqHop:
+      out += "irq-hop";
+      return;
+    case ChromeEventKind::kFetch:
+      out += "fetch ";
+      AppendRequestLabel(out, *r);
+      return;
+    case ChromeEventKind::kTraceEvent: {
+      const TraceEvent& te = input_.events[e.ref];
+      switch (te.category) {
+        case TraceCategory::kDoorbell:
+          out += "doorbell";
+          return;
+        case TraceCategory::kIrq:
+          out += "irq NCQ";
+          AppendJsonInt(out, te.a);
+          return;
+        case TraceCategory::kSchedule:
+          out += "nq-schedule";
+          return;
+        case TraceCategory::kMigrate:
+          out += "migrate tenant";
+          break;
+        case TraceCategory::kSubmit:
+          out += "submit rq";
+          break;
+        case TraceCategory::kDeliver:
+          out += "deliver rq";
+          break;
+        case TraceCategory::kFaultInject:
+          out += "fault-inject";
+          return;
+        case TraceCategory::kTimeout:
+          out += "timeout rq";
+          break;
+        case TraceCategory::kRetry:
+          out += "retry rq";
+          break;
+        case TraceCategory::kAbort:
+          out += "abort rq";
+          break;
+        default:
+          return;
+      }
+      AppendJsonUInt(out, te.id);
+      return;
+    }
+    case ChromeEventKind::kCounter:
+      out += *series_[e.sub].first;
+      return;
+    case ChromeEventKind::kSloEpisode:
+      out += "SLO violation ";
+      out += *slo_[static_cast<size_t>(e.tid)].first;
+      return;
+    case ChromeEventKind::kSloBurn:
+      out += "burn ";
+      out += *slo_[static_cast<size_t>(e.tid)].first;
+      return;
+  }
+}
+
+std::string ChromeEventRenderer::TrackName(const ChromeEvent& e) const {
+  if (e.kind == ChromeEventKind::kProcessName) {
+    switch (e.pid) {
+      case kTracePidHost:
+        return "host (" + input_.stack_name + ")";
+      case kTracePidNsq:
+        return "NSQ head occupancy";
+      case kTracePidDevice:
+        return "device controller";
+      case kTracePidNcq:
+        return "NCQ residency";
+      case kTracePidRequests:
+        return "request lifecycles";
+      case kTracePidCounters:
+        return "sampled state";
+      case kTracePidControl:
+        return "stack control";
+      case kTracePidSlo:
+        return "SLO conformance";
+    }
+    return "";
+  }
+  switch (e.pid) {
+    case kTracePidHost:
+      return "core " + std::to_string(e.tid);
+    case kTracePidNsq: {
+      auto it = input_.nsq_labels.find(e.tid);
+      return it != input_.nsq_labels.end() ? it->second
+                                           : "NSQ " + std::to_string(e.tid);
+    }
+    case kTracePidDevice:
+      return "fetch engine";
+    case kTracePidControl:
+      return "scheduling";
+    case kTracePidSlo:
+      return "SLO " + *slo_[static_cast<size_t>(e.tid)].first;
+  }
+  return "";
+}
+
+void ChromeEventRenderer::AppendArgs(std::string& out,
+                                     const ChromeEvent& e) const {
+  const RequestRecord* r =
+      e.ref < input_.requests.size() ? &input_.requests[e.ref] : nullptr;
+  auto int_arg = [&out](bool first, std::string_view key, int64_t v) {
+    AppendArg(out, first, key);
+    AppendJsonInt(out, v);
+  };
+  switch (e.kind) {
+    case ChromeEventKind::kProcessName:
+    case ChromeEventKind::kThreadName:
+      AppendArg(out, true, "name");
+      AppendJsonString(out, TrackName(e));
+      break;
+    case ChromeEventKind::kRequest:
+      if (e.ph != 'b') {
+        return;  // the end event carries no args
+      }
+      AppendArg(out, true, "tenant");
+      out += QuotedTenant(r->tenant_id);
+      int_arg(false, "nsq", r->nsq);
+      int_arg(false, "ncq", r->ncq);
+      int_arg(false, "pages", r->pages);
+      break;
+    case ChromeEventKind::kNsqHead:
+      AppendArg(out, true, "tenant");
+      out += QuotedTenant(r->tenant_id);
+      int_arg(false, "pages", r->pages);
+      break;
+    case ChromeEventKind::kFetch:
+      int_arg(true, "nsq", r->nsq);
+      break;
+    case ChromeEventKind::kTraceEvent: {
+      const TraceEvent& te = input_.events[e.ref];
+      switch (te.category) {
+        case TraceCategory::kDoorbell:
+          int_arg(true, "batch", te.b);
+          break;
+        case TraceCategory::kSchedule:
+          AppendArg(out, true, "id");
+          AppendJsonUInt(out, te.id);
+          int_arg(false, "a", te.a);
+          int_arg(false, "b", te.b);
+          break;
+        case TraceCategory::kMigrate:
+          int_arg(true, "a", te.a);
+          int_arg(false, "b", te.b);
+          break;
+        case TraceCategory::kFaultInject:
+          AppendArg(out, true, "id");
+          AppendJsonUInt(out, te.id);
+          int_arg(false, "where", te.a);
+          int_arg(false, "kind", te.b);
+          break;
+        case TraceCategory::kTimeout:
+        case TraceCategory::kRetry:
+        case TraceCategory::kAbort:
+          int_arg(true, "nsq", te.a);
+          int_arg(false, "attempt", te.b);
+          break;
+        default:
+          return;
+      }
+      break;
+    }
+    case ChromeEventKind::kCounter:
+      AppendArg(out, true, "value");
+      AppendDouble(out, (*series_[e.sub].second)[e.ref]);
+      break;
+    case ChromeEventKind::kSloEpisode: {
+      const SloEpisode& ep =
+          slo_[static_cast<size_t>(e.tid)].second->episodes[e.ref];
+      AppendArg(out, true, "peak_burn");
+      AppendDouble(out, ep.peak_burn);
+      AppendArg(out, false, "bad");
+      AppendJsonUInt(out, ep.bad);
+      AppendArg(out, false, "total");
+      AppendJsonUInt(out, ep.total);
+      AppendArg(out, false, "blame");
+      AppendJsonString(out, ep.blame.empty() ? "unattributed" : ep.blame);
+      AppendArg(out, false, "mechanism");
+      AppendJsonString(out, ep.mechanism);
+      break;
+    }
+    case ChromeEventKind::kSloBurn: {
+      const SloWindow& win =
+          slo_[static_cast<size_t>(e.tid)].second->windows[e.ref];
+      AppendArg(out, true, "fast");
+      AppendDouble(out, win.fast_burn);
+      AppendArg(out, false, "slow");
+      AppendDouble(out, win.slow_burn);
+      break;
+    }
+    default:
+      return;  // no args
+  }
+  out += '}';
+}
+
+void ChromeEventRenderer::AppendJson(std::string& out,
+                                     const ChromeEvent& e) const {
+  out += "{\"ph\":\"";
+  out += e.ph;
+  out += '"';
   if (e.ph != 'M') {
-    w.Key("ts").Raw(MicrosFromTicks(e.ts));
+    out += ",\"ts\":";
+    AppendMicros(out, e.ts);
   }
   if (e.ph == 'X') {
-    w.Key("dur").Raw(MicrosFromTicks(e.dur));
+    out += ",\"dur\":";
+    AppendMicros(out, e.dur);
   }
-  w.Key("pid").Int(e.pid);
-  w.Key("tid").Int(e.tid);
-  w.Key("name").String(e.name);
-  if (!e.cat.empty()) {
-    w.Key("cat").String(e.cat);
+  out += ",\"pid\":";
+  AppendJsonInt(out, e.pid);
+  out += ",\"tid\":";
+  AppendJsonInt(out, e.tid);
+  out += ",\"name\":";
+  switch (e.kind) {
+    case ChromeEventKind::kCounter:
+    case ChromeEventKind::kSloEpisode:
+    case ChromeEventKind::kSloBurn:
+      // Series and tenant names may need escaping.
+      AppendJsonString(out, Name(e));
+      break;
+    default:
+      // Fixed words and numbers: nothing to escape.
+      out += '"';
+      AppendName(out, e);
+      out += '"';
   }
-  if (e.has_id) {
-    w.Key("id").String(std::to_string(e.id));
+  const std::string_view cat = Category(e);
+  if (!cat.empty()) {
+    out += ",\"cat\":\"";
+    out += cat;
+    out += '"';
+  }
+  if (e.has_id()) {
+    out += ",\"id\":\"";
+    AppendJsonUInt(out, e.id);
+    out += '"';
   }
   if (e.ph == 's' || e.ph == 'f') {
     // Legacy flow finish binds to the enclosing slice.
-    w.Key("bp").String("e");
+    out += ",\"bp\":\"e\"";
   }
-  if (!e.args.empty()) {
-    w.Key("args").BeginObject();
-    for (const auto& [key, value] : e.args) {
-      w.Key(key).Raw(value);
-    }
-    w.EndObject();
-  }
-  w.EndObject();
+  AppendArgs(out, e);
+  out += '}';
 }
+
+// --- Serialization ---------------------------------------------------------
+
+namespace {
 
 void AppendRequestRecordJson(JsonWriter& w, const RequestRecord& r) {
   w.BeginObject();
@@ -632,7 +812,15 @@ void AppendRequestRecordJson(JsonWriter& w, const RequestRecord& r) {
 
 std::string SerializeChromeTrace(const TraceExportInput& input) {
   const std::vector<ChromeEvent> events = BuildChromeEvents(input);
+  const ChromeEventRenderer renderer(input);
+  // One buffer for the whole document, sized from its typical shape (~110
+  // bytes per event, ~330 per raw record, ~20 per sampled value).
+  size_t bytes = events.size() * 128 + input.requests.size() * 384 + 1024;
+  if (input.sampler != nullptr) {
+    bytes += input.sampler->times().size() * (input.sampler->series().size() + 1) * 24;
+  }
   JsonWriter w;
+  w.Reserve(bytes);
   w.BeginObject();
   w.Key("displayTimeUnit").String("ns");
   w.Key("otherData").BeginObject();
@@ -644,8 +832,11 @@ std::string SerializeChromeTrace(const TraceExportInput& input) {
   w.Key("request_records").UInt(input.requests.size());
   w.EndObject();
   w.Key("traceEvents").BeginArray();
+  std::string event_json;
   for (const ChromeEvent& e : events) {
-    AppendEventJson(w, e);
+    event_json.clear();
+    renderer.AppendJson(event_json, e);
+    w.Raw(event_json);
   }
   w.EndArray();
   w.Key("ddRequests").BeginArray();
@@ -658,7 +849,7 @@ std::string SerializeChromeTrace(const TraceExportInput& input) {
     input.sampler->Snapshot().AppendJson(w);
   }
   w.EndObject();
-  return w.str();
+  return w.Release();
 }
 
 // --- JSON validation -------------------------------------------------------

@@ -21,6 +21,11 @@
 // Everything here is post-processing: building and serializing the trace
 // reads simulation state but never schedules events or mutates it, so an
 // export-enabled run is simulated-time identical to a disabled one.
+//
+// Cost: events are compact references into the export input (they own no
+// strings), ordered in O(events log events); names and args are rendered
+// straight into one pre-reserved output buffer, so per-request events
+// allocate nothing.
 #ifndef DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 #define DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 
@@ -36,8 +41,9 @@
 
 namespace daredevil {
 
-class StateSampler;  // src/stats/state_sampler.h
-struct SloReport;    // src/stats/slo.h
+class StateSampler;      // src/stats/state_sampler.h
+struct SloReport;        // src/stats/slo.h
+struct SloTenantReport;  // src/stats/slo.h
 
 // --- Per-request lifecycle capture ---------------------------------------
 
@@ -109,20 +115,43 @@ inline constexpr int kTracePidCounters = 6;  // StateSampler counter tracks
 inline constexpr int kTracePidControl = 7;   // scheduling / migration events
 inline constexpr int kTracePidSlo = 8;       // per-tenant SLO violation tracks
 
-// One Chrome trace event before serialization (exposed so tests can verify
-// well-formedness - slice nesting, non-overlap - without a JSON parser).
+// What a ChromeEvent stands for. The event's name, category and args are
+// read from the export input when it is rendered.
+enum class ChromeEventKind : uint8_t {
+  kProcessName,  // M: the process_name of `pid`
+  kThreadName,   // M: the thread_name of (`pid`, `tid`)
+  kRequest,      // b/e: a request's outer lifecycle slice
+  kStage,        // b/e: lifecycle stage `sub` (submit ... delivery)
+  kFlash,        // b/e: flash service
+  kCqe,          // b/e: NCQ residency
+  kSubmit,       // i: submit instant on the submitting core
+  kDrain,        // i: CQE drain instant on the IRQ core
+  kComplete,     // i: delivery instant on the tenant core
+  kIrqHop,       // s/f: the cross-core IRQ hop
+  kNsqHead,      // X: NSQ head occupancy
+  kFetch,        // X: fetch-engine occupancy
+  kTraceEvent,   // i: TraceLog event `ref` (doorbells, IRQs, faults, ...)
+  kCounter,      // C: sample `ref` of sampler series `sub`
+  kSloEpisode,   // X: violation episode `ref` of SLO tenant `tid`
+  kSloBurn,      // C: burn-rate window `ref` of SLO tenant `tid`
+};
+
+// One Chrome trace event before serialization: a compact reference into the
+// TraceExportInput it was built from. For the request kinds `ref` is the
+// record's position in TraceExportInput::requests.
 struct ChromeEvent {
-  char ph = 'X';  // B/E/X/b/e/i/C/s/f/M
-  Tick ts = 0;    // nanoseconds (serialized as microseconds)
-  Tick dur = 0;   // X events only
+  Tick ts = 0;      // nanoseconds (serialized as microseconds)
+  Tick dur = 0;     // X events only
+  uint64_t id = 0;  // async/flow id (has_id())
   int pid = 0;
   int tid = 0;
-  bool has_id = false;
-  uint64_t id = 0;  // async/flow id
-  std::string name;
-  std::string cat;
-  // Pre-rendered JSON values, e.g. {"pages", "32"} or {"tenant", "\"L0\""}.
-  std::vector<std::pair<std::string, std::string>> args;
+  uint32_t ref = 0;
+  uint32_t sub = 0;
+  uint32_t seq = 0;  // emission index: equal timestamps keep emission order
+  ChromeEventKind kind = ChromeEventKind::kProcessName;
+  char ph = 'X';  // b/e/X/i/C/s/f/M
+
+  bool has_id() const { return ph == 'b' || ph == 'e' || ph == 's' || ph == 'f'; }
 };
 
 struct TraceExportInput {
@@ -141,10 +170,38 @@ struct TraceExportInput {
   std::map<int, std::string> nsq_labels;      // per-stack track naming
 };
 
-// Builds the event list (metadata events first, then data events in
-// timestamp order; equal timestamps keep emission order, which preserves
-// correct begin/end nesting).
+// Builds the event list: metadata events first, then data events ordered by
+// (ts, emission index) - equal timestamps keep emission order, which
+// preserves correct begin/end nesting.
 std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input);
+
+// Renders events against the input they were built from (which must outlive
+// the renderer). The serializer's single path to names, categories and args.
+class ChromeEventRenderer {
+ public:
+  explicit ChromeEventRenderer(const TraceExportInput& input);
+
+  // The event's "name" and "cat" values, unescaped ("" = no category).
+  std::string Name(const ChromeEvent& e) const;
+  std::string_view Category(const ChromeEvent& e) const;
+  // Appends the event as one JSON object.
+  void AppendJson(std::string& out, const ChromeEvent& e) const;
+
+ private:
+  void AppendName(std::string& out, const ChromeEvent& e) const;
+  // The process / thread name a metadata event announces.
+  std::string TrackName(const ChromeEvent& e) const;
+  void AppendArgs(std::string& out, const ChromeEvent& e) const;
+  const std::string& QuotedTenant(uint64_t tenant_id) const;
+
+  const TraceExportInput& input_;
+  // JSON string literals of the tenant names, by tenant id.
+  std::map<uint64_t, std::string> quoted_tenants_;
+  // Positional views of the maps events index into.
+  std::vector<std::pair<const std::string*, const SloTenantReport*>> slo_;
+  std::vector<std::pair<const std::string*, const std::vector<double>*>>
+      series_;
+};
 
 // Full JSON document: {"traceEvents":[...],"displayTimeUnit":"ns",
 // "otherData":{...},"ddRequests":[...],"ddSampler":{...}}. The ddRequests /

@@ -458,15 +458,18 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     for (const auto& job : jobs) {
       tenant_names[job->tenant().id.value()] = job->tenant().name;
     }
-    const std::vector<RequestRecord> records = env.timeline_log()->Records();
-
-    HolbOptions holb_opts;
-    holb_opts.tenant_names = tenant_names;
-    result.holb = AnalyzeHolBlocking(records, holb_opts);
-
-    // Cross-link violation episodes with their dominant blockers before the
-    // export so the trace slices carry the attribution.
-    AttributeSloEpisodes(result.slo, records, tenant_names);
+    std::vector<RequestRecord> records = env.timeline_log()->Records();
+    {
+      // One interval index serves the HOL report and every SLO episode.
+      const BlockingIntervals intervals(records);
+      HolbOptions holb_opts;
+      holb_opts.tenant_names = tenant_names;
+      const HolbAnalyzer holb(records, intervals, holb_opts);
+      result.holb = holb.Report();
+      // Cross-link violation episodes with their dominant blockers before
+      // the export so the trace slices carry the attribution.
+      AttributeSloEpisodes(result.slo, holb);
+    }
 
     if (config.export_trace) {
       TraceExportInput input;
@@ -477,7 +480,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       if (env.trace_log() != nullptr) {
         input.events = env.trace_log()->Events();
       }
-      input.requests = records;
+      input.requests = std::move(records);
       input.sampler = env.sampler();
       input.slo = &result.slo;
       input.tenant_names = std::move(tenant_names);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "src/apps/kvstore.h"
 #include "src/workload/scenario.h"
@@ -28,6 +29,75 @@ ScenarioConfig GateConfig(StackKind kind, uint64_t seed) {
   AddLTenants(cfg, 2);
   AddTTenants(cfg, 3);
   return cfg;
+}
+
+// The gate scenario with a non-trivial fault schedule: every fault kind at a
+// low rate, with a watchdog timeout short enough that command drops resolve
+// inside the run.
+ScenarioConfig FaultGateConfig(StackKind kind, uint64_t seed) {
+  ScenarioConfig cfg = GateConfig(kind, seed);
+  cfg.faults = MakeDenseFaultPlan(0.02);
+  cfg.fault_recovery.timeout = TickDuration{5 * kMillisecond};
+  cfg.fault_recovery.backoff = TickDuration{100 * kMicrosecond};
+  return cfg;
+}
+
+// FNV-1a over a byte string (the digest SimulationFingerprint uses).
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h = (h ^ c) * 1099511628211ull;
+  }
+  return h;
+}
+
+// The gate scenario with every observer attached: trace ring, sampler, a
+// tight L SLO (so episodes, attribution and the SLO track exist) and the
+// Chrome-trace export. `faults` adds the dense fault schedule so the fault
+// instants render too.
+ScenarioConfig ExportGateConfig(StackKind kind, bool faults) {
+  ScenarioConfig cfg =
+      faults ? FaultGateConfig(kind, /*seed=*/42) : GateConfig(kind, /*seed=*/42);
+  cfg.export_trace = true;
+  cfg.sample_interval = kMillisecond;
+  SloSpec spec;
+  spec.selector = "L";
+  spec.threshold = 50 * kMicrosecond;
+  spec.window = kMillisecond;
+  cfg.slos.push_back(spec);
+  return cfg;
+}
+
+// Each case pins golden digests of the observers' serialized outputs: the
+// Chrome-trace JSON and ToJson(true). Recorded before the exporter and the
+// HOL / SLO attribution were rewritten for per-record cost; any change to
+// these bytes must be deliberate and update this table.
+struct ExportCase {
+  const char* name;
+  StackKind kind;
+  bool faults;
+  uint64_t trace_digest;
+  uint64_t report_digest;
+};
+constexpr ExportCase kExportCases[] = {
+    {"Vanilla", StackKind::kVanilla, false, 16116145286953713600ull,
+     927263840675854771ull},
+    {"Daredevil", StackKind::kDareFull, false, 14644742138838170550ull,
+     993680880485863363ull},
+    {"Daredevil+faults", StackKind::kDareFull, true, 17135459052114326767ull,
+     8050765164392099777ull},
+};
+
+// Digests of everything the observers serialize for one export case: the
+// Chrome trace and the full report (ToJson(true): HOL, SLO, sampler).
+struct ExportDigests {
+  uint64_t trace = 0;
+  uint64_t report = 0;
+};
+
+ExportDigests DigestExport(const ExportCase& c) {
+  const ScenarioResult r = RunScenario(ExportGateConfig(c.kind, c.faults));
+  return {Fnv1a(r.trace_json), Fnv1a(r.ToJson(true))};
 }
 
 class DeterminismGate : public ::testing::TestWithParam<StackKind> {};
@@ -134,6 +204,14 @@ TEST(DeterminismGate, FingerprintManifest) {
                 std::to_string(r.SimulationFingerprint()) + " " +
                 std::to_string(r.trace_hash) + "\n";
   }
+  // The observers' serialized outputs too: the exporter and the HOL / SLO
+  // reports must not depend on build type or invariants either.
+  for (const ExportCase& c : kExportCases) {
+    const ExportDigests d = DigestExport(c);
+    manifest += std::string("export ") + c.name + " " +
+                std::to_string(d.trace) + " " + std::to_string(d.report) +
+                "\n";
+  }
   printf("fingerprint manifest:\n%s", manifest.c_str());
   if (const char* out = std::getenv("DD_FINGERPRINT_OUT")) {
     FILE* f = fopen(out, "w");
@@ -173,15 +251,13 @@ TEST(DeterminismGate, FaultsOffMatchesRecordedFingerprints) {
   }
 }
 
-// The gate scenario with a non-trivial fault schedule: every fault kind at a
-// low rate, with a watchdog timeout short enough that command drops resolve
-// inside the run.
-ScenarioConfig FaultGateConfig(StackKind kind, uint64_t seed) {
-  ScenarioConfig cfg = GateConfig(kind, seed);
-  cfg.faults = MakeDenseFaultPlan(0.02);
-  cfg.fault_recovery.timeout = TickDuration{5 * kMillisecond};
-  cfg.fault_recovery.backoff = TickDuration{100 * kMicrosecond};
-  return cfg;
+TEST(DeterminismGate, ExportAndReportBytesMatchRecordedDigests) {
+  for (const ExportCase& c : kExportCases) {
+    const ExportDigests d = DigestExport(c);
+    EXPECT_EQ(d.trace, c.trace_digest) << c.name << ": trace export bytes drifted";
+    EXPECT_EQ(d.report, c.report_digest)
+        << c.name << ": ToJson(true) bytes drifted";
+  }
 }
 
 class FaultDeterminismGate : public ::testing::TestWithParam<StackKind> {};

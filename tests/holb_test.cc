@@ -119,6 +119,49 @@ TEST(HolbTest, TenantNamesAndTableRender) {
   EXPECT_NE(table.find("bulk(>=32p)"), std::string::npos);
 }
 
+TEST(HolbTest, RankingsShareRowsByNameAndKeepTopN) {
+  // One victim behind five same-NSQ heads of five tenants. Tenants 2 and 4
+  // share the display name "T-a", so they share one row; tenant 6 has no
+  // name. Head intervals: [100,200) [200,400) [400,450) [450,800)
+  // [800,900), then the victim's own head [900,1000), during which the
+  // fetch engine still serves tenant 6's command over [900,910).
+  std::vector<RequestRecord> records;
+  const uint64_t tenants[] = {2, 3, 4, 5, 6};
+  const Tick fetch_starts[] = {200, 400, 450, 800, 900};
+  for (int i = 0; i < 5; ++i) {
+    records.push_back(MakeRecord(/*id=*/i + 1, tenants[i], /*nsq=*/0,
+                                 /*enqueue=*/90 + i, fetch_starts[i],
+                                 fetch_starts[i] + 10, /*pages=*/1, false));
+  }
+  records.push_back(MakeRecord(10, 1, 0, 100, 1000, 1010, 1, true));
+  HolbOptions opts;
+  opts.tenant_names = {{2, "T-a"}, {3, "T-b"}, {4, "T-a"}, {5, "T-c"}};
+
+  const HolbReport all = AnalyzeHolBlocking(records, opts);
+  EXPECT_EQ(all.total_wait_ns, 900);
+  EXPECT_EQ(all.attributed_head_ns, 800);
+  EXPECT_EQ(all.attributed_fetch_ns, 10);
+  EXPECT_EQ(all.residual_ns, 90);
+  ASSERT_EQ(all.by_tenant.size(), 4u);
+  EXPECT_EQ(all.by_tenant[0].key, "T-c");
+  EXPECT_EQ(all.by_tenant[0].total_ns(), 350);
+  EXPECT_EQ(all.by_tenant[1].key, "T-b");
+  EXPECT_EQ(all.by_tenant[1].total_ns(), 200);
+  EXPECT_EQ(all.by_tenant[2].key, "T-a");
+  EXPECT_EQ(all.by_tenant[2].blocking_events, 2u);
+  EXPECT_EQ(all.by_tenant[2].head_block_ns, 150);
+  EXPECT_EQ(all.by_tenant[3].key, "tenant6");
+  EXPECT_EQ(all.by_tenant[3].head_block_ns, 100);
+  EXPECT_EQ(all.by_tenant[3].fetch_slot_ns, 10);
+
+  opts.top_n = 2;
+  const HolbReport top = AnalyzeHolBlocking(records, opts);
+  ASSERT_EQ(top.by_tenant.size(), 2u);
+  EXPECT_EQ(top.by_tenant[0].key, "T-c");
+  EXPECT_EQ(top.by_tenant[1].key, "T-b");
+  EXPECT_EQ(top.attributed_head_ns, 800);  // the cut trims rows, not totals
+}
+
 // The fig02 acceptance shape at test scale: with bulk T-tenants sharing the
 // L-tenants' queues (vanilla blk-mq), bulk commands dominate the L-requests'
 // NSQ-head blocking; Daredevil's NQ groups keep bulk commands off the

@@ -198,6 +198,23 @@ TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
   EXPECT_NE(w.str().find("[1,2,{\"nested\":false}]"), std::string::npos);
 }
 
+TEST(JsonWriterTest, ExactEscapesAndIntegerDigits) {
+  // Byte-exact output: every control character becomes its escape (short
+  // forms for \n \t \r, \u00xx otherwise), plain runs pass through, and
+  // integers keep printf's digits at both ends of their range.
+  JsonWriter w;
+  w.BeginArray();
+  w.String(std::string("a\"b\\c\nd\te\rf\x01\x08\x0b\x1f\x7f\xc3\xa9", 18));
+  w.Int(std::numeric_limits<int64_t>::min());
+  w.Int(0);
+  w.UInt(std::numeric_limits<uint64_t>::max());
+  w.EndArray();
+  EXPECT_EQ(w.str(),
+            "[\"a\\\"b\\\\c\\nd\\te\\rf\\u0001\\u0008\\u000b\\u001f\x7f\xc3\xa9\","
+            "-9223372036854775808,0,18446744073709551615]");
+  EXPECT_TRUE(JsonValidator(w.str()).Valid()) << w.str();
+}
+
 TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   JsonWriter w;
   w.BeginObject();

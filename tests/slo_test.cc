@@ -3,14 +3,18 @@
 // scenario-level report must stay outside the fingerprinted projection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "src/sim/rng.h"
 #include "src/stats/holb.h"
 #include "src/stats/metrics.h"
 #include "src/stats/slo.h"
 #include "src/workload/scenario.h"
+#include "tests/scenario_capture.h"
 
 namespace daredevil {
 namespace {
@@ -166,6 +170,15 @@ RequestRecord MakeRecord(uint64_t id, uint64_t tenant, int nsq, Tick enqueue,
   return r;
 }
 
+// Attributes `report`'s episodes over `records` the way RunScenario does.
+void Attribute(SloReport& report, const std::vector<RequestRecord>& records,
+               const std::map<uint64_t, std::string>& tenant_names) {
+  const BlockingIntervals intervals(records);
+  HolbOptions opts;
+  opts.tenant_names = tenant_names;
+  AttributeSloEpisodes(report, HolbAnalyzer(records, intervals, opts));
+}
+
 // The holb_test worked example, seen from the SLO side: the victim (tenant 1)
 // violates its objective inside one window and the episode must name the bulk
 // tenant as its dominant blocker via the fetch-slot mechanism (200ns of fetch
@@ -186,7 +199,7 @@ TEST(SloAttributionTest, EpisodeCarriesDominantBlocker) {
   SloReport report = tracker.Finalize();
   ASSERT_EQ(report.TotalEpisodes(), 1u);
 
-  AttributeSloEpisodes(report, records, {{1, "L0"}, {9, "T9"}});
+  Attribute(report, records, {{1, "L0"}, {9, "T9"}});
   const SloTenantReport* r = report.Find("L0");
   ASSERT_NE(r, nullptr);
   const SloEpisode& ep = r->episodes[0];
@@ -226,11 +239,350 @@ TEST(SloAttributionTest, UnattributedEpisodeStaysNamedAsSuch) {
   SloTenantState* state = tracker.AddTenant("L0", "L", 1);
   state->Record(490, 250, true);
   SloReport report = tracker.Finalize();
-  AttributeSloEpisodes(report, {}, {});
+  Attribute(report, {}, {});
   const SloTenantReport* r = report.Find("L0");
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->episodes[0].blame, "");
   EXPECT_EQ(r->episodes[0].mechanism, "unattributed");
+}
+
+// --- Attribution vs a fresh pass per episode ------------------------------
+
+// A reference HOL pass that shares no code with BlockingIntervals or
+// HolbAnalyzer: each NSQ's records sorted on their own, head starts kept in a
+// pointer-keyed map, rows keyed by string. Honors HolbOptions' victim
+// filters, top_n cut and tenant names like AnalyzeHolBlocking.
+HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
+                         const HolbOptions& opts) {
+  struct Owned {
+    Tick begin;
+    Tick end;
+    const RequestRecord* owner;
+  };
+  auto tenant_key = [&opts](uint64_t tenant_id) {
+    auto it = opts.tenant_names.find(tenant_id);
+    return it != opts.tenant_names.end() ? it->second
+                                         : "tenant" + std::to_string(tenant_id);
+  };
+  auto size_key = [&opts](uint32_t pages) {
+    const std::string threshold = std::to_string(opts.bulk_threshold_pages);
+    return pages >= opts.bulk_threshold_pages ? "bulk(>=" + threshold + "p)"
+                                              : "small(<" + threshold + "p)";
+  };
+  auto by_fetch_start = [](const RequestRecord* a, const RequestRecord* b) {
+    return a->fetch_start != b->fetch_start ? a->fetch_start < b->fetch_start
+                                            : a->id < b->id;
+  };
+
+  std::map<int, std::vector<Owned>> heads_by_nsq;
+  std::map<const RequestRecord*, Tick> own_head_start;
+  std::map<int, std::vector<const RequestRecord*>> by_nsq;
+  for (const RequestRecord& r : records) {
+    by_nsq[r.nsq].push_back(&r);
+  }
+  for (auto& [nsq, rqs] : by_nsq) {
+    std::sort(rqs.begin(), rqs.end(), by_fetch_start);
+    Tick prev_departure = 0;
+    for (const RequestRecord* r : rqs) {
+      const Tick visible = r->doorbell > 0 ? r->doorbell : r->nsq_enqueue;
+      const Tick head_start = std::max(visible, prev_departure);
+      heads_by_nsq[nsq].push_back({head_start, r->fetch_start, r});
+      own_head_start[r] = head_start;
+      prev_departure = r->fetch_start;
+    }
+  }
+  std::vector<const RequestRecord*> engine;
+  for (const RequestRecord& r : records) {
+    engine.push_back(&r);
+  }
+  std::sort(engine.begin(), engine.end(), by_fetch_start);
+  std::vector<Owned> fetches;
+  for (const RequestRecord* r : engine) {
+    fetches.push_back({r->fetch_start, r->fetch, r});
+  }
+
+  HolbReport report;
+  std::map<std::string, HolbRow> by_tenant;
+  std::map<std::string, HolbRow> by_size;
+  auto add = [](std::map<std::string, HolbRow>& rows, const std::string& key,
+                Tick HolbRow::*mechanism, Tick ns) {
+    HolbRow& row = rows[key];
+    row.key = key;
+    ++row.blocking_events;
+    row.*mechanism += ns;
+  };
+  // Charges the overlap of [begin, end) with each interval but the victim's
+  // own. The intervals are disjoint and ordered: the scan starts at the first
+  // one ending after `begin` and stops at the first starting at `end`.
+  auto charge = [&](const std::vector<Owned>& intervals,
+                    const RequestRecord& victim, Tick begin, Tick end,
+                    Tick HolbRow::*mechanism) {
+    Tick sum = 0;
+    auto it = std::partition_point(
+        intervals.begin(), intervals.end(),
+        [begin](const Owned& iv) { return iv.end <= begin; });
+    for (; it != intervals.end() && it->begin < end; ++it) {
+      const Tick ns = std::min(end, it->end) - std::max(begin, it->begin);
+      if (it->owner == &victim || ns <= 0) {
+        continue;
+      }
+      sum += ns;
+      add(by_tenant, tenant_key(it->owner->tenant_id), mechanism, ns);
+      add(by_size, size_key(it->owner->pages), mechanism, ns);
+    }
+    return sum;
+  };
+  for (const RequestRecord& victim : records) {
+    if ((opts.victims_latency_sensitive_only && !victim.latency_sensitive) ||
+        (opts.victim_tenant_id != 0 &&
+         victim.tenant_id != opts.victim_tenant_id) ||
+        victim.complete < opts.victim_complete_begin ||
+        (opts.victim_complete_end >= 0 &&
+         victim.complete >= opts.victim_complete_end)) {
+      continue;
+    }
+    ++report.victims;
+    const Tick wait_begin = victim.nsq_enqueue;
+    const Tick wait_end = victim.fetch_start;
+    if (wait_end <= wait_begin) {
+      continue;
+    }
+    report.total_wait_ns += wait_end - wait_begin;
+    report.attributed_head_ns +=
+        charge(heads_by_nsq[victim.nsq], victim, wait_begin, wait_end,
+               &HolbRow::head_block_ns);
+    const Tick head_begin = own_head_start.at(&victim);
+    if (head_begin < wait_end) {
+      report.attributed_fetch_ns += charge(fetches, victim, head_begin,
+                                           wait_end, &HolbRow::fetch_slot_ns);
+    }
+  }
+  const Tick attributed =
+      report.attributed_head_ns + report.attributed_fetch_ns;
+  report.residual_ns = std::max<Tick>(report.total_wait_ns - attributed, 0);
+  auto rank = [&opts](const std::map<std::string, HolbRow>& rows) {
+    std::vector<HolbRow> out;
+    for (const auto& [key, row] : rows) {
+      out.push_back(row);
+    }
+    std::sort(out.begin(), out.end(), [](const HolbRow& a, const HolbRow& b) {
+      return a.total_ns() != b.total_ns() ? a.total_ns() > b.total_ns()
+                                          : a.key < b.key;
+    });
+    out.resize(std::min(out.size(), opts.top_n));
+    return out;
+  };
+  report.by_tenant = rank(by_tenant);
+  report.by_size = rank(by_size);
+  return report;
+}
+
+// The options of one episode's reference pass: the victims are the
+// episode tenant's requests (of any latency class) completing inside it.
+HolbOptions EpisodeOptions(const SloTenantReport& r, const SloEpisode& ep,
+                           const std::map<uint64_t, std::string>& names) {
+  HolbOptions opts;
+  opts.victims_latency_sensitive_only = false;
+  opts.victim_tenant_id = r.tenant_id;
+  opts.victim_complete_begin = ep.begin;
+  opts.victim_complete_end = ep.end;
+  opts.tenant_names = names;
+  return opts;
+}
+
+// The reference rule: one fresh reference pass per episode. Each episode's
+// by-tenant rows are ranked and cut to top_n, the top non-self row becomes
+// the blame, and the cut rows are summed into the attribution.
+SloReport ReferenceAttribution(SloReport report,
+                               const std::vector<RequestRecord>& records,
+                               const std::map<uint64_t, std::string>& names) {
+  if (report.empty() || records.empty()) {
+    return report;
+  }
+  for (auto& [name, r] : report.tenants) {
+    if (r.tenant_id == 0 || r.episodes.empty()) {
+      continue;
+    }
+    std::map<std::string, SloBlameRow> merged;
+    for (SloEpisode& ep : r.episodes) {
+      const HolbReport hr =
+          ReferenceHolb(records, EpisodeOptions(r, ep, names));
+      bool blamed = false;
+      for (const HolbRow& row : hr.by_tenant) {
+        if (row.key == r.tenant) {
+          continue;
+        }
+        if (!blamed) {
+          ep.blame = row.key;
+          ep.mechanism = row.head_block_ns >= row.fetch_slot_ns
+                             ? "same-queue-head"
+                             : "fetch-slot";
+          ep.blame_ns = row.total_ns();
+          blamed = true;
+        }
+        SloBlameRow& agg = merged[row.key];
+        agg.key = row.key;
+        agg.blocking_events += row.blocking_events;
+        agg.head_block_ns += row.head_block_ns;
+        agg.fetch_slot_ns += row.fetch_slot_ns;
+      }
+    }
+    r.attribution.clear();
+    for (const auto& [key, row] : merged) {
+      r.attribution.push_back(row);
+    }
+    std::sort(r.attribution.begin(), r.attribution.end(),
+              [](const SloBlameRow& a, const SloBlameRow& b) {
+                if (a.total_ns() != b.total_ns()) {
+                  return a.total_ns() > b.total_ns();
+                }
+                return a.key < b.key;
+              });
+  }
+  return report;
+}
+
+std::string ReportJson(const SloReport& report) {
+  JsonWriter w;
+  report.AppendJson(w);
+  return w.str();
+}
+
+std::string HolbJson(const HolbReport& report) {
+  JsonWriter w;
+  report.AppendJson(w);
+  return w.str();
+}
+
+// Attributes `report` both ways and requires byte-equal reports. Also
+// requires AnalyzeHolBlocking to equal the reference pass per episode and
+// over the whole run, so the per-episode rule holds for a fresh
+// AnalyzeHolBlocking call too.
+void ExpectMatchesReference(const SloReport& report,
+                            const std::vector<RequestRecord>& records,
+                            const std::map<uint64_t, std::string>& names) {
+  SloReport indexed = report;
+  Attribute(indexed, records, names);
+  EXPECT_EQ(ReportJson(indexed),
+            ReportJson(ReferenceAttribution(report, records, names)));
+  for (const auto& [name, r] : report.tenants) {
+    for (const SloEpisode& ep : r.episodes) {
+      const HolbOptions opts = EpisodeOptions(r, ep, names);
+      ASSERT_EQ(HolbJson(AnalyzeHolBlocking(records, opts)),
+                HolbJson(ReferenceHolb(records, opts)))
+          << name << " episode [" << ep.begin << ", " << ep.end << ")";
+    }
+  }
+  for (const bool ls_only : {true, false}) {
+    HolbOptions opts;
+    opts.victims_latency_sensitive_only = ls_only;
+    opts.tenant_names = names;
+    EXPECT_EQ(HolbJson(AnalyzeHolBlocking(records, opts)),
+              HolbJson(ReferenceHolb(records, opts)));
+  }
+}
+
+TEST(SloAttributionTest, IndexMatchesAFreshPassPerEpisodeOnARealRun) {
+  // A tight objective under blk-mq, evaluated over short windows: about a
+  // hundred episodes, mostly blamed on the bulk tenants sharing the
+  // L-tenants' queues.
+  ScenarioConfig cfg = MakeSvmConfig(4);
+  cfg.stack = StackKind::kVanilla;
+  cfg.warmup = kMillisecond;
+  cfg.duration = 60 * kMillisecond;
+  cfg.seed = 7;
+  AddLTenants(cfg, 2);
+  AddTTenants(cfg, 2);
+  SloSpec spec;
+  spec.selector = "L";
+  spec.threshold = 100 * kMicrosecond;
+  spec.window = 100 * kMicrosecond;
+  cfg.slos.push_back(spec);
+  CapturedRun run = CaptureRun(cfg);
+  ASSERT_GE(run.slo.TotalEpisodes(), 50u);
+  ExpectMatchesReference(run.slo, run.records, run.tenant_names);
+}
+
+TEST(SloAttributionTest, IndexMatchesAFreshPassPerEpisodeOnRandomRecords) {
+  // Random record sets: a few NSQs shared by 14 tenants (most without a
+  // display name, two sharing one), so heads queue behind each other and
+  // behind their own tenant's requests, and busy episodes see more blocker
+  // rows than the top_n cut keeps. Waits may be zero, doorbells missing (0),
+  // and completions land in, between and outside episodes.
+  const std::map<uint64_t, std::string> names = {
+      {1, "L0"}, {2, "L1"}, {3, "T0"}, {4, "T1"}, {5, "T1"}};
+  constexpr uint64_t kTenants = 14;  // more blockers than top_n rows
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<RequestRecord> records;
+    std::vector<Tick> fetch_free(3, 0);  // per-NSQ FIFO: fetch starts ascend
+    Tick engine_free = 0;
+    for (uint64_t id = 1; id <= 400; ++id) {
+      RequestRecord r;
+      r.id = id;
+      r.tenant_id = 1 + rng.NextBelow(kTenants);
+      r.pages = rng.NextBool(0.3) ? 32 : 1;
+      r.latency_sensitive = r.tenant_id <= 2;
+      r.nsq = static_cast<int>(rng.NextBelow(fetch_free.size()));
+      r.issue = static_cast<Tick>(rng.NextBelow(20000));
+      r.submit = r.issue;
+      r.nsq_enqueue = r.issue + static_cast<Tick>(rng.NextBelow(50));
+      r.doorbell = rng.NextBool(0.3)
+                       ? 0
+                       : r.nsq_enqueue + static_cast<Tick>(rng.NextBelow(20));
+      Tick& nsq_free = fetch_free[static_cast<size_t>(r.nsq)];
+      // Zero-length waits when the queue and the engine are idle.
+      r.fetch_start = std::max({r.nsq_enqueue, nsq_free, engine_free});
+      if (rng.NextBool(0.5)) {
+        r.fetch_start += static_cast<Tick>(rng.NextBelow(300));
+      }
+      r.fetch = r.fetch_start +
+                static_cast<Tick>(rng.NextBelow(r.pages * 20 + 1));
+      nsq_free = r.fetch_start;
+      engine_free = r.fetch;
+      r.flash_start = r.fetch;
+      r.flash_end = r.fetch + 50;
+      r.cqe_post = r.flash_end;
+      r.drain = r.cqe_post + 5;
+      r.complete = r.drain + 5;
+      records.push_back(r);
+    }
+    // Episodes of the two L tenants (and one unnamed tracked tenant) at
+    // random, possibly empty, completion ranges. Half the bounds land
+    // exactly on one of the tenant's completions, so the half-open
+    // [begin, end) edges matter.
+    SloReport report;
+    for (const uint64_t tenant_id : {1, 2, 6}) {
+      std::vector<Tick> completions;
+      for (const RequestRecord& r : records) {
+        if (r.tenant_id == tenant_id) {
+          completions.push_back(r.complete);
+        }
+      }
+      auto bound = [&](Tick random) {
+        return completions.empty() || rng.NextBool(0.5)
+                   ? random
+                   : completions[rng.NextBelow(completions.size())];
+      };
+      SloTenantReport t;
+      t.tenant = tenant_id == 6 ? "tenant6" : names.at(tenant_id);
+      t.tenant_id = tenant_id;
+      Tick at = 0;
+      for (int i = 0; i < 12; ++i) {
+        SloEpisode ep;
+        ep.begin = bound(at + static_cast<Tick>(rng.NextBelow(2000)));
+        ep.end = std::max(ep.begin,
+                          bound(ep.begin +
+                                static_cast<Tick>(rng.NextBelow(3000))));
+        ep.mechanism = "unattributed";
+        at = ep.end;
+        t.episodes.push_back(ep);
+      }
+      report.tenants.emplace(t.tenant, t);
+    }
+    ExpectMatchesReference(report, records, names);
+  }
 }
 
 TEST(SloReportTest, JsonAndTableAreWellFormedAndDeterministic) {

@@ -4,14 +4,17 @@
 // actually parses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/stats/holb.h"
 #include "src/stats/trace_export.h"
 #include "src/workload/scenario.h"
+#include "tests/scenario_capture.h"
 
 namespace daredevil {
 namespace {
@@ -85,11 +88,10 @@ TEST(JsonLooksValidTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(err.empty());
 }
 
-TEST(TraceExportTest, MetadataEventsComeFirstThenTimestampOrder) {
-  const auto events = BuildChromeEvents(MakeInput({
-      MakeRecord(1, 0, 100, 200, 400),
-      MakeRecord(2, 1, 150, 400, 500),
-  }));
+// --- Structural checks, shared by the synthetic and the real-run cases ------
+
+// Metadata events come first, then data events in timestamp order.
+void ExpectMetadataFirstThenTimestampOrder(const std::vector<ChromeEvent>& events) {
   ASSERT_FALSE(events.empty());
   bool seen_data = false;
   Tick last_ts = 0;
@@ -107,30 +109,25 @@ TEST(TraceExportTest, MetadataEventsComeFirstThenTimestampOrder) {
   EXPECT_TRUE(seen_data);
 }
 
-TEST(TraceExportTest, AsyncBeginEndBalancedPerTrack) {
-  const auto events = BuildChromeEvents(MakeInput({
-      MakeRecord(1, 0, 100, 200, 400, /*pages=*/32),
-      MakeRecord(2, 0, 150, 400, 500),
-      MakeRecord(3, 1, 120, 130, 140),
-  }));
-  // Async slices pair by (pid, cat, id, name); every 'b' needs its 'e' and
-  // the end must not precede the begin.
+// Async slices pair by (pid, cat, id, name): every 'b' needs its 'e', and no
+// 'e' comes before its 'b'.
+void ExpectAsyncBalanced(const std::vector<ChromeEvent>& events,
+                         const ChromeEventRenderer& renderer) {
   std::map<std::tuple<int, std::string, uint64_t, std::string>, int> balance;
-  std::map<std::tuple<int, std::string, uint64_t, std::string>, Tick> begin_ts;
   int async_begins = 0;
   for (const ChromeEvent& e : events) {
     if (e.ph != 'b' && e.ph != 'e') {
       continue;
     }
-    EXPECT_TRUE(e.has_id) << "async event without id: " << e.name;
-    const auto key = std::make_tuple(e.pid, e.cat, e.id, e.name);
+    EXPECT_TRUE(e.has_id()) << "async event without id: " << renderer.Name(e);
+    const auto key = std::make_tuple(e.pid, std::string(renderer.Category(e)),
+                                     e.id, renderer.Name(e));
     if (e.ph == 'b') {
       ++async_begins;
       balance[key] += 1;
-      begin_ts[key] = e.ts;
     } else {
+      EXPECT_GT(balance[key], 0) << "async end before begin: " << std::get<3>(key);
       balance[key] -= 1;
-      EXPECT_GE(e.ts, begin_ts[key]) << "async end before begin: " << e.name;
     }
   }
   EXPECT_GT(async_begins, 0);
@@ -141,19 +138,12 @@ TEST(TraceExportTest, AsyncBeginEndBalancedPerTrack) {
   }
 }
 
-TEST(TraceExportTest, CompleteSlicesNeverOverlapWithinATrack) {
-  // Three same-NSQ requests with overlapping lifecycles: the head-occupancy
-  // and fetch-engine X slices must still be disjoint per (pid, tid) track.
-  const auto events = BuildChromeEvents(MakeInput({
-      MakeRecord(1, 0, 100, 200, 400, /*pages=*/32),
-      MakeRecord(2, 0, 110, 400, 450),
-      MakeRecord(3, 0, 120, 450, 460),
-      MakeRecord(4, 1, 105, 460, 470),
-  }));
+// X slices on one (pid, tid) track never overlap.
+void ExpectSlicesDisjoint(const std::vector<ChromeEvent>& events) {
   std::map<std::pair<int, int>, std::vector<std::pair<Tick, Tick>>> tracks;
   for (const ChromeEvent& e : events) {
     if (e.ph == 'X') {
-      EXPECT_GE(e.dur, 0) << e.name;
+      EXPECT_GE(e.dur, 0);
       tracks[{e.pid, e.tid}].emplace_back(e.ts, e.ts + e.dur);
     }
   }
@@ -168,6 +158,33 @@ TEST(TraceExportTest, CompleteSlicesNeverOverlapWithinATrack) {
   }
 }
 
+TEST(TraceExportTest, MetadataEventsComeFirstThenTimestampOrder) {
+  ExpectMetadataFirstThenTimestampOrder(BuildChromeEvents(MakeInput({
+      MakeRecord(1, 0, 100, 200, 400),
+      MakeRecord(2, 1, 150, 400, 500),
+  })));
+}
+
+TEST(TraceExportTest, AsyncBeginEndBalancedPerTrack) {
+  const TraceExportInput input = MakeInput({
+      MakeRecord(1, 0, 100, 200, 400, /*pages=*/32),
+      MakeRecord(2, 0, 150, 400, 500),
+      MakeRecord(3, 1, 120, 130, 140),
+  });
+  ExpectAsyncBalanced(BuildChromeEvents(input), ChromeEventRenderer(input));
+}
+
+TEST(TraceExportTest, CompleteSlicesNeverOverlapWithinATrack) {
+  // Three same-NSQ requests with overlapping lifecycles: the head-occupancy
+  // and fetch-engine X slices must still be disjoint per (pid, tid) track.
+  ExpectSlicesDisjoint(BuildChromeEvents(MakeInput({
+      MakeRecord(1, 0, 100, 200, 400, /*pages=*/32),
+      MakeRecord(2, 0, 110, 400, 450),
+      MakeRecord(3, 0, 120, 450, 460),
+      MakeRecord(4, 1, 105, 460, 470),
+  })));
+}
+
 TEST(TraceExportTest, IrqHopEmitsFlowArrows) {
   // Completion drained on core 1 but delivered on core 3: the cross-core hop
   // must be drawn as a flow (s on the IRQ core, f on the delivery core).
@@ -176,7 +193,9 @@ TEST(TraceExportTest, IrqHopEmitsFlowArrows) {
   hop.complete_core = 3;
   RequestRecord local = MakeRecord(8, 1, 100, 300, 350);  // irq == complete
 
-  const auto events = BuildChromeEvents(MakeInput({hop, local}));
+  const TraceExportInput input = MakeInput({hop, local});
+  const auto events = BuildChromeEvents(input);
+  const ChromeEventRenderer renderer(input);
   std::vector<const ChromeEvent*> starts;
   std::vector<const ChromeEvent*> finishes;
   for (const ChromeEvent& e : events) {
@@ -186,7 +205,8 @@ TEST(TraceExportTest, IrqHopEmitsFlowArrows) {
   ASSERT_EQ(starts.size(), 1u);
   ASSERT_EQ(finishes.size(), 1u);
   EXPECT_EQ(starts[0]->id, finishes[0]->id);
-  EXPECT_EQ(starts[0]->cat, finishes[0]->cat);
+  EXPECT_EQ(renderer.Category(*starts[0]), "irq-hop");
+  EXPECT_EQ(renderer.Category(*finishes[0]), "irq-hop");
   EXPECT_EQ(starts[0]->tid, 1);    // drained on the IRQ core
   EXPECT_EQ(finishes[0]->tid, 3);  // delivered on the tenant core
   EXPECT_LE(starts[0]->ts, finishes[0]->ts);
@@ -250,6 +270,83 @@ TEST(TraceExportTest, ScenarioExportIsPerfettoShaped) {
   EXPECT_GT(r.timeline_total, 0u);
   EXPECT_NE(r.trace_json.find("\"ddSampler\""), std::string::npos);
   EXPECT_NE(r.trace_json.find("\"process_name\""), std::string::npos);
+}
+
+// A real run with every observer attached: vanilla blk-mq with the trace
+// ring, the sampler and a tight L SLO, optionally under the dense fault
+// schedule.
+ScenarioConfig RealRunConfig(bool faults) {
+  ScenarioConfig cfg = MakeSvmConfig(4);
+  cfg.stack = StackKind::kVanilla;
+  cfg.warmup = kMillisecond;
+  cfg.duration = 10 * kMillisecond;
+  cfg.trace_capacity = 1 << 15;
+  cfg.sample_interval = kMillisecond;
+  cfg.export_trace = true;
+  if (faults) {
+    cfg.faults = MakeDenseFaultPlan(0.02);
+    cfg.fault_recovery.timeout = TickDuration{2 * kMillisecond};
+    cfg.fault_recovery.backoff = TickDuration{100 * kMicrosecond};
+  }
+  SloSpec spec;
+  spec.selector = "L";
+  spec.threshold = 30 * kMicrosecond;
+  spec.window = kMillisecond;
+  cfg.slos.push_back(spec);
+  AddLTenants(cfg, 2);
+  AddTTenants(cfg, 2);
+  return cfg;
+}
+
+TEST(TraceExportTest, RealRunEventsAreStructurallySound) {
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "dense faults" : "fault-free");
+    const ScenarioConfig cfg = RealRunConfig(faults);
+    CapturedRun run = CaptureRun(cfg);
+    ASSERT_FALSE(run.records.empty());
+    const BlockingIntervals intervals(run.records);
+    HolbOptions opts;
+    opts.tenant_names = run.tenant_names;
+    AttributeSloEpisodes(run.slo, HolbAnalyzer(run.records, intervals, opts));
+    EXPECT_GT(run.slo.TotalEpisodes(), 0u);
+    const TraceExportInput input = MakeExportInput(run, &run.slo);
+    ASSERT_NE(input.sampler, nullptr);
+    ASSERT_FALSE(input.events.empty());
+
+    const std::vector<ChromeEvent> events = BuildChromeEvents(input);
+    ExpectMetadataFirstThenTimestampOrder(events);
+    ExpectAsyncBalanced(events, ChromeEventRenderer(input));
+    ExpectSlicesDisjoint(events);
+    // Every track kind made it in: NSQ heads, SLO episodes, counters and
+    // (under faults) the fault instants on the control track.
+    std::set<int> pids;
+    for (const ChromeEvent& e : events) {
+      pids.insert(e.pid);
+    }
+    for (int pid : {kTracePidHost, kTracePidNsq, kTracePidDevice, kTracePidNcq,
+                    kTracePidRequests, kTracePidCounters, kTracePidSlo}) {
+      EXPECT_EQ(pids.count(pid), 1u) << "no events on pid " << pid;
+    }
+    if (faults) {
+      EXPECT_EQ(pids.count(kTracePidControl), 1u);
+    }
+    // The twin is faithful: it serializes to RunScenario's very bytes.
+    EXPECT_EQ(SerializeChromeTrace(input), RunScenario(cfg).trace_json);
+  }
+}
+
+TEST(TraceExportTest, ControlCharactersInNamesStayValidJson) {
+  // Tenant names reach the trace as args ("tenant"), as track names and in
+  // SLO slice names; all of them must be escaped like ToJson escapes them.
+  ScenarioConfig cfg = RealRunConfig(/*faults=*/false);
+  cfg.jobs[0].name = "L\t0";
+  const ScenarioResult r = RunScenario(cfg);
+  ASSERT_NE(r.slo.Find("L\t0"), nullptr);
+  std::string err;
+  EXPECT_TRUE(JsonLooksValid(r.trace_json, &err)) << err;
+  EXPECT_NE(r.trace_json.find("\"tenant\":\"L\\t0\""), std::string::npos);
+  EXPECT_NE(r.trace_json.find("\"SLO L\\t0\""), std::string::npos);
+  EXPECT_TRUE(JsonLooksValid(r.ToJson(), &err)) << err;
 }
 
 }  // namespace
