@@ -56,7 +56,7 @@ int main() {
     }
     table.Print();
     std::printf("migrations=%llu\n\n",
-                static_cast<unsigned long long>(r.migrations));
+                static_cast<unsigned long long>(r.migrations()));
   }
   std::printf(
       "Paper shape: vanilla latency steps up with each wave; blk-switch's\n"

@@ -38,14 +38,14 @@ int main() {
       const ScenarioResult r = RunScenario(cfg);
       json.Add(std::string(StackKindName(kind)) + "/nt=" + std::to_string(n_t), r);
       const double lock_per_rq =
-          r.requests_submitted > 0
-              ? static_cast<double>(r.lock_wait_ns) /
-                    static_cast<double>(r.requests_submitted)
+          r.requests_submitted() > 0
+              ? static_cast<double>(r.lock_wait_ns()) /
+                    static_cast<double>(r.requests_submitted())
               : 0.0;
       const double xcore =
-          r.requests_completed > 0
-              ? static_cast<double>(r.cross_core_completions) /
-                    static_cast<double>(r.requests_completed)
+          r.requests_completed() > 0
+              ? static_cast<double>(r.cross_core_completions()) /
+                    static_cast<double>(r.requests_completed())
               : 0.0;
       single.AddRow({std::to_string(n_t), std::string(StackKindName(kind)),
                      FormatMs(static_cast<double>(r.P999Ns("L"))),

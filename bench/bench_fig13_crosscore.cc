@@ -55,13 +55,13 @@ Cell RunCell(StackKind kind, int n_l, int n_tl, BenchJsonSink* json) {
     cell.l_std_hint_ns =
         static_cast<double>(l->latency.P99() - l->latency.P50());
   }
-  if (r.requests_submitted > 0) {
-    cell.lock_wait_per_rq_ns = static_cast<double>(r.lock_wait_ns) /
-                               static_cast<double>(r.requests_submitted);
+  if (r.requests_submitted() > 0) {
+    cell.lock_wait_per_rq_ns = static_cast<double>(r.lock_wait_ns()) /
+                               static_cast<double>(r.requests_submitted());
   }
-  if (r.requests_completed > 0) {
-    cell.cross_core_frac = static_cast<double>(r.cross_core_completions) /
-                           static_cast<double>(r.requests_completed);
+  if (r.requests_completed() > 0) {
+    cell.cross_core_frac = static_cast<double>(r.cross_core_completions()) /
+                           static_cast<double>(r.requests_completed());
   }
   return cell;
 }

@@ -202,10 +202,10 @@ int main(int argc, char** argv) {
   std::printf(
       "\ncpu=%.1f%% cross-core-completions=%llu lock-wait=%.1fus requeues=%llu "
       "irqs=%llu migrations=%llu\n",
-      r.cpu_util * 100.0, static_cast<unsigned long long>(r.cross_core_completions),
-      static_cast<double>(r.lock_wait_ns) / 1000.0,
-      static_cast<unsigned long long>(r.requeues),
-      static_cast<unsigned long long>(r.irqs_total),
-      static_cast<unsigned long long>(r.migrations));
+      r.cpu_util * 100.0, static_cast<unsigned long long>(r.cross_core_completions()),
+      static_cast<double>(r.lock_wait_ns()) / 1000.0,
+      static_cast<unsigned long long>(r.requeues()),
+      static_cast<unsigned long long>(r.irqs_total()),
+      static_cast<unsigned long long>(r.migrations()));
   return 0;
 }

@@ -1,125 +1,57 @@
 #include "src/apps/app_io.h"
 
-#include "src/core/invariant.h"
-#include "src/stats/slo.h"
-
 namespace daredevil {
 
 AppIoContext::AppIoContext(Machine* machine, StorageStack* stack, Tenant* tenant,
                            uint32_t nsid)
-    : machine_(machine),
-      stack_(stack),
-      tenant_(tenant),
-      nsid_(nsid),
-      next_id_(tenant->id.value() << 32) {}
+    : TenantIo(machine, stack, tenant, nsid) {}
 
-AppIoContext::Op* AppIoContext::AllocOp() {
-  if (!free_list_.empty()) {
-    Op* op = free_list_.back();
-    free_list_.pop_back();
-    return op;
-  }
-  auto owned = std::make_unique<Op>();
-  Op* op = owned.get();
-  op->ctx = this;
-  op->rq.tenant = tenant_;
-  op->rq.on_complete = [op](Request* r) {
-    AppIoContext* ctx = op->ctx;
-    --ctx->inflight_;
-    if (ctx->slo_ != nullptr) {
-      ctx->slo_->Record(ctx->machine_->now(),
-                        r->complete_time - r->issue_time,
-                        r->status == IoStatus::kOk);
-    }
-    Callback done = std::move(op->done);
-    op->done = nullptr;
-    ctx->free_list_.push_back(op);
-    if (done) {
-      done();
-    }
-  };
-  pool_.push_back(std::move(owned));
-  return op;
-}
-
-uint64_t AppIoContext::Issue(uint64_t lba, uint32_t pages, bool is_write,
-                             bool sync, bool meta, bool flush, bool fua,
-                             Callback done) {
-  DD_CHECK(pages >= 1) << "tenant " << tenant_->id << " issued an empty I/O";
-  DD_CHECK(lba + pages <= namespace_pages())
-      << "tenant " << tenant_->id << " I/O [" << lba << ", " << lba + pages
-      << ") overruns namespace " << nsid_ << " (" << namespace_pages()
-      << " pages)";
-  Op* op = AllocOp();
-  Request& rq = op->rq;
-  rq.id = ++next_id_;
-  rq.nsid = nsid_;
-  rq.lba = Lba{lba};
-  rq.pages = pages;
-  rq.is_write = is_write;
-  rq.is_sync = sync;
-  rq.is_meta = meta;
-  rq.is_flush = flush;
-  rq.is_fua = fua;
-  rq.ResetTimeline();  // pooled request: clear the previous run's stamps
-  rq.issue_time = machine_->now();
-  rq.routed_nsq = -1;
-  rq.submit_core = tenant_->core;
-  op->done = std::move(done);
-
-  ++inflight_;
-  if (flush) {
+uint64_t AppIoContext::IssueOp(const Shape& shape, Callback done) {
+  if (shape.is_flush) {
     ++flushes_;  // barriers move no data: not a write, no pages transferred
   } else {
-    (is_write ? writes_ : reads_) += 1;
-    pages_ += pages;
+    (shape.is_write ? writes_ : reads_) += 1;
+    pages_ += shape.pages;
   }
-
-  const TickDuration issue_cost =
-      stack_->costs().syscall +
-      static_cast<Tick>(pages) * stack_->costs().per_page_user;
-  machine_->Post(tenant_->core, WorkLevel::kUser, issue_cost,
-                 [this, op]() {
-                   op->rq.submit_core = tenant_->core;
-                   stack_->SubmitAsync(&op->rq);
-                 },
-                 tenant_->id);
-  return rq.id;
+  return Issue(shape, std::move(done));
 }
 
 uint64_t AppIoContext::Read(uint64_t lba, uint32_t pages, Callback done) {
-  return Issue(lba, pages, /*is_write=*/false, /*sync=*/false, /*meta=*/false,
-               /*flush=*/false, /*fua=*/false, std::move(done));
+  return IssueOp({.lba = Lba{lba}, .pages = pages}, std::move(done));
 }
 
 uint64_t AppIoContext::Write(uint64_t lba, uint32_t pages, bool sync, bool meta,
                              Callback done) {
-  return Issue(lba, pages, /*is_write=*/true, sync, meta, /*flush=*/false,
-               /*fua=*/false, std::move(done));
+  return IssueOp(
+      {.lba = Lba{lba}, .pages = pages, .is_write = true, .is_sync = sync,
+       .is_meta = meta},
+      std::move(done));
 }
 
 uint64_t AppIoContext::WriteFua(uint64_t lba, uint32_t pages, bool meta,
                                 Callback done) {
-  return Issue(lba, pages, /*is_write=*/true, /*sync=*/true, meta,
-               /*flush=*/false, /*fua=*/true, std::move(done));
+  return IssueOp(
+      {.lba = Lba{lba}, .pages = pages, .is_write = true, .is_sync = true,
+       .is_meta = meta, .is_fua = true},
+      std::move(done));
 }
 
 uint64_t AppIoContext::Flush(Callback done) {
   // A barrier targets no LBA; page 0 with pages=1 keeps queue-capacity
   // accounting honest without touching flash (the device never schedules a
   // flash page for a flush command).
-  return Issue(/*lba=*/0, /*pages=*/1, /*is_write=*/false, /*sync=*/true,
-               /*meta=*/false, /*flush=*/true, /*fua=*/false, std::move(done));
+  return IssueOp({.lba = Lba{0}, .pages = 1, .is_sync = true, .is_flush = true},
+                 std::move(done));
 }
 
 void AppIoContext::Compute(TickDuration duration, Callback done) {
-  machine_->Post(tenant_->core, WorkLevel::kUser, duration,
+  machine_->Post(tenant().core, WorkLevel::kUser, duration,
                  [done = std::move(done)]() {
                    if (done) {
                      done();
                    }
                  },
-                 tenant_->id);
+                 tenant().id);
 }
 
 }  // namespace daredevil

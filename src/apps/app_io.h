@@ -6,14 +6,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
-#include "src/stack/storage_stack.h"
+#include "src/stack/tenant_io.h"
 
 namespace daredevil {
-
-class SloTenantState;  // src/stats/slo.h
 
 // What application recovery sees at a namespace-relative page after a crash.
 // Tests close this over the device's persisted snapshot
@@ -21,14 +17,14 @@ class SloTenantState;  // src/stats/slo.h
 // the apps layer never names device types.
 using DurabilityView = std::function<PersistedPageView(uint64_t lba)>;
 
-class AppIoContext {
+// An application's I/O over the tenant I/O core: explicit LBAs and flags,
+// and a per-op callback once the op is delivered.
+class AppIoContext : private TenantIo {
  public:
-  using Callback = std::function<void()>;
+  using Callback = TenantIo::Callback;
 
   AppIoContext(Machine* machine, StorageStack* stack, Tenant* tenant,
                uint32_t nsid);
-  AppIoContext(const AppIoContext&) = delete;
-  AppIoContext& operator=(const AppIoContext&) = delete;
 
   // Issues a read of `pages` 4KB pages at `lba` (namespace-relative).
   // All I/O entry points return the request id — which is also the device
@@ -49,50 +45,26 @@ class AppIoContext {
   // Pure CPU work in user context on the tenant's current core.
   void Compute(TickDuration duration, Callback done);
 
-  Tenant& tenant() { return *tenant_; }
-  Machine& machine() { return *machine_; }
-  uint32_t nsid() const { return nsid_; }
-  uint64_t namespace_pages() const {
-    return stack_->device().NamespacePages(nsid_);
-  }
+  using TenantIo::inflight;
+  using TenantIo::machine;
+  using TenantIo::namespace_pages;
+  using TenantIo::nsid;
+  using TenantIo::tenant;
+  // Every completed op is reported with its end-to-end latency.
+  using TenantIo::AttachSlo;
 
   uint64_t reads_issued() const { return reads_; }
   uint64_t writes_issued() const { return writes_; }
   uint64_t flushes_issued() const { return flushes_; }
   uint64_t pages_transferred() const { return pages_; }
-  int inflight() const { return inflight_; }
-
-  // Optional SLO observer (owned by the scenario's SloTracker; null is fine).
-  // Every completed op is reported with its end-to-end latency.
-  void AttachSlo(SloTenantState* slo) { slo_ = slo; }
 
  private:
-  struct Op {
-    Request rq;
-    Callback done;
-    AppIoContext* ctx = nullptr;
-  };
+  uint64_t IssueOp(const Shape& shape, Callback done);
 
-  uint64_t Issue(uint64_t lba, uint32_t pages, bool is_write, bool sync,
-                 bool meta, bool flush, bool fua, Callback done);
-  Op* AllocOp();
-
-  Machine* machine_;
-  StorageStack* stack_;
-  Tenant* tenant_;
-  uint32_t nsid_;
-  uint64_t next_id_;
-  // Ops embed a pooled Request; keep it compact (see the workload pools).
-  static_assert(sizeof(Request) <= 256,
-                "Request outgrew its pooled-allocation budget");
-  std::vector<std::unique_ptr<Op>> pool_;
-  std::vector<Op*> free_list_;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
   uint64_t flushes_ = 0;
   uint64_t pages_ = 0;
-  int inflight_ = 0;
-  SloTenantState* slo_ = nullptr;
 };
 
 }  // namespace daredevil

@@ -1,44 +1,21 @@
 #include "src/workload/fio_job.h"
 
-#include "src/core/invariant.h"
-#include "src/stats/slo.h"
-
 namespace daredevil {
 
 FioJob::FioJob(Machine* machine, StorageStack* stack, const FioJobSpec& spec,
                uint64_t tenant_id, int core, Rng rng, Tick measure_start,
                Tick measure_end)
-    : machine_(machine),
-      stack_(stack),
+    : TenantIo(machine, stack,
+               Tenant{TenantId{tenant_id}, spec.name, spec.group, spec.ionice,
+                      core, spec.nsid},
+               measure_start, measure_end),
       spec_(spec),
-      rng_(rng),
-      measure_start_(measure_start),
-      measure_end_(measure_end),
-      next_rq_id_(tenant_id << 32) {
-  tenant_.id = TenantId{tenant_id};
-  tenant_.name = spec.name;
-  tenant_.group = spec.group;
-  tenant_.ionice = spec.ionice;
-  tenant_.core = core;
-  tenant_.primary_nsid = spec.nsid;
-
-  const uint64_t ns_pages = stack_->device().NamespacePages(spec_.nsid);
-  DD_CHECK(ns_pages >= spec_.pages)
-      << "job " << spec_.name << " working set (" << spec_.pages
-      << " pages) exceeds namespace " << spec_.nsid << " (" << ns_pages
-      << " pages)";
-  pool_.reserve(static_cast<size_t>(spec_.iodepth));
-  free_list_.reserve(static_cast<size_t>(spec_.iodepth));
-  for (int i = 0; i < spec_.iodepth; ++i) {
-    auto rq = std::make_unique<Request>();
-    rq->tenant = &tenant_;
-    rq->on_complete = [this](Request* r) { OnComplete(r); };
-    free_list_.push_back(rq.get());
-    pool_.push_back(std::move(rq));
-  }
+      rng_(rng) {
+  CheckShape(Lba{0}, spec_.pages);
+  ReservePool(spec_.iodepth);
   // Streaming jobs start at a random aligned offset so concurrent T-tenants
   // do not all hammer the same flash chips.
-  seq_lba_ = rng_.NextBelow(ns_pages / spec_.pages) * spec_.pages;
+  seq_lba_ = rng_.NextBelow(namespace_pages() / spec_.pages) * spec_.pages;
 }
 
 bool FioJob::Stopped() const {
@@ -51,7 +28,7 @@ bool FioJob::Stopped() const {
 
 void FioJob::Start() {
   machine_->sim().At(spec_.start_time, [this]() {
-    stack_->OnTenantStart(&tenant_);
+    stack_->OnTenantStart(&tenant());
     for (int i = 0; i < spec_.iodepth; ++i) {
       IssueOne();
     }
@@ -65,81 +42,17 @@ void FioJob::Start() {
 }
 
 void FioJob::IssueOne() {
-  if (free_list_.empty() || Stopped()) {
+  if (inflight() >= spec_.iodepth || Stopped()) {
     return;
   }
-  Request* rq = free_list_.back();
-  free_list_.pop_back();
-  ++inflight_;
-  ++issued_;
-  if (issued_cell_ != nullptr) {
-    ++*issued_cell_;
-  }
-
-  rq->id = ++next_rq_id_;
-  rq->nsid = spec_.nsid;
-  rq->pages = spec_.pages;
-  rq->is_write = spec_.is_write;
-  rq->is_sync = spec_.sync_prob > 0.0 && rng_.NextBool(spec_.sync_prob);
-  rq->is_meta = spec_.meta_prob > 0.0 && rng_.NextBool(spec_.meta_prob);
-  const uint64_t ns_pages = stack_->device().NamespacePages(spec_.nsid);
-  if (spec_.random) {
-    rq->lba = Lba{rng_.NextBelow(ns_pages - spec_.pages + 1)};
-  } else {
-    rq->lba = Lba{seq_lba_};
-    seq_lba_ += spec_.pages;
-    if (seq_lba_ + spec_.pages > ns_pages) {
-      seq_lba_ = 0;
-    }
-  }
-  rq->ResetTimeline();  // pooled request: clear the previous run's stamps
-  rq->issue_time = machine_->now();
-  rq->routed_nsq = -1;
-
-  // The syscall runs in user context on the tenant's current core, then the
-  // stack takes over in kernel context.
-  rq->submit_core = tenant_.core;
-  const TickDuration issue_cost =
-      stack_->costs().syscall +
-      static_cast<Tick>(spec_.pages) * stack_->costs().per_page_user;
-  machine_->Post(tenant_.core, WorkLevel::kUser, issue_cost,
-                 [this, rq]() {
-                   rq->submit_core = tenant_.core;
-                   stack_->SubmitAsync(rq);
-                 },
-                 tenant_.id);
-}
-
-void FioJob::OnComplete(Request* rq) {
-  --inflight_;
-  ++completed_;
-  if (rq->status != IoStatus::kOk) {
-    // Fault runs only: the stack exhausted its retries and delivered the
-    // failure. The request still counts as completed (it left the stack).
-    ++errored_;
-  }
-  if (completed_cell_ != nullptr) {
-    ++*completed_cell_;
-  }
-  const Tick latency = rq->complete_time - rq->issue_time;
-  const Tick now = machine_->now();
-  if (now >= measure_start_ && now < measure_end_) {
-    latency_.Record(latency);
-    stages_.Record(*rq);
-    ++ios_;
-    bytes_ += rq->bytes();
-  }
-  if (latency_series_ != nullptr) {
-    latency_series_->Record(now, latency);
-  }
-  if (bytes_series_ != nullptr) {
-    bytes_series_->Record(now, static_cast<int64_t>(rq->bytes()));
-  }
-  if (slo_ != nullptr) {
-    slo_->Record(now, latency, rq->status == IoStatus::kOk);
-  }
-  free_list_.push_back(rq);
-  ScheduleNextIssue();
+  Shape shape;
+  shape.pages = spec_.pages;
+  shape.is_write = spec_.is_write;
+  // NextBool draws nothing for a zero probability.
+  shape.is_sync = rng_.NextBool(spec_.sync_prob);
+  shape.is_meta = rng_.NextBool(spec_.meta_prob);
+  shape.lba = NextStreamLba(rng_, spec_.random, spec_.pages, seq_lba_);
+  Issue(shape, [this]() { ScheduleNextIssue(); });
 }
 
 void FioJob::ScheduleNextIssue() {
@@ -163,12 +76,12 @@ void FioJob::ArmIoniceUpdate() {
     // updater is a userspace syscall loop: the next update is armed only
     // after this one's syscall ran, so it self-throttles under CPU
     // saturation like the paper's updater.
-    machine_->Post(tenant_.core, WorkLevel::kUser, stack_->costs().syscall,
+    machine_->Post(tenant().core, WorkLevel::kUser, stack_->costs().syscall,
                    [this]() {
-                     stack_->OnIoniceChange(&tenant_);
+                     stack_->OnIoniceChange(&tenant());
                      ArmIoniceUpdate();
                    },
-                   tenant_.id);
+                   tenant().id);
   });
 }
 
@@ -177,12 +90,12 @@ void FioJob::ArmMigration() {
     if (machine_->now() >= measure_end_) {
       return;
     }
-    const int old_core = tenant_.core;
+    const int old_core = tenant().core;
     const int new_core =
         static_cast<int>(rng_.NextBelow(static_cast<uint64_t>(machine_->num_cores())));
     if (new_core != old_core) {
-      tenant_.core = new_core;
-      stack_->OnTenantMigrated(&tenant_, old_core);
+      tenant().core = new_core;
+      stack_->OnTenantMigrated(&tenant(), old_core);
     }
     ArmMigration();
   });

@@ -4,19 +4,12 @@
 #ifndef DAREDEVIL_SRC_WORKLOAD_FIO_JOB_H_
 #define DAREDEVIL_SRC_WORKLOAD_FIO_JOB_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/sim/rng.h"
-#include "src/stack/storage_stack.h"
-#include "src/stats/histogram.h"
-#include "src/stats/metrics.h"
-#include "src/stats/time_series.h"
+#include "src/stack/tenant_io.h"
 
 namespace daredevil {
-
-class SloTenantState;  // src/stats/slo.h
 
 struct FioJobSpec {
   std::string name;
@@ -67,7 +60,10 @@ inline FioJobSpec TTenantSpec(int index, uint32_t nsid = 0) {
   return spec;
 }
 
-class FioJob {
+// A closed-loop job over the tenant I/O core: keeps `iodepth` requests in
+// flight, re-issuing each after its delivery (plus the think time) until the
+// stop time; optionally re-applies its ionice value or hops cores.
+class FioJob : public TenantIo {
  public:
   FioJob(Machine* machine, StorageStack* stack, const FioJobSpec& spec,
          uint64_t tenant_id, int core, Rng rng, Tick measure_start,
@@ -77,78 +73,18 @@ class FioJob {
   // simulator; the job then self-perpetuates in closed loop.
   void Start();
 
-  Tenant& tenant() { return tenant_; }
   const FioJobSpec& spec() const { return spec_; }
-
-  // Measured within [measure_start, measure_end) only.
-  const Histogram& latency() const { return latency_; }
-  // Per-stage lifecycle breakdown of the measured requests.
-  const StageBreakdown& stages() const { return stages_; }
-  uint64_t measured_ios() const { return ios_; }
-  uint64_t measured_bytes() const { return bytes_; }
-  uint64_t total_issued() const { return issued_; }
-  uint64_t total_completed() const { return completed_; }
-  // Completions delivered with status != kOk (fault-injection runs only).
-  uint64_t total_errored() const { return errored_; }
-  int inflight() const { return inflight_; }
-
-  // Optional whole-run series (shared per group; owned by the scenario).
-  void AttachSeries(TimeSeries* latency_series, TimeSeries* bytes_series) {
-    latency_series_ = latency_series;
-    bytes_series_ = bytes_series;
-  }
-
-  // Optional SLO observer (owned by the scenario's SloTracker; null is fine
-  // and means this tenant matched no spec). Fed one call per delivery.
-  void AttachSlo(SloTenantState* slo) { slo_ = slo; }
-
-  // Registers this job's traffic into group-aggregated counters
-  // ("workload.<group>.issued" / ".completed"); jobs of the same group share
-  // the cells by name.
-  void AttachMetrics(MetricsRegistry* registry) {
-    issued_cell_ = registry->Counter("workload." + spec_.group + ".issued");
-    completed_cell_ = registry->Counter("workload." + spec_.group + ".completed");
-  }
 
  private:
   void IssueOne();
-  void OnComplete(Request* rq);
   void ScheduleNextIssue();
   void ArmIoniceUpdate();
   void ArmMigration();
   bool Stopped() const;
 
-  Machine* machine_;
-  StorageStack* stack_;
   FioJobSpec spec_;
-  Tenant tenant_;
   Rng rng_;
-  Tick measure_start_;
-  Tick measure_end_;
-
-  // Pooled and recycled across the whole run: keep the request compact so a
-  // deep pool stays cache-resident (growth here is a hot-path regression).
-  static_assert(sizeof(Request) <= 256,
-                "Request outgrew its pooled-allocation budget");
-  std::vector<std::unique_ptr<Request>> pool_;
-  std::vector<Request*> free_list_;
-  uint64_t next_rq_id_;
   uint64_t seq_lba_ = 0;
-
-  Histogram latency_;
-  StageBreakdown stages_;
-  uint64_t ios_ = 0;
-  uint64_t bytes_ = 0;
-  uint64_t issued_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t errored_ = 0;
-  int inflight_ = 0;
-  uint64_t* issued_cell_ = nullptr;
-  uint64_t* completed_cell_ = nullptr;
-
-  TimeSeries* latency_series_ = nullptr;
-  TimeSeries* bytes_series_ = nullptr;
-  SloTenantState* slo_ = nullptr;
 };
 
 }  // namespace daredevil

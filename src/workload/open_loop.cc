@@ -7,26 +7,20 @@ namespace daredevil {
 OpenLoopJob::OpenLoopJob(Machine* machine, StorageStack* stack,
                          const OpenLoopSpec& spec, uint64_t tenant_id, Rng rng,
                          Tick measure_start, Tick measure_end)
-    : machine_(machine),
-      stack_(stack),
+    : TenantIo(machine, stack,
+               Tenant{TenantId{tenant_id}, spec.name, spec.group, spec.ionice,
+                      spec.core, spec.nsid},
+               measure_start, measure_end),
       spec_(spec),
-      rng_(rng),
-      measure_start_(measure_start),
-      measure_end_(measure_end),
-      next_rq_id_(tenant_id << 32) {
-  tenant_.id = TenantId{tenant_id};
-  tenant_.name = spec.name;
-  tenant_.group = spec.group;
-  tenant_.ionice = spec.ionice;
-  tenant_.core = spec.core;
-  tenant_.primary_nsid = spec.nsid;
+      rng_(rng) {
+  CheckShape(Lba{0}, spec_.pages);
   DD_CHECK(spec_.iops > 0) << "open-loop job " << spec_.name
                            << " needs a positive arrival rate";
 }
 
 void OpenLoopJob::Start() {
   machine_->sim().At(spec_.start_time, [this]() {
-    stack_->OnTenantStart(&tenant_);
+    stack_->OnTenantStart(&tenant());
     ScheduleNextArrival();
   });
 }
@@ -49,74 +43,16 @@ void OpenLoopJob::ScheduleNextArrival() {
 void OpenLoopJob::Arrive(int burst_remaining) {
   for (int i = 0; i < burst_remaining; ++i) {
     ++arrivals_;
-    if (outstanding_ >= spec_.max_outstanding) {
+    if (inflight() >= spec_.max_outstanding) {
       ++dropped_;
       continue;
     }
-    IssueOne();
+    Shape shape;
+    shape.pages = spec_.pages;
+    shape.is_write = spec_.is_write;
+    shape.lba = NextStreamLba(rng_, spec_.random, spec_.pages, seq_lba_);
+    Issue(shape, nullptr);
   }
-}
-
-Request* OpenLoopJob::AllocRequest() {
-  if (!free_list_.empty()) {
-    Request* rq = free_list_.back();
-    free_list_.pop_back();
-    return rq;
-  }
-  auto owned = std::make_unique<Request>();
-  owned->tenant = &tenant_;
-  owned->on_complete = [this](Request* r) { OnComplete(r); };
-  pool_.push_back(std::move(owned));
-  return pool_.back().get();
-}
-
-void OpenLoopJob::IssueOne() {
-  Request* rq = AllocRequest();
-  ++outstanding_;
-  rq->id = ++next_rq_id_;
-  rq->nsid = spec_.nsid;
-  rq->pages = spec_.pages;
-  rq->is_write = spec_.is_write;
-  rq->is_sync = false;
-  rq->is_meta = false;
-  const uint64_t ns_pages = stack_->device().NamespacePages(spec_.nsid);
-  if (spec_.random) {
-    rq->lba = Lba{rng_.NextBelow(ns_pages - spec_.pages + 1)};
-  } else {
-    rq->lba = Lba{seq_lba_};
-    seq_lba_ += spec_.pages;
-    if (seq_lba_ + spec_.pages > ns_pages) {
-      seq_lba_ = 0;
-    }
-  }
-  rq->ResetTimeline();  // pooled request: clear the previous run's stamps
-  rq->issue_time = machine_->now();
-  rq->routed_nsq = -1;
-  rq->submit_core = tenant_.core;
-  const TickDuration issue_cost =
-      stack_->costs().syscall +
-      static_cast<Tick>(spec_.pages) * stack_->costs().per_page_user;
-  machine_->Post(tenant_.core, WorkLevel::kUser, issue_cost,
-                 [this, rq]() {
-                   rq->submit_core = tenant_.core;
-                   stack_->SubmitAsync(rq);
-                 },
-                 tenant_.id);
-}
-
-void OpenLoopJob::OnComplete(Request* rq) {
-  --outstanding_;
-  ++completed_;
-  if (rq->status != IoStatus::kOk) {
-    ++errored_;
-  }
-  const Tick now = machine_->now();
-  if (now >= measure_start_ && now < measure_end_) {
-    latency_.Record(rq->complete_time - rq->issue_time);
-    stages_.Record(*rq);
-    ++ios_;
-  }
-  free_list_.push_back(rq);
 }
 
 }  // namespace daredevil

@@ -6,14 +6,10 @@
 #ifndef DAREDEVIL_SRC_WORKLOAD_OPEN_LOOP_H_
 #define DAREDEVIL_SRC_WORKLOAD_OPEN_LOOP_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/sim/rng.h"
-#include "src/stack/storage_stack.h"
-#include "src/stats/histogram.h"
-#include "src/stats/metrics.h"
+#include "src/stack/tenant_io.h"
 
 namespace daredevil {
 
@@ -40,58 +36,30 @@ struct OpenLoopSpec {
   int max_outstanding = 4096;  // ddlint: units-ok(request count, not bytes)
 };
 
-class OpenLoopJob {
+// An open-loop source over the tenant I/O core: Poisson arrival slots (each
+// one request or a burst) until the measurement window ends, dropping the
+// arrivals that find max_outstanding requests already in flight.
+class OpenLoopJob : public TenantIo {
  public:
   OpenLoopJob(Machine* machine, StorageStack* stack, const OpenLoopSpec& spec,
               uint64_t tenant_id, Rng rng, Tick measure_start, Tick measure_end);
 
   void Start();
 
-  Tenant& tenant() { return tenant_; }
   const OpenLoopSpec& spec() const { return spec_; }
-  const Histogram& latency() const { return latency_; }
-  // Per-stage lifecycle breakdown of the measured requests.
-  const StageBreakdown& stages() const { return stages_; }
-  uint64_t measured_ios() const { return ios_; }
   uint64_t total_arrivals() const { return arrivals_; }
   uint64_t dropped_arrivals() const { return dropped_; }
-  uint64_t total_completed() const { return completed_; }
-  // Completions delivered with status != kOk (fault-injection runs only).
-  uint64_t total_errored() const { return errored_; }
-  int outstanding() const { return outstanding_; }
+  int outstanding() const { return inflight(); }
 
  private:
   void ScheduleNextArrival();
   void Arrive(int burst_remaining);
-  void IssueOne();
-  void OnComplete(Request* rq);
-  Request* AllocRequest();
 
-  Machine* machine_;
-  StorageStack* stack_;
   OpenLoopSpec spec_;
-  Tenant tenant_;
   Rng rng_;
-  Tick measure_start_;
-  Tick measure_end_;
-
-  // Pooled and recycled across the whole run: keep the request compact so a
-  // deep pool stays cache-resident (growth here is a hot-path regression).
-  static_assert(sizeof(Request) <= 256,
-                "Request outgrew its pooled-allocation budget");
-  std::vector<std::unique_ptr<Request>> pool_;
-  std::vector<Request*> free_list_;
-  uint64_t next_rq_id_;
   uint64_t seq_lba_ = 0;
-
-  Histogram latency_;
-  StageBreakdown stages_;
-  uint64_t ios_ = 0;
   uint64_t arrivals_ = 0;
   uint64_t dropped_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t errored_ = 0;
-  int outstanding_ = 0;
 };
 
 }  // namespace daredevil

@@ -425,20 +425,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
   result.cpu_util = machine.Utilization(busy_at_warmup, measure_start, measure_end);
   result.metrics = registry.Snapshot();
-  // Legacy convenience fields, now sourced from the registry (reading a
-  // metric that a stack did not register yields 0, so no dynamic_cast soup).
-  auto metric_u64 = [&result](const char* name) {
-    return static_cast<uint64_t>(result.Metric(name));
-  };
-  result.cross_core_completions = metric_u64("stack.cross_core_completions");
-  result.requeues = metric_u64("stack.requeues");
-  result.lock_wait_ns = static_cast<Tick>(result.Metric("stack.lock_wait_ns"));
-  result.requests_submitted = metric_u64("stack.requests_submitted");
-  result.requests_completed = metric_u64("stack.requests_completed");
-  result.commands_fetched = metric_u64("device.commands_fetched");
-  result.commands_completed = metric_u64("device.commands_completed");
-  result.irqs_total = metric_u64("device.irqs_total");
-  result.migrations = metric_u64("blkswitch.migrations");
   if (env.trace_log() != nullptr) {
     result.trace_hash = HashTraceStream(*env.trace_log());
     result.trace_total = env.trace_log()->total_recorded();

@@ -103,17 +103,35 @@ struct ScenarioResult {
   // stack.*, workload.*, plus stack-specific namespaces).
   std::map<std::string, double> metrics;
 
-  // Convenience fields filled from the metrics snapshot.
+  // Average core utilization over the measurement window.
   double cpu_util = 0.0;
-  uint64_t cross_core_completions = 0;
-  uint64_t requeues = 0;
-  uint64_t migrations = 0;  // blk-switch only
-  Tick lock_wait_ns = 0;
-  uint64_t irqs_total = 0;
-  uint64_t commands_fetched = 0;
-  uint64_t commands_completed = 0;
-  uint64_t requests_submitted = 0;
-  uint64_t requests_completed = 0;
+  // Convenience reads of the metrics snapshot (0 when no layer registered
+  // the metric).
+  uint64_t cross_core_completions() const {
+    return MetricCount("stack.cross_core_completions");
+  }
+  uint64_t requeues() const { return MetricCount("stack.requeues"); }
+  uint64_t migrations() const {  // blk-switch only
+    return MetricCount("blkswitch.migrations");
+  }
+  Tick lock_wait_ns() const {
+    return static_cast<Tick>(Metric("stack.lock_wait_ns"));
+  }
+  uint64_t irqs_total() const { return MetricCount("device.irqs_total"); }
+  uint64_t commands_fetched() const {
+    return MetricCount("device.commands_fetched");
+  }
+  uint64_t commands_completed() const {
+    return MetricCount("device.commands_completed");
+  }
+  uint64_t requests_submitted() const {
+    return MetricCount("stack.requests_submitted");
+  }
+  uint64_t requests_completed() const {
+    return MetricCount("stack.requests_completed");
+  }
+
+  // Summed over the scenario's jobs.
   uint64_t total_issued = 0;
   uint64_t total_completed = 0;
 
@@ -169,6 +187,9 @@ struct ScenarioResult {
   double ThroughputBps(const std::string& group) const;
   // Value from the metrics snapshot (0.0 when absent).
   double Metric(const std::string& name) const;
+  uint64_t MetricCount(const std::string& name) const {
+    return static_cast<uint64_t>(Metric(name));
+  }
 
   // Machine-readable serialization: per-group end-to-end percentiles and
   // stage breakdowns plus the metrics snapshot (schema in EXPERIMENTS.md).

@@ -125,6 +125,25 @@ TEST_F(AppsTest, AppIoPoolReusesOps) {
   EXPECT_EQ(io_->reads_issued(), 24u);
 }
 
+#if DAREDEVIL_INVARIANTS
+
+// Applications pass their own LBAs, so every op goes through the tenant I/O
+// core's shape check.
+using AppsDeathTest = AppsTest;
+
+TEST_F(AppsDeathTest, OpPastTheNamespaceEndAborts) {
+  EXPECT_DEATH(io_->Read((1 << 18) - 1, 2, nullptr),
+               "I/O \\[262143, 262145\\) overruns namespace 0 "
+               "\\(262144 pages\\)");
+}
+
+TEST_F(AppsDeathTest, EmptyOpAborts) {
+  EXPECT_DEATH(io_->Write(0, 0, /*sync=*/false, /*meta=*/false, nullptr),
+               "issues empty I/Os");
+}
+
+#endif  // DAREDEVIL_INVARIANTS
+
 TEST_F(AppsTest, KvStoreLoadInstallsKeys) {
   KvStoreConfig config;
   KvStore store(io_.get(), config, Rng(1));

@@ -12,6 +12,8 @@
 #include <string_view>
 
 #include "src/apps/kvstore.h"
+#include "src/apps/ycsb.h"
+#include "src/workload/open_loop.h"
 #include "src/workload/scenario.h"
 
 namespace daredevil {
@@ -98,6 +100,176 @@ struct ExportDigests {
 ExportDigests DigestExport(const ExportCase& c) {
   const ScenarioResult r = RunScenario(ExportGateConfig(c.kind, c.faults));
   return {Fnv1a(r.trace_json), Fnv1a(r.ToJson(true))};
+}
+
+// Every traffic source in one environment, since RunScenario only builds
+// closed-loop FIO jobs: an L FioJob with REQ_SYNC/REQ_META draws, think time
+// and core migrations, a sequential T writer with outlier requests and ionice
+// updates, a bursty random OpenLoopJob whose max_outstanding drops arrivals,
+// a sequential OpenLoopJob, and a YCSB-A KvStore client over an AppIoContext
+// (FUA WAL writes, memtable flushes with their flush barriers, block reads). The digest covers each source's public
+// counters, latency and stage JSON, the SLO report fed by the FioJob and the
+// app, the L group's time series, the metrics snapshot and the trace ring.
+uint64_t MixedSourcesDigest() {
+  ScenarioConfig cfg = MakeSvmConfig(4);
+  cfg.stack = StackKind::kDareFull;
+  cfg.seed = 42;
+  cfg.warmup = 2 * kMillisecond;
+  cfg.duration = 20 * kMillisecond;
+  cfg.trace_capacity = 1 << 15;
+  ScenarioEnv env(cfg);
+  Machine& machine = env.machine();
+  StorageStack& stack = env.stack();
+  const Tick start = env.measure_start();
+  const Tick end = env.measure_end();
+
+  MetricsRegistry registry;
+  env.shard().AttachMetrics(&registry);
+  RegisterMachineMetrics(machine, &registry);
+  env.device().RegisterMetrics(&registry);
+  stack.RegisterMetrics(&registry);
+  SloSpec l_slo;
+  l_slo.selector = "L";
+  l_slo.threshold = 100 * kMicrosecond;
+  l_slo.window = kMillisecond;
+  SloSpec app_slo = l_slo;
+  app_slo.selector = "APP";
+  SloTracker slo({l_slo, app_slo}, start, end);
+  TimeSeries l_latency(0, kMillisecond);
+  TimeSeries l_bytes(0, kMillisecond);
+
+  FioJobSpec l_spec = LTenantSpec(0);
+  l_spec.sync_prob = 0.3;
+  l_spec.meta_prob = 0.2;
+  l_spec.think_time = TickDuration{20 * kMicrosecond};
+  // Frequent enough that some hops land between an issue and its syscall.
+  l_spec.migrate_interval = TickDuration{10 * kMicrosecond};
+  FioJob l_job(&machine, &stack, l_spec, 1, 0, env.shard().rng().Fork(), start,
+               end);
+  l_job.AttachMetrics(&registry);
+  l_job.AttachSeries(&l_latency, &l_bytes);
+  l_job.AttachSlo(slo.AddTenant(l_job.tenant().name, l_job.tenant().group,
+                                l_job.tenant().id.value()));
+  // REQ_SYNC / REQ_META only reroute best-effort tenants' requests.
+  FioJobSpec t_spec = TTenantSpec(0);
+  t_spec.sync_prob = 0.05;
+  t_spec.meta_prob = 0.05;
+  t_spec.ionice_update_interval = TickDuration{100 * kMicrosecond};
+  FioJob t_job(&machine, &stack, t_spec, 2, 1, env.shard().rng().Fork(), start,
+               end);
+  t_job.AttachMetrics(&registry);
+
+  OpenLoopSpec bursty;
+  bursty.name = "olb";
+  bursty.iops = 10000;
+  bursty.burst_prob = 0.3;
+  bursty.burst_len = 8;
+  bursty.max_outstanding = 8;
+  bursty.core = 2;
+  OpenLoopJob bursty_job(&machine, &stack, bursty, 3, env.shard().rng().Fork(),
+                         start, end);
+  OpenLoopSpec sequential;
+  sequential.name = "ols";
+  sequential.group = "OLS";
+  sequential.ionice = IoniceClass::kBestEffort;
+  sequential.pages = 8;
+  sequential.random = false;
+  sequential.is_write = true;
+  sequential.iops = 5000;
+  sequential.core = 3;
+  OpenLoopJob seq_job(&machine, &stack, sequential, 4,
+                      env.shard().rng().Fork(), start, end);
+
+  Tenant kv_tenant;
+  kv_tenant.id = TenantId{5};
+  kv_tenant.name = "kv";
+  kv_tenant.group = "APP";
+  kv_tenant.ionice = IoniceClass::kRealtime;
+  kv_tenant.core = 3;
+  stack.OnTenantStart(&kv_tenant);
+  AppIoContext io(&machine, &stack, &kv_tenant, /*nsid=*/0);
+  io.AttachSlo(slo.AddTenant(kv_tenant.name, kv_tenant.group, 5));
+  KvStoreConfig kv_cfg;
+  kv_cfg.memtable_entries = 4;
+  KvStore store(&io, kv_cfg, env.shard().rng().Fork());
+  store.Load(2000);
+  YcsbConfig ycsb_cfg;
+  ycsb_cfg.workload = 'A';
+  ycsb_cfg.record_count = 2000;
+  YcsbWorkload ycsb(&store, ycsb_cfg, env.shard().rng().Fork(), &env.sim(),
+                    start, end);
+
+  l_job.Start();
+  t_job.Start();
+  bursty_job.Start();
+  seq_job.Start();
+  ycsb.Start();
+  env.sim().RunUntil(end);
+
+  std::string out;
+  auto add = [&out](std::string_view key, uint64_t v) {
+    out += std::string(key) + "=" + std::to_string(v) + ";";
+  };
+  auto add_dist = [&out](const Histogram& latency, const StageBreakdown& stages) {
+    JsonWriter w;
+    w.BeginObject().Key("latency");
+    AppendHistogramJson(w, latency);
+    w.Key("stages");
+    stages.AppendJson(w);
+    w.EndObject();
+    out += w.str();
+  };
+  for (const FioJob* job : {&l_job, &t_job}) {
+    EXPECT_EQ(job->total_issued(),
+              job->total_completed() + static_cast<uint64_t>(job->inflight()))
+        << job->spec().name;
+    add(job->spec().name, job->total_issued());
+    add("completed", job->total_completed());
+    add("errored", job->total_errored());
+    add("inflight", static_cast<uint64_t>(job->inflight()));
+    add("ios", job->measured_ios());
+    add("bytes", job->measured_bytes());
+    add_dist(job->latency(), job->stages());
+  }
+  for (const OpenLoopJob* src : {&bursty_job, &seq_job}) {
+    EXPECT_EQ(src->total_arrivals(),
+              src->dropped_arrivals() + src->total_completed() +
+                  static_cast<uint64_t>(src->outstanding()))
+        << src->spec().name;
+    add(src->spec().name, src->total_arrivals());
+    add("dropped", src->dropped_arrivals());
+    add("completed", src->total_completed());
+    add("errored", src->total_errored());
+    add("outstanding", static_cast<uint64_t>(src->outstanding()));
+    add("ios", src->measured_ios());
+    add_dist(src->latency(), src->stages());
+  }
+  EXPECT_GT(bursty_job.dropped_arrivals(), 0u);
+  add("kv.reads", io.reads_issued());
+  add("kv.writes", io.writes_issued());
+  add("kv.flushes", io.flushes_issued());
+  add("kv.pages", io.pages_transferred());
+  add("kv.inflight", static_cast<uint64_t>(io.inflight()));
+  add("kv.ops", ycsb.total_ops());
+  add("kv.wal", store.wal_appends());
+  add("kv.memtable_flushes", store.flushes());
+  add("kv.checkpoint", store.acked_checkpoint_lsn());
+  add("kv.cache_misses", store.cache_misses());
+  EXPECT_GT(io.flushes_issued(), 0u);
+  EXPECT_GT(io.reads_issued(), 0u);
+  for (size_t i = 0; i < l_latency.num_windows(); ++i) {
+    add("series", l_latency.WindowCount(i));
+    add("sum", static_cast<uint64_t>(l_latency.WindowSum(i)));
+    add("bytes", static_cast<uint64_t>(l_bytes.WindowSum(i)));
+  }
+  JsonWriter slo_json;
+  slo.Finalize().AppendJson(slo_json);
+  out += slo_json.str();
+  out += registry.ToJson();
+  add("events", env.sim().events_processed());
+  add("trace", Fnv1a(env.trace_log()->ToCsv()));
+  add("trace_total", env.trace_log()->total_recorded());
+  return Fnv1a(out);
 }
 
 class DeterminismGate : public ::testing::TestWithParam<StackKind> {};
@@ -212,6 +384,7 @@ TEST(DeterminismGate, FingerprintManifest) {
                 std::to_string(d.trace) + " " + std::to_string(d.report) +
                 "\n";
   }
+  manifest += "mixed-sources " + std::to_string(MixedSourcesDigest()) + "\n";
   printf("fingerprint manifest:\n%s", manifest.c_str());
   if (const char* out = std::getenv("DD_FINGERPRINT_OUT")) {
     FILE* f = fopen(out, "w");
@@ -258,6 +431,18 @@ TEST(DeterminismGate, ExportAndReportBytesMatchRecordedDigests) {
     EXPECT_EQ(d.report, c.report_digest)
         << c.name << ": ToJson(true) bytes drifted";
   }
+}
+
+// Recorded before FioJob, OpenLoopJob and AppIoContext were rebuilt over one
+// tenant I/O core (src/stack/tenant_io.h); like the goldens above, a change
+// here must be deliberate.
+constexpr uint64_t kMixedSourcesDigest = 9243415276810741799ull;
+
+TEST(DeterminismGate, MixedSourcesMatchRecordedDigest) {
+  const uint64_t digest = MixedSourcesDigest();
+  EXPECT_EQ(digest, MixedSourcesDigest()) << "same-seed runs diverged";
+  EXPECT_EQ(digest, kMixedSourcesDigest)
+      << "a traffic source's issue or delivery path drifted";
 }
 
 class FaultDeterminismGate : public ::testing::TestWithParam<StackKind> {};

@@ -40,8 +40,8 @@ TEST_P(StackPressureSweep, InvariantsHold) {
 
   // Conservation: closed loops never lose requests.
   EXPECT_LE(r.total_issued - r.total_completed, 4u + 32u * static_cast<uint64_t>(n_t));
-  EXPECT_GE(r.requests_submitted, r.requests_completed);
-  EXPECT_EQ(r.commands_fetched >= r.commands_completed, true);
+  EXPECT_GE(r.requests_submitted(), r.requests_completed());
+  EXPECT_EQ(r.commands_fetched() >= r.commands_completed(), true);
 
   // L-tenants always make progress (may be tiny under extreme HOL blocking).
   ASSERT_NE(r.Find("L"), nullptr);
@@ -261,10 +261,10 @@ TEST(PaperClaims, CrossCoreOverheadsSmallShareOfLatency) {
   AddLTenants(cfg, 4);
   AddTTenants(cfg, 8);
   const ScenarioResult r = RunScenario(cfg);
-  if (r.requests_submitted > 0) {
+  if (r.requests_submitted() > 0) {
     const double lock_share =
-        static_cast<double>(r.lock_wait_ns) /
-        (static_cast<double>(r.requests_submitted) * r.AvgLatencyNs("L"));
+        static_cast<double>(r.lock_wait_ns()) /
+        (static_cast<double>(r.requests_submitted()) * r.AvgLatencyNs("L"));
     EXPECT_LT(lock_share, 0.05);
   }
 }

@@ -89,7 +89,7 @@ TEST(ScenarioSplit, ConfigEnablesSplitting) {
   const ScenarioResult r = RunScenario(cfg);
   EXPECT_GT(r.total_completed, 0u);
   // Commands completed by the device exceed parent requests (4 chunks each).
-  EXPECT_GE(r.commands_completed, 3 * r.total_completed);
+  EXPECT_GE(r.commands_completed(), 3 * r.total_completed);
 }
 
 TEST(KvStoreWarmCache, HotKeysServedWithoutIo) {

@@ -114,5 +114,43 @@ TEST_F(OpenLoopTest, DeterministicAcrossRuns) {
   EXPECT_EQ(arrivals[0], arrivals[1]);
 }
 
+#if DAREDEVIL_INVARIANTS
+
+// The tenant I/O core checks every source's shape (1 <= pages <= namespace
+// pages) before any arithmetic on it. Unchecked, an open-loop source wider
+// than its namespace underflows its random LBA range and completes I/Os at
+// out-of-range LBAs.
+class OpenLoopDeathTest : public ::testing::Test {
+ protected:
+  OpenLoopDeathTest() {
+    ScenarioConfig cfg = MakeSvmConfig(2);
+    cfg.device.namespace_pages = {16};
+    env_ = std::make_unique<ScenarioEnv>(cfg);
+  }
+
+  void Build(uint32_t pages) {
+    OpenLoopSpec spec;
+    spec.name = "wide";
+    spec.pages = pages;
+    OpenLoopJob job(&env_->machine(), &env_->stack(), spec, 1, Rng(3), 0,
+                    5 * kMillisecond);
+    job.Start();
+    env_->sim().RunUntil(5 * kMillisecond);
+  }
+
+  std::unique_ptr<ScenarioEnv> env_;
+};
+
+TEST_F(OpenLoopDeathTest, WiderThanNamespaceAborts) {
+  EXPECT_DEATH(Build(32), "tenant wide I/O \\[0, 32\\) overruns namespace 0 "
+                          "\\(16 pages\\)");
+}
+
+TEST_F(OpenLoopDeathTest, ZeroPagesAborts) {
+  EXPECT_DEATH(Build(0), "tenant wide issues empty I/Os");
+}
+
+#endif  // DAREDEVIL_INVARIANTS
+
 }  // namespace
 }  // namespace daredevil

@@ -681,6 +681,22 @@ TEST(SloScenarioTest, SloTrackIsExportedWithTheTrace) {
   EXPECT_TRUE(JsonLooksValid(result.trace_json, &error)) << error;
 }
 
+TEST(SloScenarioTest, FailedDeliveriesCountAsBad) {
+  // A delivery is good only if it completed kOk and met the threshold. With a
+  // threshold no latency reaches, the bad deliveries are the failures the
+  // tenant saw inside the window.
+  ScenarioConfig cfg = SloScenarioConfig(StackKind::kVanilla);
+  cfg.slos[0].threshold = kSecond;
+  cfg.faults = MakeDenseFaultPlan(0.05);
+  cfg.fault_recovery.max_retries = 0;
+  cfg.fault_recovery.timeout = TickDuration{2 * kMillisecond};
+  const ScenarioResult result = RunScenario(cfg);
+  const SloTenantReport* l0 = result.slo.Find("L0");
+  ASSERT_NE(l0, nullptr);
+  EXPECT_GT(l0->bad, 0u);
+  EXPECT_LE(l0->bad, result.tenant_errors.at("L0").errors);
+}
+
 TEST(SloScenarioTest, UnmatchedSpecYieldsEmptyReport) {
   ScenarioConfig cfg = SloScenarioConfig(StackKind::kVanilla);
   cfg.slos[0].selector = "nonexistent";

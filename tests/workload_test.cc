@@ -1,6 +1,7 @@
 // Unit tests for the workload layer: FIO jobs, scenario runner, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/core/daredevil_stack.h"
@@ -88,6 +89,68 @@ TEST(FioJobTest, SyncProbabilityMarksOutliers) {
   }
 }
 
+// Draws stream start pages the way FioJob and OpenLoopJob do.
+class StreamProbe : public TenantIo {
+ public:
+  explicit StreamProbe(ScenarioEnv& env)
+      : TenantIo(&env.machine(), &env.stack(),
+                 Tenant{TenantId{1}, "probe", "T", IoniceClass::kBestEffort,
+                        /*core=*/0, /*primary_nsid=*/0},
+                 0, 0) {}
+  Lba Next(bool random, uint32_t pages) {
+    return NextStreamLba(rng_, random, pages, cursor_);
+  }
+
+ private:
+  Rng rng_{7};
+  uint64_t cursor_ = 0;
+};
+
+TEST(TenantIoTest, StreamLbasStayInsideTheNamespace) {
+  ScenarioConfig cfg = TinyConfig(StackKind::kVanilla);
+  cfg.device.namespace_pages = {64};
+  ScenarioEnv env(cfg);
+  StreamProbe probe(env);
+  // Sequential: every aligned 16-page slot in order, then wrap to 0.
+  for (uint64_t want : {0, 16, 32, 48, 0, 16}) {
+    EXPECT_EQ(probe.Next(/*random=*/false, 16).value(), want);
+  }
+  // Random: any start that keeps the whole I/O inside the namespace.
+  uint64_t highest = 0;
+  for (int i = 0; i < 1000; ++i) {
+    highest = std::max(highest, probe.Next(/*random=*/true, 16).value());
+  }
+  EXPECT_EQ(highest, 48u);
+}
+
+#if DAREDEVIL_INVARIANTS
+
+// Shape checks on a closed-loop job. Unchecked, a zero-page spec divides by
+// zero (SIGFPE) when the constructor picks the sequential start offset.
+class FioJobDeathTest : public ::testing::Test {
+ protected:
+  static void Build(uint32_t pages) {
+    ScenarioConfig cfg = TinyConfig(StackKind::kVanilla);
+    cfg.device.namespace_pages = {16};
+    ScenarioEnv env(cfg);
+    FioJobSpec spec = TTenantSpec(0);
+    spec.pages = pages;
+    FioJob job(&env.machine(), &env.stack(), spec, 1, 0, Rng(1), 0,
+               env.measure_end());
+  }
+};
+
+TEST_F(FioJobDeathTest, ZeroPagesAborts) {
+  EXPECT_DEATH(Build(0), "tenant T0 issues empty I/Os");
+}
+
+TEST_F(FioJobDeathTest, WiderThanNamespaceAborts) {
+  EXPECT_DEATH(Build(32), "tenant T0 I/O \\[0, 32\\) overruns namespace 0 "
+                          "\\(16 pages\\)");
+}
+
+#endif  // DAREDEVIL_INVARIANTS
+
 TEST(ScenarioTest, ConservationAcrossStacks) {
   for (StackKind kind : {StackKind::kVanilla, StackKind::kStaticSplit,
                          StackKind::kBlkSwitch, StackKind::kDareBase,
@@ -101,7 +164,7 @@ TEST(ScenarioTest, ConservationAcrossStacks) {
     // (bounded by total iodepth).
     EXPECT_LE(r.total_issued - r.total_completed, 2u * 1 + 2u * 32)
         << StackKindName(kind);
-    EXPECT_GE(r.requests_submitted, r.requests_completed);
+    EXPECT_GE(r.requests_submitted(), r.requests_completed());
   }
 }
 
@@ -116,7 +179,7 @@ TEST(ScenarioTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.Find("L")->ios, b.Find("L")->ios);
   EXPECT_EQ(a.Find("T")->bytes, b.Find("T")->bytes);
   EXPECT_EQ(a.P999Ns("L"), b.P999Ns("L"));
-  EXPECT_EQ(a.irqs_total, b.irqs_total);
+  EXPECT_EQ(a.irqs_total(), b.irqs_total());
 }
 
 TEST(ScenarioTest, DifferentSeedsDiffer) {
