@@ -27,10 +27,10 @@ namespace daredevil {
 
 struct KvStoreConfig {
   uint32_t value_bytes = 1024;       // ~4 entries per 4KB block
-  uint64_t memtable_entries = 4096;  // flush threshold // ddlint: units-ok(entry count, not bytes)
+  uint64_t memtable_entries = 4096;  // flush threshold // ddanalyze: units-ok(entry count, not bytes)
   int l0_compaction_trigger = 4;     // L0 run count that triggers compaction
   uint64_t block_cache_pages = 8192; // 32MB LRU block cache
-  uint64_t wal_pages = 4096;         // circular WAL region // ddlint: units-ok(page count, not bytes)
+  uint64_t wal_pages = 4096;         // circular WAL region // ddanalyze: units-ok(page count, not bytes)
   int flush_iodepth = 4;             // background-job queue depth
   uint32_t flush_chunk_pages = 32;   // background I/O size (128KB)
   double bloom_fp = 0.01;            // filter false-positive rate

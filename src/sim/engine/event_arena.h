@@ -79,7 +79,7 @@ class EventArena {
     DD_CHECK(base < 0xffffffffu - kSlabSize) << "event arena exhausted";
     // The only allocation in the engine: a new slab when the pending-event
     // high-water mark grows. Never on the steady-state hot path.
-    slabs_.push_back(std::make_unique<EventRecord[]>(kSlabSize));  // ddlint: enginealloc-ok(slab growth is the one sanctioned allocation site)
+    slabs_.push_back(std::make_unique<EventRecord[]>(kSlabSize));  // ddanalyze: enginealloc-ok(slab growth is the one sanctioned allocation site)
     // Chain the fresh slots, newest first so low indices are handed out first.
     for (uint32_t i = kSlabSize; i-- > 0;) {
       EventRecord& rec = slot(base + i);

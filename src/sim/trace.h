@@ -6,6 +6,7 @@
 #define DAREDEVIL_SRC_SIM_TRACE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,7 +18,8 @@ namespace daredevil {
 // When adding a category: append it before kOther (kOther stays last so the
 // static_asserts below pin the enum size), add its name to
 // kTraceCategoryNames at the same index, and keep kNumTraceCategories in
-// sync. ddlint's trace-categories rule cross-checks all three.
+// sync. The static_asserts below cross-check all three and reject an empty
+// or duplicate name.
 enum class TraceCategory : int {
   kSubmit = 0,   // request entered the block layer
   kRoute,        // routing decision (request -> NSQ)
@@ -65,11 +67,38 @@ constexpr bool AllCategoryNamesPresent() {
   }
   return true;
 }
+
+// True when no two entries of `names` spell the same string (null entries
+// are left to AllCategoryNamesPresent). Takes the array as a parameter so
+// tests can show it rejects a duplicate.
+template <std::size_t N>
+constexpr bool AllNamesDistinct(const std::array<const char*, N>& names) {
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t j = i + 1; j < N; ++j) {
+      const char* a = names[i];
+      const char* b = names[j];
+      if (a == nullptr || b == nullptr) {
+        continue;
+      }
+      while (*a != '\0' && *a == *b) {
+        ++a;
+        ++b;
+      }
+      if (*a == *b) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 }  // namespace trace_internal
 
 static_assert(trace_internal::AllCategoryNamesPresent(),
               "every TraceCategory needs a non-empty kTraceCategoryNames "
               "entry at its enum index");
+static_assert(trace_internal::AllNamesDistinct(kTraceCategoryNames),
+              "kTraceCategoryNames entries must be distinct: every category "
+              "needs a distinguishable name");
 
 const char* TraceCategoryName(TraceCategory c);
 

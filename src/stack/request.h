@@ -13,9 +13,9 @@
 namespace daredevil {
 
 // Size of one logical page / block-layer sector unit. All byte quantities in
-// the simulation derive from page counts via this constant (ddlint's
-// unit-suffix rule flags raw 4096 arithmetic elsewhere).
-inline constexpr uint64_t kPageBytes = 4096;  // ddlint: units-ok(definition)
+// the simulation derive from page counts via this constant (ddanalyze's
+// page-literal rule flags raw 4096 arithmetic elsewhere).
+inline constexpr uint64_t kPageBytes = 4096;  // ddanalyze: units-ok(definition)
 
 // The ionice class carried by a tenant's task_struct. Real-time tenants are
 // L-tenants; best-effort/idle are T-tenants (troute's SLA assessment, §5.2).

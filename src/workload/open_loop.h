@@ -33,7 +33,7 @@ struct OpenLoopSpec {
   int core = 0;
   // Drops new arrivals beyond this many outstanding requests (an open-loop
   // source still has finite client-side queueing).
-  int max_outstanding = 4096;  // ddlint: units-ok(request count, not bytes)
+  int max_outstanding = 4096;  // ddanalyze: units-ok(request count, not bytes)
 };
 
 // An open-loop source over the tenant I/O core: Poisson arrival slots (each

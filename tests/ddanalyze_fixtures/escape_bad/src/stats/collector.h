@@ -1,5 +1,6 @@
 // BAD: stats storing Request pointers dereferences recycled pool slots.
-#pragma once
+#ifndef DAREDEVIL_SRC_STATS_COLLECTOR_H_
+#define DAREDEVIL_SRC_STATS_COLLECTOR_H_
 #include <vector>
 
 struct Request;
@@ -10,3 +11,5 @@ struct Collector {
   Request* last_rq_ = nullptr;
   std::vector<Request*> inflight_;
 };
+
+#endif  // DAREDEVIL_SRC_STATS_COLLECTOR_H_

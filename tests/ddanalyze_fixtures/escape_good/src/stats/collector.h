@@ -1,5 +1,6 @@
 // GOOD: the record copies fields; the one raw pointer is waived with a reason.
-#pragma once
+#ifndef DAREDEVIL_SRC_STATS_COLLECTOR_H_
+#define DAREDEVIL_SRC_STATS_COLLECTOR_H_
 #include <cstdint>
 
 struct Request;
@@ -14,3 +15,5 @@ struct Collector {
 
   Request* scratch_ = nullptr;  // ddanalyze: escape-ok(cleared before pool recycle)
 };
+
+#endif  // DAREDEVIL_SRC_STATS_COLLECTOR_H_

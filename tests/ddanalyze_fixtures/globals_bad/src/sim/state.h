@@ -1,7 +1,8 @@
 // BAD: every shape of mutable static-storage state the global-state pass
 // flags — each one is shared between shards the moment two simulators run
 // on two threads.
-#pragma once
+#ifndef DAREDEVIL_SRC_SIM_STATE_H_
+#define DAREDEVIL_SRC_SIM_STATE_H_
 
 int g_total = 0;                 // namespace-scope mutable variable
 extern int g_remote;             // extern declaration of one
@@ -18,3 +19,5 @@ inline int NextId() {
   static int next = 0;           // mutable function-local static
   return ++next;
 }
+
+#endif  // DAREDEVIL_SRC_SIM_STATE_H_

@@ -1,6 +1,7 @@
 // GOOD: immutable static storage in all its spellings, plus one waived
 // legacy knob. None of this is flagged: shared-immutable is shard-safe.
-#pragma once
+#ifndef DAREDEVIL_SRC_SIM_STATE_H_
+#define DAREDEVIL_SRC_SIM_STATE_H_
 
 constexpr int kMaxShards = 64;
 const char* const kName = "daredevil";
@@ -13,6 +14,8 @@ constexpr long kTable[] = {1, 2, 3};
 struct Table {
   static constexpr int kWidth = 4;
   static const int kDepth;
+  static inline const int depth_limit = 9;  // const after inline
+  static int BucketIndex(long value);       // a member function, not data
   int per_instance = 0;
 };
 
@@ -24,3 +27,5 @@ inline int Lookup(int i) {
 inline int Twice(int x) { return 2 * x; }
 
 int g_legacy_knob = 1;  // ddanalyze: global-ok(burning down under ROADMAP item 2)
+
+#endif  // DAREDEVIL_SRC_SIM_STATE_H_

@@ -1,7 +1,8 @@
 // Simulation-owned state for the purity_bad fixture: a Simulator with a
 // mutating scheduler entry, a const clock read, and a DD_OBSERVER-annotated
 // accessor that cheats by bumping a member.
-#pragma once
+#ifndef DAREDEVIL_SRC_SIM_SIM_H_
+#define DAREDEVIL_SRC_SIM_SIM_H_
 
 class Simulator {
  public:
@@ -17,3 +18,5 @@ class Simulator {
  private:
   long peeks_ = 0;
 };
+
+#endif  // DAREDEVIL_SRC_SIM_SIM_H_

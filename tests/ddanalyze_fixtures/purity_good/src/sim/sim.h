@@ -1,7 +1,8 @@
 // Simulation-owned state for the purity_good fixture: const reads are the
 // only thing observers touch, and the one sanctioned scheduling site in the
 // observer carries a waiver.
-#pragma once
+#ifndef DAREDEVIL_SRC_SIM_SIM_H_
+#define DAREDEVIL_SRC_SIM_SIM_H_
 
 class Simulator {
  public:
@@ -14,3 +15,5 @@ class Simulator {
  private:
   long peeks_ = 0;
 };
+
+#endif  // DAREDEVIL_SRC_SIM_SIM_H_

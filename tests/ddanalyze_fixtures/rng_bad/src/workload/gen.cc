@@ -1,6 +1,7 @@
 // BAD: ambient randomness and wall-clock seed sources; every draw must come
 // from the shard's seeded Rng stream.
-#include <random>
+#include <chrono>  // flagged: wall-clock header
+#include <random>  // flagged: ambient generator header
 
 unsigned Seed() {
   std::random_device rd;  // flagged: ambient entropy
@@ -14,6 +15,11 @@ int Draw() {
 
 long Stamp() {
   return time(nullptr);  // flagged: wall-clock call
+}
+
+long Elapsed() {
+  std::chrono::nanoseconds span(5);  // flagged: std::chrono outside tools
+  return static_cast<long>(span.count());
 }
 
 int Legacy() {

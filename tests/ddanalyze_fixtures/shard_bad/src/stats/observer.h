@@ -1,6 +1,7 @@
 // BAD: stats storing mutable aliases to shard-local roots. Observability
 // must borrow through parameters, keep const views, or copy fields.
-#pragma once
+#ifndef DAREDEVIL_SRC_STATS_OBSERVER_H_
+#define DAREDEVIL_SRC_STATS_OBSERVER_H_
 
 struct Simulator;
 struct Rng;
@@ -11,3 +12,5 @@ struct Observer {
   Simulator* sim_ = nullptr;    // stored mutable alias in stats: flagged
   Rng* stream_ = nullptr;       // Rng aliases are never stored: flagged
 };
+
+#endif  // DAREDEVIL_SRC_STATS_OBSERVER_H_

@@ -1,6 +1,7 @@
 // GOOD: stats borrows via parameters, stores const views, and owns its own
 // metrics machinery.
-#pragma once
+#ifndef DAREDEVIL_SRC_STATS_OBSERVER_H_
+#define DAREDEVIL_SRC_STATS_OBSERVER_H_
 
 struct Simulator;
 struct Machine;
@@ -12,3 +13,5 @@ struct Observer {
   const Machine* machine_ = nullptr;  // const view: shared-immutable, fine
   MetricsRegistry* sink_ = nullptr;   // stats owns the metrics machinery
 };
+
+#endif  // DAREDEVIL_SRC_STATS_OBSERVER_H_

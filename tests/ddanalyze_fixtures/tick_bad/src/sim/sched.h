@@ -1,4 +1,5 @@
-#pragma once
+#ifndef DAREDEVIL_SRC_SIM_SCHED_H_
+#define DAREDEVIL_SRC_SIM_SCHED_H_
 
 using Tick = long long;
 struct TickDuration {
@@ -8,3 +9,5 @@ struct TickDuration {
 struct Scheduler {
   void After(TickDuration delay, int tag);
 };
+
+#endif  // DAREDEVIL_SRC_SIM_SCHED_H_

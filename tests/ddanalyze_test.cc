@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,13 @@ bool HasFinding(const std::vector<Finding>& findings, const std::string& rule,
   return std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
     return f.rule == rule && f.file.find(file_substr) != std::string::npos &&
            f.message.find(msg_substr) != std::string::npos;
+  });
+}
+
+long CountFindings(const std::vector<Finding>& findings,
+                   const std::string& rule, const std::string& file) {
+  return std::count_if(findings.begin(), findings.end(), [&](const Finding& f) {
+    return f.rule == rule && f.file == file;
   });
 }
 
@@ -116,7 +124,8 @@ TEST(TickUnits, GoodFixtureIsCleanIncludingWaivedSite) {
   EXPECT_TRUE(r.errors.empty());
   EXPECT_TRUE(r.ratchet.empty())
       << "first: " << (r.ratchet.empty() ? "" : r.ratchet[0].message);
-  EXPECT_TRUE(r.ratchet_counts.empty());
+  // Only the honoured waiver itself is counted.
+  EXPECT_EQ(r.ratchet_counts, (std::map<std::string, int>{{"waived.tick", 1}}));
 }
 
 TEST(GlobalState, BadFixtureFlagsEveryMutableStaticShape) {
@@ -142,7 +151,9 @@ TEST(GlobalState, GoodFixtureIsCleanIncludingWaivedKnob) {
   EXPECT_TRUE(r.errors.empty());
   EXPECT_TRUE(r.ratchet.empty())
       << "first: " << (r.ratchet.empty() ? "" : r.ratchet[0].message);
-  EXPECT_TRUE(r.ratchet_counts.empty());
+  // Only the honoured waiver itself is counted.
+  EXPECT_EQ(r.ratchet_counts,
+            (std::map<std::string, int>{{"waived.global", 1}}));
 }
 
 TEST(ShardOwnership, BadFixtureFlagsStoredAliasesOutsideOwningLayers) {
@@ -165,7 +176,10 @@ TEST(ShardOwnership, GoodFixtureAllowsBorrowsConstViewsAndOwningLayers) {
 
 TEST(RngDiscipline, BadFixtureFlagsAmbientGeneratorsAndWallClock) {
   const AnalysisResult r = Analyze(FixtureRoot("rng_bad"));
-  EXPECT_EQ(r.errors.size(), 5u);
+  EXPECT_EQ(r.errors.size(), 8u);
+  EXPECT_TRUE(HasFinding(r.errors, "rng-discipline", "gen.cc", "'<random>'"));
+  EXPECT_TRUE(HasFinding(r.errors, "rng-discipline", "gen.cc", "'<chrono>'"));
+  EXPECT_TRUE(HasFinding(r.errors, "rng-discipline", "gen.cc", "'std::chrono'"));
   EXPECT_TRUE(HasFinding(r.errors, "rng-discipline", "gen.cc", "'random_device'"));
   EXPECT_TRUE(HasFinding(r.errors, "rng-discipline", "gen.cc", "'mt19937'"));
   EXPECT_TRUE(HasFinding(r.errors, "rng-discipline", "gen.cc", "'time'"));
@@ -178,6 +192,67 @@ TEST(RngDiscipline, GoodFixtureAllowsLookAlikesAndWaivedCall) {
   EXPECT_TRUE(r.errors.empty()) << r.errors.size() << " unexpected finding(s), "
                                 << "first: "
                                 << (r.errors.empty() ? "" : r.errors[0].message);
+}
+
+TEST(Hygiene, BadFixtureFlagsEveryShapeInItsScope) {
+  const AnalysisResult r = Analyze(FixtureRoot("hygiene_bad"));
+  EXPECT_EQ(r.errors.size(), 29u);
+  // engine-alloc: one finding per banned shape, the macro body included.
+  EXPECT_EQ(CountFindings(r.errors, "engine-alloc", "src/sim/engine/alloc.cc"),
+            11);
+  for (const char* what : {"std::function", "make_unique", "make_shared",
+                           "malloc()", "calloc()", "realloc()",
+                           "non-placement new"}) {
+    EXPECT_TRUE(HasFinding(r.errors, "engine-alloc", "alloc.cc", what)) << what;
+  }
+  // bare-assert: both headers, a call, and a macro body; page-literal: a
+  // literal, a macro body, and the two reasonless waivers.
+  EXPECT_EQ(CountFindings(r.errors, "bare-assert", "src/workload/sizes.cc"), 4);
+  EXPECT_TRUE(HasFinding(r.errors, "bare-assert", "sizes.cc", "<cassert>"));
+  EXPECT_TRUE(HasFinding(r.errors, "bare-assert", "sizes.cc", "<assert.h>"));
+  EXPECT_EQ(CountFindings(r.errors, "page-literal", "src/workload/sizes.cc"), 4);
+  // unordered-iter: every declaration shape, in src/ and in bench/.
+  EXPECT_EQ(CountFindings(r.errors, "unordered-iter", "src/workload/order.cc"),
+            5);
+  for (const char* name : {"'bag'", "'by_id'", "'seen'", "'groups'",
+                           "'counts'"}) {
+    EXPECT_TRUE(HasFinding(r.errors, "unordered-iter", "order.cc", name))
+        << name;
+  }
+  EXPECT_EQ(CountFindings(r.errors, "unordered-iter", "bench/hash_order.cc"), 1);
+  // include-guard: wrong name, wrong #define, #pragma once, and a tests/
+  // header.
+  EXPECT_TRUE(HasFinding(r.errors, "include-guard", "src/workload/table.h",
+                         "DAREDEVIL_SRC_WORKLOAD_TABLE_H_ (found TABLE_H)"));
+  EXPECT_TRUE(HasFinding(r.errors, "include-guard", "src/workload/half.h",
+                         "found DAREDEVIL_SRC_WORKLOAD_HALF_H_"));
+  EXPECT_TRUE(HasFinding(r.errors, "include-guard", "src/workload/once.h",
+                         "(found none)"));
+  EXPECT_TRUE(HasFinding(r.errors, "include-guard", "tests/helpers.h",
+                         "DAREDEVIL_TESTS_HELPERS_H_"));
+  // Outside src/ the src/-only rules stay silent.
+  EXPECT_EQ(CountFindings(r.errors, "page-literal", "bench/hash_order.cc"), 0);
+  EXPECT_EQ(CountFindings(r.errors, "bare-assert", "bench/hash_order.cc"), 0);
+  // A waiver without a reason is neither honoured nor counted.
+  EXPECT_TRUE(r.ratchet_counts.empty());
+}
+
+TEST(Hygiene, GoodFixtureIsCleanIncludingWaivedSites) {
+  // Placement new, allocation outside the engine, look-alike literals, a
+  // sorted copy, a classic for with a ternary, the canonical guards, a
+  // skipped nested fixture tree, and one or two waived sites per token.
+  const AnalysisResult r = Analyze(FixtureRoot("hygiene_good"));
+  EXPECT_TRUE(r.errors.empty()) << r.errors.size() << " unexpected finding(s), "
+                                << "first: "
+                                << (r.errors.empty() ? "" : r.errors[0].message);
+  EXPECT_TRUE(r.ratchet.empty());
+  EXPECT_EQ(r.ratchet_counts, (std::map<std::string, int>{
+                                  {"waived.assert", 1},
+                                  {"waived.enginealloc", 1},
+                                  {"waived.guard", 1},
+                                  {"waived.ordered", 1},
+                                  {"waived.units", 2},
+                              }));
 }
 
 TEST(JsonEscape, ControlCharactersBecomeValidJsonEscapes) {
@@ -209,6 +284,16 @@ TEST(Ratchet, BaselineRoundTripsAndComparesDirectionally) {
       1u);
 }
 
+TEST(Ratchet, WaiverCountsAreCappedByTheBaseline) {
+  // Honoured waivers count per token, so adding one fails the ratchet just
+  // as a new ratchet site does.
+  const AnalysisResult r = Analyze(FixtureRoot("hygiene_good"));
+  std::map<std::string, int> baseline = r.ratchet_counts;
+  EXPECT_TRUE(ddanalyze::CompareToBaseline(r.ratchet_counts, baseline).empty());
+  baseline["waived.units"] = 1;
+  EXPECT_EQ(ddanalyze::CompareToBaseline(r.ratchet_counts, baseline).size(), 1u);
+}
+
 TEST(Lexer, WaiversAttachToTheirLineAndRule) {
   const ddanalyze::LexedFile lex = ddanalyze::Lex(
       "int a = 1;  // ddanalyze: tick-ok(reason)\n"
@@ -218,6 +303,17 @@ TEST(Lexer, WaiversAttachToTheirLineAndRule) {
   EXPECT_FALSE(lex.HasWaiver(1, "escape"));
   EXPECT_FALSE(lex.HasWaiver(2, "tick"));
   EXPECT_TRUE(lex.HasWaiver(3, "escape"));
+
+  // The reason is mandatory: bare, empty and blank forms are not waivers.
+  const ddanalyze::LexedFile reasons = ddanalyze::Lex(
+      "int d = rand();  // ddanalyze: rng-ok\n"
+      "int e = rand();  // ddanalyze: rng-ok()\n"
+      "int f = rand();  // ddanalyze: rng-ok( )\n"
+      "int g = rand();  // ddanalyze: rng-ok(seeded by the harness)\n");
+  EXPECT_FALSE(reasons.HasWaiver(1, "rng"));
+  EXPECT_FALSE(reasons.HasWaiver(2, "rng"));
+  EXPECT_FALSE(reasons.HasWaiver(3, "rng"));
+  EXPECT_TRUE(reasons.HasWaiver(4, "rng"));
 }
 
 TEST(ObserverPurity, BadFixtureFlagsDirectTransitiveAndAnnotatedMutation) {

@@ -1,6 +1,7 @@
 // Tests for the tracepoint infrastructure and its wiring into the stack.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 
@@ -71,6 +72,12 @@ TEST(TraceLogTest, CategoryNamesStable) {
     names.insert(name);
   }
   EXPECT_EQ(names.size(), static_cast<size_t>(kNumTraceCategories));
+  // The compile-time check behind trace.h's static_assert rejects a
+  // duplicate, and a shared prefix is not one.
+  static_assert(!trace_internal::AllNamesDistinct(
+      std::array<const char*, 3>{"fetch", "irq", "fetch"}));
+  static_assert(trace_internal::AllNamesDistinct(
+      std::array<const char*, 3>{"fetch", "fetch-start", "irq"}));
 }
 
 TEST(TraceWiringTest, ScenarioProducesLifecycleEvents) {

@@ -20,6 +20,34 @@ bool IsSourcePath(const fs::path& p) {
   return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
 }
 
+// Reads and lexes every source file under <root>/<dir> into *out, kept
+// sorted by path. The fixture corpora are deliberately rule-breaking
+// analyzer input, not code, and are skipped.
+void ScanDir(const std::string& root, const std::string& dir,
+             std::vector<SourceFile>* out) {
+  const fs::path top = fs::path(root) / dir;
+  if (!fs::exists(top)) {
+    return;
+  }
+  for (const auto& entry : fs::recursive_directory_iterator(top)) {
+    SourceFile f;
+    f.rel_path = fs::relative(entry.path(), root).generic_string();
+    if (!entry.is_regular_file() || !IsSourcePath(entry.path()) ||
+        f.rel_path.compare(0, 25, "tests/ddanalyze_fixtures/") == 0) {
+      continue;
+    }
+    std::ifstream in(entry.path());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    f.lex = Lex(buf.str());
+    out->push_back(std::move(f));
+  }
+  std::sort(out->begin(), out->end(),
+            [](const SourceFile& a, const SourceFile& b) {
+              return a.rel_path < b.rel_path;
+            });
+}
+
 }  // namespace
 
 void CheckLayers(const std::vector<SourceFile>& files,
@@ -104,11 +132,14 @@ void CheckLayers(const std::vector<SourceFile>& files,
 
 std::vector<std::pair<std::string, std::string>> ListPasses() {
   return {
-      {"scan", "read + lex src/**/*.{h,cc,cpp,hpp}"},
+      {"scan", "read + lex {src,bench,tests}/**/*.{h,cc,cpp,hpp}"},
       {"layer-dag", "include edges must follow the layer table; no cycles"},
       {"pooled-escape", "pooled Request pointers must not outlive delivery"},
       {"shard-ownership", "stored mutable aliases of shard roots by layer"},
       {"rng-discipline", "all randomness through the seeded per-shard Rng"},
+      {"hygiene",
+       "bare-assert, page-literal, engine-alloc (src/); unordered-iter, "
+       "include-guard (src/, bench/, tests/)"},
       {"tick-units", "raw integers into tick-typed parameters (ratchet)"},
       {"global-state", "mutable static-storage state (ratchet)"},
       {"callgraph", "function/call-site index for the observer passes"},
@@ -121,7 +152,8 @@ std::vector<std::pair<std::string, std::string>> ListPasses() {
 
 AnalysisResult Analyze(const std::string& root) {
   AnalysisResult result;
-  std::vector<SourceFile> files;
+  std::vector<SourceFile> files;   // src/: every pass
+  std::vector<SourceFile> others;  // bench/ and tests/: the hygiene pass only
 
   // Runs one named step, timing it and attributing any findings it appends.
   auto timed = [&result](const std::string& name, std::vector<Finding>* errs,
@@ -144,25 +176,9 @@ AnalysisResult Analyze(const std::string& root) {
   };
 
   timed("scan", nullptr, nullptr, [&] {
-    const fs::path src = fs::path(root) / "src";
-    if (fs::exists(src)) {
-      for (const auto& entry : fs::recursive_directory_iterator(src)) {
-        if (!entry.is_regular_file() || !IsSourcePath(entry.path())) {
-          continue;
-        }
-        std::ifstream in(entry.path());
-        std::stringstream buf;
-        buf << in.rdbuf();
-        SourceFile f;
-        f.rel_path = fs::relative(entry.path(), root).generic_string();
-        f.lex = Lex(buf.str());
-        files.push_back(std::move(f));
-      }
-    }
-    std::sort(files.begin(), files.end(),
-              [](const SourceFile& a, const SourceFile& b) {
-                return a.rel_path < b.rel_path;
-              });
+    ScanDir(root, "src", &files);
+    ScanDir(root, "bench", &others);
+    ScanDir(root, "tests", &others);
   });
 
   timed("layer-dag", &result.errors, nullptr,
@@ -181,6 +197,13 @@ AnalysisResult Analyze(const std::string& root) {
   timed("rng-discipline", &result.errors, nullptr, [&] {
     for (const SourceFile& f : files) {
       CheckRngDiscipline(f, &result.errors);
+    }
+  });
+  timed("hygiene", &result.errors, nullptr, [&] {
+    for (const std::vector<SourceFile>* set : {&files, &others}) {
+      for (const SourceFile& f : *set) {
+        CheckHygiene(f, &result.errors);
+      }
     }
   });
   timed("tick-units", nullptr, &result.ratchet, [&] {
@@ -211,6 +234,16 @@ AnalysisResult Analyze(const std::string& root) {
       layer = "other";
     }
     ++result.ratchet_counts[f.rule + "." + layer];
+  }
+  // Waivers are debt too: the baseline caps them per token.
+  for (const std::vector<SourceFile>* set : {&files, &others}) {
+    for (const SourceFile& f : *set) {
+      for (const auto& [line, tokens] : f.lex.waivers) {
+        for (const std::string& token : tokens) {
+          ++result.ratchet_counts["waived." + token];
+        }
+      }
+    }
   }
   return result;
 }
@@ -253,6 +286,8 @@ std::string FormatBaseline(const std::map<std::string, int>& counts) {
          "#                             graph cannot prove read-only\n"
          "#   taint-unresolved.<layer>  callees reached from regions tainted\n"
          "#                             by observability-only config fields\n"
+         "#   waived.<token>            honoured `ddanalyze: <token>-ok(...)`\n"
+         "#                             waivers in the scanned files\n"
          "# Counts may only decrease; regenerate with\n"
          "# `ddanalyze --root . --write-baseline` after burning sites down.\n";
   for (const auto& [key, count] : counts) {

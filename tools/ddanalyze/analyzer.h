@@ -1,31 +1,50 @@
-// ddanalyze: token-level architecture checks for the simulator tree
-// (DESIGN.md §7 and §10). Six rule families:
+// ddanalyze: the repo's static checker (DESIGN.md §7, §10 and §12). Every
+// pass scans src/; the hygiene pass also scans bench/ and tests/ (never the
+// fixture corpora under tests/ddanalyze_fixtures/). Waive one site with
+// `// ddanalyze: <token>-ok(reason)`; the reason is mandatory, and every
+// honoured waiver is counted as "waived.<token>" and ratcheted. The rules
+// and their waiver tokens, in four suites:
 //
-//   layer-dag     — includes must follow the layer table in layers.cc;
+// Architecture (DESIGN.md §7.1-§7.3):
+//
+//   layer-dag (layer)
+//                 — includes must follow the layer table in layers.cc;
 //                   cycles and undeclared (skip) edges are errors, as are
 //                   include cycles in the file graph itself.
-//   pooled-escape — pooled Request pointers must not outlive delivery:
+//   pooled-escape (escape)
+//                 — pooled Request pointers must not outlive delivery:
 //                   no Request*/& members in stats (observability copies),
 //                   no by-reference lambda captures of Request pointers, no
 //                   default captures in scopes holding live Request pointers.
-//                   Waive with `// ddanalyze: escape-ok(reason)`.
-//   tick-units    — raw integer literals / raw-int locals flowing into
+//   tick-units (tick)
+//                 — raw integer literals / raw-int locals flowing into
 //                   Tick/TickDuration-typed parameters. Not an error: counted
 //                   per layer and ratcheted against tools/ddanalyze-baseline.txt
-//                   (the count may fall, never rise). Waive a single site with
-//                   `// ddanalyze: tick-ok(reason)`.
+//                   (the count may fall, never rise).
+//
+// Hygiene (DESIGN.md §7.5) — code-shape rules, hard errors:
+//
+//   bare-assert (assert), page-literal (units)
+//                 — src/ only: DD_CHECK instead of assert() / <cassert>, and
+//                   kPageBytes instead of a raw 4096.
+//   engine-alloc (enginealloc)
+//                 — src/sim/engine/ only: no std::function, make_unique /
+//                   make_shared, malloc family or non-placement new.
+//   unordered-iter (ordered), include-guard (guard)
+//                 — src/, bench/ and tests/: no range-for over an unordered
+//                   container, and the canonical DAREDEVIL_<PATH>_H_ guard.
 //
 // Shard-safety suite (DESIGN.md §10) — proves the tree is shard-partitionable
 // before the sharded parallel simulation lands (ROADMAP item 2):
 //
-//   global-state  — namespace-scope non-const variables, mutable
+//   global-state (global)
+//                 — namespace-scope non-const variables, mutable
 //                   function-local statics, thread_local, and non-const class
 //                   statics. Any of these is state shared between shards the
 //                   moment two simulators run on two threads. const /
 //                   constexpr / constinit and kConstant-named values are
-//                   exempt. Ratcheted per layer like tick-units; waive a
-//                   single site with `// ddanalyze: global-ok(reason)`.
-//   shard-ownership
+//                   exempt. Ratcheted per layer like tick-units.
+//   shard-ownership (shard)
 //                 — every shard-local root type (Simulator, Machine, CpuCore,
 //                   Rng, ShardContext, the engine internals, MetricsRegistry)
 //                   has an owning layer and a set of layers allowed to hold a
@@ -35,39 +54,35 @@
 //                   any mutable alias in src/stats/, which must observe via
 //                   copies and pull gauges) is an error. const-qualified
 //                   aliases are shared-immutable views and always allowed.
-//                   Waive with `// ddanalyze: shard-ok(reason)`.
-//   rng-discipline
+//   rng-discipline (rng)
 //                 — all randomness must flow through the seeded per-shard Rng
-//                   (src/sim/rng.h). Bans, at the symbol level, the libc/std
-//                   generators (rand, srand, drand48, mt19937, random_device,
-//                   ...) and time-derived seed sources (time(), clock(),
-//                   gettimeofday, std::chrono clocks). Stronger than ddlint's
-//                   regex rule: string literals and comments never match, and
-//                   only whole identifiers do. Waive with
-//                   `// ddanalyze: rng-ok(reason)`.
+//                   (src/sim/rng.h). Bans <random> and the wall-clock headers
+//                   (<chrono>, <ctime>, <time.h>, <sys/time.h>), and, at the
+//                   symbol level, the libc/std generators (rand, srand,
+//                   drand48, mt19937, random_device, ...) and time-derived
+//                   seed sources (time(), clock(), gettimeofday, std::chrono).
+//                   String literals and comments never match.
 //
 // Observer-neutrality suite (DESIGN.md §12) — call-graph-aware passes
 // (tools/ddanalyze/callgraph.h) proving the observability surface cannot
 // perturb the simulation:
 //
-//   observer-purity
+//   observer-purity (purity)
 //                 — every function under src/stats/ plus every DD_OBSERVER-
 //                   annotated function must transitively reach no write to
 //                   simulation-owned state (member stores / non-const calls
 //                   on Simulator, Machine, Device, the queues, Rng, ...;
 //                   stores through pooled Request*; const_cast). Hard
-//                   errors; waive with `// ddanalyze: purity-ok(reason)`.
-//                   Callees the graph cannot resolve are ratcheted as
-//                   "purity-unresolved.<layer>".
-//   fingerprint-taint
+//                   errors. Callees the graph cannot resolve are ratcheted
+//                   as "purity-unresolved.<layer>".
+//   fingerprint-taint (taint)
 //                 — observability-only ScenarioConfig fields (export_trace,
 //                   sample_interval, analyze_holb, slos, timeline_capacity,
 //                   trace_capacity, trace_json_path) must not flow into code
 //                   that writes fingerprinted state. Region-scoped taint:
 //                   if/while/for conditions taint their controlled blocks,
 //                   other reads taint the enclosing statement. Hard errors;
-//                   waive with `// ddanalyze: taint-ok(reason)`; unresolved
-//                   callees ratchet as "taint-unresolved.<layer>".
+//                   unresolved callees ratchet as "taint-unresolved.<layer>".
 #ifndef DAREDEVIL_TOOLS_DDANALYZE_ANALYZER_H_
 #define DAREDEVIL_TOOLS_DDANALYZE_ANALYZER_H_
 
@@ -81,8 +96,8 @@
 namespace ddanalyze {
 
 struct Finding {
-  // "layer-dag", "pooled-escape", "tick-units", "global-state",
-  // "shard-ownership", "rng-discipline".
+  // The rule name, as listed in the header comment above (e.g. "layer-dag",
+  // "page-literal", "purity-unresolved").
   std::string rule;
   std::string file;  // repo-relative path
   int line = 0;
@@ -126,8 +141,13 @@ void CheckShardOwnership(const SourceFile& file, const std::string& layer,
                          std::vector<Finding>* out);
 
 // RNG-stream discipline rule for one file: bans ambient randomness and
-// time-derived seed sources at the identifier level.
+// time-derived seed sources at the include and identifier level.
 void CheckRngDiscipline(const SourceFile& file, std::vector<Finding>* out);
+
+// Hygiene rules for one file (bare-assert, page-literal, engine-alloc,
+// unordered-iter, include-guard), each applied where its scope covers the
+// file's path.
+void CheckHygiene(const SourceFile& file, std::vector<Finding>* out);
 
 // --- Driver ---------------------------------------------------------------
 
@@ -146,23 +166,25 @@ struct PassStat {
 std::vector<std::pair<std::string, std::string>> ListPasses();
 
 struct AnalysisResult {
-  // layer-dag + pooled-escape + shard-ownership + rng-discipline +
-  // observer-purity + fingerprint-taint: must be empty for the tree to pass.
+  // layer-dag + pooled-escape + shard-ownership + rng-discipline + the
+  // hygiene rules + observer-purity + fingerprint-taint: must be empty for
+  // the tree to pass.
   std::vector<Finding> errors;
   // tick-units + global-state + purity-unresolved + taint-unresolved sites
   // (informational, ratcheted).
   std::vector<Finding> ratchet;
-  // "<rule>.<layer>" -> count; layers with zero sites are omitted.
+  // "<rule>.<layer>" -> ratchet sites, and "waived.<token>" -> honoured
+  // waivers in the scanned files; zero counts are omitted.
   std::map<std::string, int> ratchet_counts;
   // Per-pass wall time and finding counts, in execution order.
   std::vector<PassStat> passes;
 };
 
-// Scans <root>/src/**/*.{h,cc} and runs all rules.
+// Scans <root>/{src,bench,tests}/**/*.{h,cc,cpp,hpp}, minus
+// tests/ddanalyze_fixtures/, and runs all rules.
 AnalysisResult Analyze(const std::string& root);
 
-// Baseline files share ddlint's format: '#' comments and "<key> <count>"
-// lines. Returns empty map and sets *err when the file cannot be read.
+// Baseline file format: '#' comments and "<key> <count>" lines. Returns empty map and sets *err when the file cannot be read.
 std::map<std::string, int> ReadBaseline(const std::string& path,
                                         std::string* err);
 std::string FormatBaseline(const std::map<std::string, int>& counts);

@@ -17,7 +17,9 @@ const char* const kPuncts[] = {
     "--",
 };
 
-// Scans a comment body for `ddanalyze: <rule>-ok(` waivers and records them.
+// Scans a comment body for `ddanalyze: <rule>-ok(<reason>)` waivers and
+// records them. The reason is mandatory (DESIGN.md §7.4): a bare `rule-ok`
+// or an empty `rule-ok()` is not a waiver.
 void ScanWaivers(const std::string& body, int line, LexedFile* out) {
   const std::string tag = "ddanalyze:";
   std::size_t pos = body.find(tag);
@@ -28,8 +30,12 @@ void ScanWaivers(const std::string& body, int line, LexedFile* out) {
     while (p < body.size() && (IsIdentChar(body[p]) || body[p] == '-')) ++p;
     std::string word = body.substr(start, p - start);
     const std::string suffix = "-ok";
+    const std::size_t close =
+        p < body.size() && body[p] == '(' ? body.find(')', p) : std::string::npos;
     if (word.size() > suffix.size() &&
-        word.compare(word.size() - suffix.size(), suffix.size(), suffix) == 0) {
+        word.compare(word.size() - suffix.size(), suffix.size(), suffix) == 0 &&
+        close != std::string::npos &&
+        body.find_first_not_of(" \t", p + 1) < close) {
       out->waivers[line].insert(word.substr(0, word.size() - suffix.size()));
     }
     pos = body.find(tag, p);
@@ -37,16 +43,31 @@ void ScanWaivers(const std::string& body, int line, LexedFile* out) {
 }
 
 // Parses a preprocessor directive line (already gathered, continuations
-// folded). Records #include targets; everything else is ignored.
+// folded). Records #include targets, the first #ifndef / #define names, and
+// the tokens of every other directive.
 void ParseDirective(const std::string& text, int line, LexedFile* out) {
   std::size_t p = 0;
   while (p < text.size() && (text[p] == ' ' || text[p] == '\t' || text[p] == '#')) ++p;
-  const std::string kw = "include";
-  if (text.compare(p, kw.size(), kw) != 0) {
+  std::size_t kw_end = p;
+  while (kw_end < text.size() && IsIdentChar(text[kw_end])) ++kw_end;
+  const std::string kw = text.substr(p, kw_end - p);
+  p = kw_end;
+  while (p < text.size() && (text[p] == ' ' || text[p] == '\t')) ++p;
+  if ((kw == "ifndef" && out->guard_line == 0) ||
+      (kw == "define" && out->guard_define.empty())) {
+    std::size_t stop = p;
+    while (stop < text.size() && IsIdentChar(text[stop])) ++stop;
+    (kw == "ifndef" ? out->guard_ifndef : out->guard_define) =
+        text.substr(p, stop - p);
+    if (kw == "ifndef") out->guard_line = line;
+  }
+  if (kw != "include") {
+    for (Token t : Lex(text.substr(p)).tokens) {
+      t.line = line;
+      out->directive_tokens.push_back(std::move(t));
+    }
     return;
   }
-  p += kw.size();
-  while (p < text.size() && (text[p] == ' ' || text[p] == '\t')) ++p;
   if (p >= text.size()) {
     return;
   }

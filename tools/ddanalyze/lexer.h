@@ -2,9 +2,10 @@
 //
 // It is not a compiler front end: it produces identifier / number / punctuator
 // tokens with line numbers, strips comments and string literals, records
-// preprocessor directives (so the include-graph builder can read them), and
-// extracts `// ddanalyze: <rule>-ok(reason)` waiver comments. That is enough
-// for the token-level architecture rules and keeps the tool dependency-free.
+// the #include directives (so the include-graph builder can read them), the
+// include-guard pair and the other directives' tokens, and extracts
+// `// ddanalyze: <rule>-ok(reason)` waiver comments. That is enough for the
+// token-level rules and keeps the tool dependency-free.
 #ifndef DAREDEVIL_TOOLS_DDANALYZE_LEXER_H_
 #define DAREDEVIL_TOOLS_DDANALYZE_LEXER_H_
 
@@ -38,7 +39,17 @@ struct IncludeDirective {
 struct LexedFile {
   std::vector<Token> tokens;
   std::vector<IncludeDirective> includes;
+  // Tokens of every directive other than #include (#define bodies, #if
+  // conditions), each on its directive's first line. Kept apart from
+  // `tokens` so the declaration-level passes never see macro text.
+  std::vector<Token> directive_tokens;
+  // Names from the first `#ifndef` and the first `#define` directive (empty
+  // when there is none), and the line of that `#ifndef` (0 when none).
+  std::string guard_ifndef;
+  std::string guard_define;
+  int guard_line = 0;
   // line -> waiver rule names ("escape", "layer", "tick") present on it.
+  // Only `<rule>-ok(<non-empty reason>)` counts as a waiver.
   std::map<int, std::set<std::string>> waivers;
 
   bool HasWaiver(int line, const std::string& rule) const {

@@ -1,13 +1,16 @@
 // rng-discipline rule: every random draw in the simulator must flow through
 // the seeded per-shard Rng stream (src/sim/rng.h) so that (a) runs are
 // deterministic for a fixed seed and (b) shards never contend on a hidden
-// global generator. Two ban lists, both at the identifier level (the lexer
-// never matches comments or string literals, unlike ddlint's regex rule):
+// global generator. Three ban lists; the lexer never matches comments or
+// string literals, and symbols match only as whole identifiers:
 //
+//   * headers — `#include <random>`, and the wall-clock headers <chrono>,
+//     <ctime>, <time.h> and <sys/time.h>. Nothing under src/ needs them.
 //   * unconditional symbols — libc/std generator names (rand48 family,
-//     random_device, mt19937, ...) and the std::chrono clocks. Any mention
-//     under src/ is wrong: wall-clock time is nondeterministic by definition
-//     and belongs in tools/benches, never inside the simulated world.
+//     random_device, mt19937, ...), the std::chrono clocks, and any
+//     `std::chrono` name. Any mention under src/ is wrong: wall-clock time is
+//     nondeterministic by definition and belongs in tools/benches, never
+//     inside the simulated world.
 //   * call-position symbols — `rand`, `time`, `clock`, ... flagged only when
 //     used as a free-function call (next token `(`, not a member access, not
 //     qualified by a foreign class). `machine.time()` and a `Tick time()`
@@ -42,6 +45,12 @@ const std::set<std::string>& BannedSymbols() {
   return kBanned;
 }
 
+const std::set<std::string>& BannedHeaders() {
+  static const std::set<std::string> kHeaders = {"random", "chrono", "ctime",
+                                                 "time.h", "sys/time.h"};
+  return kHeaders;
+}
+
 // Names too common to ban on sight ("time" is also a layer and a natural
 // accessor name); these are only wrong as free-function calls.
 const std::set<std::string>& BannedCalls() {
@@ -64,6 +73,12 @@ void CheckRngDiscipline(const SourceFile& file, std::vector<Finding>* out) {
                         "seeded Rng stream (src/sim/rng.h)"});
   };
 
+  for (const IncludeDirective& inc : file.lex.includes) {
+    if (inc.angled && BannedHeaders().count(inc.path) > 0) {
+      report(inc.line, "<" + inc.path + ">");
+    }
+  }
+
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != TokKind::kIdent) {
@@ -71,6 +86,11 @@ void CheckRngDiscipline(const SourceFile& file, std::vector<Finding>* out) {
     }
     if (BannedSymbols().count(t.text) > 0) {
       report(t.line, t.text);
+      continue;
+    }
+    if (t.text == "chrono" && i >= 2 && toks[i - 1].text == "::" &&
+        toks[i - 2].text == "std") {
+      report(t.line, "std::chrono");
       continue;
     }
     if (BannedCalls().count(t.text) == 0) {
