@@ -73,14 +73,7 @@ int main() {
     cfg.analyze_holb = true;
     cfg.trace_capacity = TraceCapacityOr(1 << 20);
     cfg.sample_interval = kMillisecond;
-    if (!trace_path.empty()) {
-      cfg.export_trace = true;
-      // One Perfetto-loadable artifact per stack; the blk-mq one lands on
-      // the DD_TRACE_JSON path itself.
-      cfg.trace_json_path = kind == StackKind::kVanilla
-                                ? trace_path
-                                : trace_path + ".daredevil.json";
-    }
+    cfg.export_trace = !trace_path.empty();
     const ScenarioResult r = RunScenario(cfg);
     const std::string label =
         std::string(StackKindName(kind)) + "/holb/nt=8";
@@ -98,7 +91,19 @@ int main() {
     std::printf("bulk (>=128KB) share of NSQ-head blocking: %s\n",
                 FormatPercent(bulk_share).c_str());
     if (!trace_path.empty()) {
-      std::printf("trace written to %s\n", cfg.trace_json_path.c_str());
+      // One Perfetto-loadable artifact per stack; the blk-mq one lands on
+      // the DD_TRACE_JSON path itself.
+      const std::string path = kind == StackKind::kVanilla
+                                   ? trace_path
+                                   : trace_path + ".daredevil.json";
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      if (f == nullptr) {
+        std::fprintf(stderr, "DD_TRACE_JSON: cannot open %s\n", path.c_str());
+        continue;
+      }
+      std::fwrite(r.trace_json.data(), 1, r.trace_json.size(), f);
+      std::fclose(f);
+      std::printf("trace written to %s\n", path.c_str());
     }
   }
   std::printf(

@@ -19,8 +19,6 @@ struct NvmeCommand {
   Lba lba;                 // namespace-relative, in pages
   uint32_t pages = 1;      // transfer size in 4KB pages
   bool is_write = false;
-  // ZNS mode: resets the zone containing `lba` (an erase-cost management op).
-  bool is_zone_reset = false;
   // NVMe Flush: persists the volatile write cache (no data transfer; `pages`
   // stays 1 for queue-capacity accounting, no flash page is scheduled).
   bool is_flush = false;

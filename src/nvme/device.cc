@@ -81,14 +81,6 @@ void Device::RegisterMetrics(MetricsRegistry* registry) const {
   registry->RegisterGauge("device.flash.chip_busy_ns", [d]() {
     return static_cast<double>(d->flash().chip_busy_ns());
   });
-  if (zns_enabled()) {
-    registry->RegisterGauge("device.zns.violations", [d]() {
-      return static_cast<double>(d->zns_violations());
-    });
-    registry->RegisterGauge("device.zns.resets", [d]() {
-      return static_cast<double>(d->zns_resets());
-    });
-  }
   if (faults_ != nullptr) {
     // Registered only when a FaultPlan is attached: the metrics snapshot is
     // part of the fingerprint, so fault-free runs must not see these keys.
@@ -141,38 +133,9 @@ std::vector<int> Device::NsqsOfNcq(int ncq_id) const {
   return out;
 }
 
-uint64_t Device::ZoneWritePointer(uint64_t zone) const {
-  auto it = zone_wp_.find(zone);
-  return it == zone_wp_.end() ? 0 : it->second;
-}
-
-void Device::ZnsCheckWrite(const NvmeCommand& cmd) {
-  const uint64_t zone_pages = config_.zns_zone_pages;
-  const uint64_t gp = GlobalPage(cmd.nsid, cmd.lba);
-  const uint64_t zone = gp / zone_pages;
-  if (cmd.is_zone_reset) {
-    zone_wp_[zone] = 0;
-    ++zns_resets_;
-    return;
-  }
-  uint64_t& wp = zone_wp_[zone];
-  const uint64_t offset = gp % zone_pages;
-  if (offset != wp || offset + cmd.pages > zone_pages) {
-    // Out-of-order or zone-crossing write: a real drive fails the command;
-    // we count the violation and let it complete so workload bugs surface
-    // in stats rather than deadlocks.
-    ++zns_violations_;
-    return;
-  }
-  wp += cmd.pages;
-}
-
 bool Device::Enqueue(int sqid, NvmeCommand cmd) {
   cmd.sqid = sqid;
   cmd.enqueue_time = sim_->now();
-  if (zns_enabled() && (cmd.is_write || cmd.is_zone_reset)) {
-    ZnsCheckWrite(cmd);
-  }
   if (!nsqs_[sqid]->Enqueue(cmd)) {
     return false;
   }
@@ -340,12 +303,6 @@ void Device::FinishFetch() {
     // which keeps the lifecycle stamps valid.
     flash_start = sim_->now();
     sim_->At(sim_->now() + config_.flush_exec,
-             [this, cid]() { OnPageDone(cid); });
-    inflight_pages_ -= static_cast<int>(cmd.pages) - 1;
-  } else if (cmd.is_zone_reset) {
-    // Zone reset: one erase-scale operation on the zone's first chip.
-    flash_start = sim_->now();
-    sim_->At(sim_->now() + config_.flash.erase_time,
              [this, cid]() { OnPageDone(cid); });
     inflight_pages_ -= static_cast<int>(cmd.pages) - 1;
   } else {
@@ -640,8 +597,7 @@ void Device::Crash() {
   // pages, never serve them. Ascending cid order: the oldest in-flight write
   // claims an unmapped page first.
   for (const auto& [cid, ic] : inflight_) {
-    if (!ic.cmd.is_write || ic.cmd.is_flush || ic.cmd.is_zone_reset ||
-        ic.aborted) {
+    if (!ic.cmd.is_write || ic.cmd.is_flush || ic.aborted) {
       continue;
     }
     const uint64_t base = GlobalPage(ic.cmd.nsid, ic.cmd.lba);

@@ -77,14 +77,6 @@ struct DeviceConfig {
   // Namespace sizes in 4KB pages. Namespaces share the same NQs (NVMe spec).
   std::vector<uint64_t> namespace_pages = {1ULL << 22};  // one 16GiB namespace
 
-  // Zoned-namespace mode (§8.2 extensibility): > 0 divides every namespace
-  // into zones of this many pages. Writes must land on each zone's write
-  // pointer (violations are counted, the command still completes - like a
-  // drive returning an error status); zone-reset commands rewind the pointer
-  // at erase cost. The multi-queue feature is unchanged, so every stack
-  // (including Daredevil) runs unmodified on a ZNS device.
-  uint64_t zns_zone_pages = 0;
-
   // One source of truth with the block layer's page unit: a request's
   // bytes() and the device's transfer accounting must agree.
   uint32_t page_bytes = kPageBytes;
@@ -217,16 +209,6 @@ class Device {
   uint64_t flushes_ignored() const { return flushes_ignored_; }
   uint64_t fua_persists() const { return fua_persists_; }
 
-  // --- ZNS mode ---------------------------------------------------------
-  bool zns_enabled() const { return config_.zns_zone_pages > 0; }
-  uint64_t ZoneOf(uint32_t nsid, Lba lba) const {
-    return (GlobalPage(nsid, lba)) / config_.zns_zone_pages;
-  }
-  // Current write pointer of a zone (pages written since zone start).
-  uint64_t ZoneWritePointer(uint64_t zone) const;
-  uint64_t zns_violations() const { return zns_violations_; }
-  uint64_t zns_resets() const { return zns_resets_; }
-
  private:
   struct InflightCommand {
     NvmeCommand cmd;
@@ -243,7 +225,6 @@ class Device {
   uint64_t GlobalPage(uint32_t nsid, Lba lba) const {
     return ns_base_[nsid] + lba.value();
   }
-  void ZnsCheckWrite(const NvmeCommand& cmd);
 
   void KickController();
   void ControllerStep();
@@ -361,11 +342,6 @@ class Device {
   uint64_t flushes_completed_ = 0;
   uint64_t flushes_ignored_ = 0;  // kFlushIgnore injections that landed
   uint64_t fua_persists_ = 0;
-
-  // ZNS state: zone -> write pointer (pages written within the zone).
-  std::map<uint64_t, uint64_t> zone_wp_;
-  uint64_t zns_violations_ = 0;
-  uint64_t zns_resets_ = 0;
 };
 
 }  // namespace daredevil

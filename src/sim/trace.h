@@ -19,7 +19,8 @@ namespace daredevil {
 // static_asserts below pin the enum size), add its name to
 // kTraceCategoryNames at the same index, and keep kNumTraceCategories in
 // sync. The static_asserts below cross-check all three and reject an empty
-// or duplicate name.
+// or duplicate name. Then add its export row to kTraceCategoryRows
+// (src/stats/trace_export.cc), where a static_assert checks the row count.
 enum class TraceCategory : int {
   kSubmit = 0,   // request entered the block layer
   kRoute,        // routing decision (request -> NSQ)
@@ -31,7 +32,10 @@ enum class TraceCategory : int {
   kComplete,     // command completion posted to an NCQ
   kIrq,          // interrupt raised
   kDeliver,      // completion delivered to the tenant
-  kSchedule,     // nqreg NQ-scheduling decision
+  // Recorded by nothing. Kept because the trace hash (HashTraceStream,
+  // src/workload/scenario.cc) mixes each category's value: removing it
+  // would renumber the categories after it.
+  kSchedule,
   kMigrate,      // tenant moved cores
   kFaultInject,  // fault layer fired (a = hazard site, b = FaultKind)
   kTimeout,      // host watchdog expired for a request

@@ -61,9 +61,8 @@ struct Request {
   bool is_write = false;
   bool is_sync = false;  // REQ_SYNC analogue
   bool is_meta = false;  // REQ_META analogue
-  bool is_zone_reset = false;  // ZNS zone-management op (REQ_OP_ZONE_RESET)
-  bool is_flush = false;       // cache-flush barrier (REQ_OP_FLUSH analogue)
-  bool is_fua = false;         // write acknowledges durability (REQ_FUA)
+  bool is_flush = false;  // cache-flush barrier (REQ_OP_FLUSH analogue)
+  bool is_fua = false;    // write acknowledges durability (REQ_FUA)
 
   int submit_core = 0;   // core the syscall ran on
 

@@ -270,7 +270,6 @@ void StorageStack::EnqueueLocked(Request* rq, int nsq) {
   cmd.lba = rq->lba;
   cmd.pages = rq->pages;
   cmd.is_write = rq->is_write;
-  cmd.is_zone_reset = rq->is_zone_reset;
   cmd.is_flush = rq->is_flush;
   cmd.fua = rq->is_fua;
   cmd.cookie = rq;
@@ -290,7 +289,6 @@ void StorageStack::EnqueueLocked(Request* rq, int nsq) {
   if (watchdog_enabled_) {
     ArmWatchdog(rq);
   }
-  AfterEnqueue(nsq, rq);
   RingOrBatchDoorbell(nsq);
 }
 

@@ -198,11 +198,6 @@ class StorageStack {
     (void)rq;
     return kZeroDuration;
   }
-  // Hook after a request reaches its NSQ (before the doorbell decision).
-  virtual void AfterEnqueue(int nsq, Request* rq) {
-    (void)nsq;
-    (void)rq;
-  }
   // Hook when a completion is handed back (runs on the IRQ core, before the
   // cross-core delivery to the tenant).
   virtual void OnRequestCompleted(Request* rq) { (void)rq; }

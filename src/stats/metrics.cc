@@ -14,6 +14,11 @@ namespace daredevil {
 
 void AppendJsonString(std::string& out, std::string_view s) {
   out += '"';
+  AppendJsonEscaped(out, s);
+  out += '"';
+}
+
+void AppendJsonEscaped(std::string& out, std::string_view s) {
   // Copy runs of plain characters in one append; escape the rest.
   size_t run = 0;
   for (size_t i = 0; i < s.size(); ++i) {
@@ -52,7 +57,6 @@ void AppendJsonString(std::string& out, std::string_view s) {
     }
   }
   out.append(s.data() + run, s.size() - run);
-  out += '"';
 }
 
 void AppendJsonInt(std::string& out, int64_t v) {

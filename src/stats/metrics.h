@@ -32,6 +32,8 @@ class Machine;   // src/sim/cpu.h
 // values straight into one buffer (the trace exporter).
 // Appends `s` quoted, escaping quotes, backslashes and control characters.
 void AppendJsonString(std::string& out, std::string_view s);
+// The same escaping without the quotes, for a string built in pieces.
+void AppendJsonEscaped(std::string& out, std::string_view s);
 // Integers go through std::to_chars: the digits of printf's %lld / %llu.
 void AppendJsonInt(std::string& out, int64_t v);
 void AppendJsonUInt(std::string& out, uint64_t v);

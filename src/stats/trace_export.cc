@@ -70,14 +70,6 @@ std::vector<RequestRecord> RequestTimelineLog::Records() const {
   return out;
 }
 
-void RequestTimelineLog::Clear() {
-  records_.clear();
-  head_ = 0;
-  full_ = false;
-  total_ = 0;
-  dropped_ = 0;
-}
-
 // --- Event building --------------------------------------------------------
 
 namespace {
@@ -97,6 +89,93 @@ constexpr Stage kStages[] = {
     {"completion-wait", &RequestRecord::flash_end, &RequestRecord::drain},
     {"delivery", &RequestRecord::drain, &RequestRecord::complete},
 };
+
+// A TraceLog event field: the name suffix, an arg value or the instant's tid.
+enum class TraceField : uint8_t { kNone, kId, kA, kB };
+
+// The signed fields: a, or else b.
+int64_t FieldOf(const TraceEvent& te, TraceField field) {
+  return field == TraceField::kA ? te.a : te.b;
+}
+
+// The id renders unsigned, a and b signed.
+void AppendField(std::string& out, const TraceEvent& te, TraceField field) {
+  if (field == TraceField::kId) {
+    AppendJsonUInt(out, te.id);
+  } else {
+    AppendJsonInt(out, FieldOf(te, field));
+  }
+}
+
+// How a TraceLog event of one category renders as an instant (ChromeEventKind
+// ::kTraceEvent): its track, its name and its args.
+struct TraceCategoryRow {
+  TraceCategory category;
+  int pid = 0;  // 0: no instant; the record slices cover the category
+  TraceField tid = TraceField::kNone;  // kNone: tid 0
+  const char* name = "";
+  TraceField suffix = TraceField::kNone;  // appended to the name
+  struct Arg {
+    const char* key = nullptr;  // nullptr ends the list
+    TraceField field = TraceField::kNone;
+  } args[3] = {};
+  // Redundant with record-derived instants when records exist (and the
+  // trace ring may have dropped its oldest events, so records win).
+  bool dropped_with_records = false;
+};
+
+// One row per category, in enum order.
+constexpr TraceCategoryRow kTraceCategoryRows[] = {
+    {TraceCategory::kSubmit, kTracePidHost, TraceField::kA, "submit rq",
+     TraceField::kId, {}, true},
+    {TraceCategory::kRoute},
+    {TraceCategory::kDoorbell, kTracePidNsq, TraceField::kA, "doorbell",
+     TraceField::kNone, {{"batch", TraceField::kB}}},
+    {TraceCategory::kFetchStart},
+    {TraceCategory::kFetch},
+    {TraceCategory::kFlashStart},
+    {TraceCategory::kFlashEnd},
+    {TraceCategory::kComplete},
+    {TraceCategory::kIrq, kTracePidHost, TraceField::kB, "irq NCQ",
+     TraceField::kA},
+    {TraceCategory::kDeliver, kTracePidHost, TraceField::kA, "deliver rq",
+     TraceField::kId, {}, true},
+    {TraceCategory::kSchedule},  // recorded by nothing
+    // Migrations and fault-path events land on the control track: they are
+    // rare, global in scope, and reading them against the NSQ/core tracks is
+    // exactly how an injected fault's blast radius is attributed.
+    {TraceCategory::kMigrate, kTracePidControl, TraceField::kNone,
+     "migrate tenant", TraceField::kId,
+     {{"a", TraceField::kA}, {"b", TraceField::kB}}},
+    {TraceCategory::kFaultInject, kTracePidControl, TraceField::kNone,
+     "fault-inject", TraceField::kNone,
+     {{"id", TraceField::kId}, {"where", TraceField::kA},
+      {"kind", TraceField::kB}}},
+    {TraceCategory::kTimeout, kTracePidControl, TraceField::kNone,
+     "timeout rq", TraceField::kId,
+     {{"nsq", TraceField::kA}, {"attempt", TraceField::kB}}},
+    {TraceCategory::kRetry, kTracePidControl, TraceField::kNone, "retry rq",
+     TraceField::kId, {{"nsq", TraceField::kA}, {"attempt", TraceField::kB}}},
+    {TraceCategory::kAbort, kTracePidControl, TraceField::kNone, "abort rq",
+     TraceField::kId, {{"nsq", TraceField::kA}, {"attempt", TraceField::kB}}},
+    {TraceCategory::kOther},
+};
+static_assert(std::size(kTraceCategoryRows) == kNumTraceCategories,
+              "every TraceCategory needs a kTraceCategoryRows row");
+
+constexpr bool RowsInEnumOrder() {
+  for (size_t i = 0; i < std::size(kTraceCategoryRows); ++i) {
+    if (static_cast<size_t>(kTraceCategoryRows[i].category) != i) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(RowsInEnumOrder(), "kTraceCategoryRows must follow enum order");
+
+const TraceCategoryRow& RowOf(TraceCategory category) {
+  return kTraceCategoryRows[static_cast<size_t>(category)];
+}
 
 // Appends events in emission order, stamping each with its emission index.
 class EventSink {
@@ -267,53 +346,18 @@ void BuildRequestEvents(const TraceExportInput& input,
   }
 }
 
-// The track a TraceLog event lands on; false for categories the record
-// slices already cover.
-bool TraceEventTrack(const TraceEvent& te, bool have_records, int* pid,
-                     int* tid) {
-  switch (te.category) {
-    case TraceCategory::kDoorbell:
-      *pid = kTracePidNsq;
-      *tid = static_cast<int>(te.a);
-      return true;
-    case TraceCategory::kIrq:
-      *pid = kTracePidHost;
-      *tid = static_cast<int>(te.b);
-      return true;
-    case TraceCategory::kSubmit:
-    case TraceCategory::kDeliver:
-      // Redundant with record-derived instants when records exist (and the
-      // trace ring may have dropped its oldest events, so records win).
-      *pid = kTracePidHost;
-      *tid = static_cast<int>(te.a);
-      return !have_records;
-    // Fault-path events land on the control track: they are rare, global
-    // in scope, and reading them against the NSQ/core tracks is exactly
-    // how an injected fault's blast radius is attributed.
-    case TraceCategory::kSchedule:
-    case TraceCategory::kMigrate:
-    case TraceCategory::kFaultInject:
-    case TraceCategory::kTimeout:
-    case TraceCategory::kRetry:
-    case TraceCategory::kAbort:
-      *pid = kTracePidControl;
-      *tid = 0;
-      return true;
-    default:
-      return false;  // lifecycle categories are covered by record slices
-  }
-}
-
 void BuildTraceEventInstants(const TraceExportInput& input, EventSink& sink) {
   const bool have_records = !input.requests.empty();
   for (size_t i = 0; i < input.events.size(); ++i) {
     const TraceEvent& te = input.events[i];
-    int pid = 0;
-    int tid = 0;
-    if (TraceEventTrack(te, have_records, &pid, &tid)) {
-      sink.Add(ChromeEventKind::kTraceEvent, 'i', te.at, pid, tid,
-               static_cast<uint32_t>(i));
+    const TraceCategoryRow& row = RowOf(te.category);
+    if (row.pid == 0 || (row.dropped_with_records && have_records)) {
+      continue;
     }
+    const int tid =
+        row.tid == TraceField::kNone ? 0 : static_cast<int>(FieldOf(te, row.tid));
+    sink.Add(ChromeEventKind::kTraceEvent, 'i', te.at, row.pid, tid,
+             static_cast<uint32_t>(i));
   }
 }
 
@@ -422,11 +466,19 @@ void AppendRequestLabel(std::string& out, const RequestRecord& r) {
   out += r.is_write ? "p W" : "p R";
 }
 
-// Opens an args member: `,"args":{"key":` for the first, `,"key":` after.
-void AppendArg(std::string& out, bool first, std::string_view key) {
-  out += first ? ",\"args\":{\"" : ",\"";
-  out += key;
-  out += "\":";
+// Opens a member of an args object's body: `"key":`, comma-separated.
+void AppendArg(std::string& args, std::string_view key) {
+  if (!args.empty()) {
+    args += ',';
+  }
+  args += '"';
+  args += key;
+  args += "\":";
+}
+
+void AppendIntArg(std::string& args, std::string_view key, int64_t v) {
+  AppendArg(args, key);
+  AppendJsonInt(args, v);
 }
 
 std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
@@ -464,129 +516,135 @@ const std::string& ChromeEventRenderer::QuotedTenant(uint64_t tenant_id) const {
   return quoted_tenants_.at(tenant_id);
 }
 
-std::string_view ChromeEventRenderer::Category(const ChromeEvent& e) const {
-  switch (e.kind) {
-    case ChromeEventKind::kRequest:
-    case ChromeEventKind::kStage:
-      return "rq";
-    case ChromeEventKind::kFlash:
-      return "flash";
-    case ChromeEventKind::kCqe:
-      return "cqe";
-    case ChromeEventKind::kIrqHop:
-      return "irq-hop";
-    case ChromeEventKind::kSloEpisode:
-      return "slo";
-    default:
-      return "";
-  }
-}
-
-std::string ChromeEventRenderer::Name(const ChromeEvent& e) const {
-  std::string name;
-  AppendName(name, e);
-  return name;
-}
-
-void ChromeEventRenderer::AppendName(std::string& out,
-                                     const ChromeEvent& e) const {
+std::string_view ChromeEventRenderer::Render(const ChromeEvent& e,
+                                             std::string& name,
+                                             std::string& args) const {
   const RequestRecord* r =
       e.ref < input_.requests.size() ? &input_.requests[e.ref] : nullptr;
   switch (e.kind) {
     case ChromeEventKind::kProcessName:
-      out += "process_name";
-      return;
+      name += "process_name";
+      AppendArg(args, "name");
+      AppendJsonString(args, TrackName(e));
+      return "";
     case ChromeEventKind::kThreadName:
-      out += "thread_name";
-      return;
+      name += "thread_name";
+      AppendArg(args, "name");
+      AppendJsonString(args, TrackName(e));
+      return "";
     case ChromeEventKind::kRequest:
-    case ChromeEventKind::kNsqHead:
-      AppendRequestLabel(out, *r);
-      return;
+      AppendRequestLabel(name, *r);
+      if (e.ph == 'b') {  // the end event carries no args
+        AppendArg(args, "tenant");
+        args += QuotedTenant(r->tenant_id);
+        AppendIntArg(args, "nsq", r->nsq);
+        AppendIntArg(args, "ncq", r->ncq);
+        AppendIntArg(args, "pages", r->pages);
+      }
+      return "rq";
     case ChromeEventKind::kStage:
-      out += kStages[e.sub].name;
-      return;
+      name += kStages[e.sub].name;
+      return "rq";
     case ChromeEventKind::kFlash:
-      out += "flash ";
-      AppendRequestLabel(out, *r);
-      return;
+      name += "flash ";
+      AppendRequestLabel(name, *r);
+      return "flash";
     case ChromeEventKind::kCqe:
-      out += "cqe ";
-      AppendRequestLabel(out, *r);
-      out += " NCQ";
-      AppendJsonInt(out, r->ncq);
-      return;
+      name += "cqe ";
+      AppendRequestLabel(name, *r);
+      name += " NCQ";
+      AppendJsonInt(name, r->ncq);
+      return "cqe";
     case ChromeEventKind::kSubmit:
-      out += "submit rq";
-      AppendJsonUInt(out, r->id);
-      return;
+      name += "submit rq";
+      AppendJsonUInt(name, r->id);
+      return "";
     case ChromeEventKind::kDrain:
-      out += "drain rq";
-      AppendJsonUInt(out, r->id);
-      return;
+      name += "drain rq";
+      AppendJsonUInt(name, r->id);
+      return "";
     case ChromeEventKind::kComplete:
-      out += "complete rq";
-      AppendJsonUInt(out, r->id);
-      return;
+      name += "complete rq";
+      AppendJsonUInt(name, r->id);
+      return "";
     case ChromeEventKind::kIrqHop:
-      out += "irq-hop";
-      return;
+      name += "irq-hop";
+      return "irq-hop";
+    case ChromeEventKind::kNsqHead:
+      AppendRequestLabel(name, *r);
+      AppendArg(args, "tenant");
+      args += QuotedTenant(r->tenant_id);
+      AppendIntArg(args, "pages", r->pages);
+      return "";
     case ChromeEventKind::kFetch:
-      out += "fetch ";
-      AppendRequestLabel(out, *r);
-      return;
+      name += "fetch ";
+      AppendRequestLabel(name, *r);
+      AppendIntArg(args, "nsq", r->nsq);
+      return "";
     case ChromeEventKind::kTraceEvent: {
       const TraceEvent& te = input_.events[e.ref];
-      switch (te.category) {
-        case TraceCategory::kDoorbell:
-          out += "doorbell";
-          return;
-        case TraceCategory::kIrq:
-          out += "irq NCQ";
-          AppendJsonInt(out, te.a);
-          return;
-        case TraceCategory::kSchedule:
-          out += "nq-schedule";
-          return;
-        case TraceCategory::kMigrate:
-          out += "migrate tenant";
-          break;
-        case TraceCategory::kSubmit:
-          out += "submit rq";
-          break;
-        case TraceCategory::kDeliver:
-          out += "deliver rq";
-          break;
-        case TraceCategory::kFaultInject:
-          out += "fault-inject";
-          return;
-        case TraceCategory::kTimeout:
-          out += "timeout rq";
-          break;
-        case TraceCategory::kRetry:
-          out += "retry rq";
-          break;
-        case TraceCategory::kAbort:
-          out += "abort rq";
-          break;
-        default:
-          return;
+      const TraceCategoryRow& row = RowOf(te.category);
+      name += row.name;
+      if (row.suffix != TraceField::kNone) {
+        AppendField(name, te, row.suffix);
       }
-      AppendJsonUInt(out, te.id);
-      return;
+      for (const TraceCategoryRow::Arg& arg : row.args) {
+        if (arg.key == nullptr) {
+          break;
+        }
+        AppendArg(args, arg.key);
+        AppendField(args, te, arg.field);
+      }
+      return "";
     }
     case ChromeEventKind::kCounter:
-      out += *series_[e.sub].first;
-      return;
-    case ChromeEventKind::kSloEpisode:
-      out += "SLO violation ";
-      out += *slo_[static_cast<size_t>(e.tid)].first;
-      return;
-    case ChromeEventKind::kSloBurn:
-      out += "burn ";
-      out += *slo_[static_cast<size_t>(e.tid)].first;
-      return;
+      AppendJsonEscaped(name, *series_[e.sub].first);
+      AppendArg(args, "value");
+      AppendDouble(args, (*series_[e.sub].second)[e.ref]);
+      return "";
+    case ChromeEventKind::kSloEpisode: {
+      const auto& [tenant, report] = slo_[static_cast<size_t>(e.tid)];
+      const SloEpisode& ep = report->episodes[e.ref];
+      name += "SLO violation ";
+      AppendJsonEscaped(name, *tenant);
+      AppendArg(args, "peak_burn");
+      AppendDouble(args, ep.peak_burn);
+      AppendArg(args, "bad");
+      AppendJsonUInt(args, ep.bad);
+      AppendArg(args, "total");
+      AppendJsonUInt(args, ep.total);
+      AppendArg(args, "blame");
+      AppendJsonString(args, ep.blame.empty() ? "unattributed" : ep.blame);
+      AppendArg(args, "mechanism");
+      AppendJsonString(args, ep.mechanism);
+      return "slo";
+    }
+    case ChromeEventKind::kSloBurn: {
+      const auto& [tenant, report] = slo_[static_cast<size_t>(e.tid)];
+      const SloWindow& win = report->windows[e.ref];
+      name += "burn ";
+      AppendJsonEscaped(name, *tenant);
+      AppendArg(args, "fast");
+      AppendDouble(args, win.fast_burn);
+      AppendArg(args, "slow");
+      AppendDouble(args, win.slow_burn);
+      return "";
+    }
   }
+  return "";
+}
+
+std::string ChromeEventRenderer::Name(const ChromeEvent& e) const {
+  std::string name;
+  std::string args;
+  Render(e, name, args);
+  return name;
+}
+
+std::string_view ChromeEventRenderer::Category(const ChromeEvent& e) const {
+  std::string name;
+  std::string args;
+  return Render(e, name, args);
 }
 
 std::string ChromeEventRenderer::TrackName(const ChromeEvent& e) const {
@@ -629,105 +687,6 @@ std::string ChromeEventRenderer::TrackName(const ChromeEvent& e) const {
   return "";
 }
 
-void ChromeEventRenderer::AppendArgs(std::string& out,
-                                     const ChromeEvent& e) const {
-  const RequestRecord* r =
-      e.ref < input_.requests.size() ? &input_.requests[e.ref] : nullptr;
-  auto int_arg = [&out](bool first, std::string_view key, int64_t v) {
-    AppendArg(out, first, key);
-    AppendJsonInt(out, v);
-  };
-  switch (e.kind) {
-    case ChromeEventKind::kProcessName:
-    case ChromeEventKind::kThreadName:
-      AppendArg(out, true, "name");
-      AppendJsonString(out, TrackName(e));
-      break;
-    case ChromeEventKind::kRequest:
-      if (e.ph != 'b') {
-        return;  // the end event carries no args
-      }
-      AppendArg(out, true, "tenant");
-      out += QuotedTenant(r->tenant_id);
-      int_arg(false, "nsq", r->nsq);
-      int_arg(false, "ncq", r->ncq);
-      int_arg(false, "pages", r->pages);
-      break;
-    case ChromeEventKind::kNsqHead:
-      AppendArg(out, true, "tenant");
-      out += QuotedTenant(r->tenant_id);
-      int_arg(false, "pages", r->pages);
-      break;
-    case ChromeEventKind::kFetch:
-      int_arg(true, "nsq", r->nsq);
-      break;
-    case ChromeEventKind::kTraceEvent: {
-      const TraceEvent& te = input_.events[e.ref];
-      switch (te.category) {
-        case TraceCategory::kDoorbell:
-          int_arg(true, "batch", te.b);
-          break;
-        case TraceCategory::kSchedule:
-          AppendArg(out, true, "id");
-          AppendJsonUInt(out, te.id);
-          int_arg(false, "a", te.a);
-          int_arg(false, "b", te.b);
-          break;
-        case TraceCategory::kMigrate:
-          int_arg(true, "a", te.a);
-          int_arg(false, "b", te.b);
-          break;
-        case TraceCategory::kFaultInject:
-          AppendArg(out, true, "id");
-          AppendJsonUInt(out, te.id);
-          int_arg(false, "where", te.a);
-          int_arg(false, "kind", te.b);
-          break;
-        case TraceCategory::kTimeout:
-        case TraceCategory::kRetry:
-        case TraceCategory::kAbort:
-          int_arg(true, "nsq", te.a);
-          int_arg(false, "attempt", te.b);
-          break;
-        default:
-          return;
-      }
-      break;
-    }
-    case ChromeEventKind::kCounter:
-      AppendArg(out, true, "value");
-      AppendDouble(out, (*series_[e.sub].second)[e.ref]);
-      break;
-    case ChromeEventKind::kSloEpisode: {
-      const SloEpisode& ep =
-          slo_[static_cast<size_t>(e.tid)].second->episodes[e.ref];
-      AppendArg(out, true, "peak_burn");
-      AppendDouble(out, ep.peak_burn);
-      AppendArg(out, false, "bad");
-      AppendJsonUInt(out, ep.bad);
-      AppendArg(out, false, "total");
-      AppendJsonUInt(out, ep.total);
-      AppendArg(out, false, "blame");
-      AppendJsonString(out, ep.blame.empty() ? "unattributed" : ep.blame);
-      AppendArg(out, false, "mechanism");
-      AppendJsonString(out, ep.mechanism);
-      break;
-    }
-    case ChromeEventKind::kSloBurn: {
-      const SloWindow& win =
-          slo_[static_cast<size_t>(e.tid)].second->windows[e.ref];
-      AppendArg(out, true, "fast");
-      AppendDouble(out, win.fast_burn);
-      AppendArg(out, false, "slow");
-      AppendDouble(out, win.slow_burn);
-      break;
-    }
-    default:
-      return;  // no args
-  }
-  out += '}';
-}
-
 void ChromeEventRenderer::AppendJson(std::string& out,
                                      const ChromeEvent& e) const {
   out += "{\"ph\":\"";
@@ -745,21 +704,10 @@ void ChromeEventRenderer::AppendJson(std::string& out,
   AppendJsonInt(out, e.pid);
   out += ",\"tid\":";
   AppendJsonInt(out, e.tid);
-  out += ",\"name\":";
-  switch (e.kind) {
-    case ChromeEventKind::kCounter:
-    case ChromeEventKind::kSloEpisode:
-    case ChromeEventKind::kSloBurn:
-      // Series and tenant names may need escaping.
-      AppendJsonString(out, Name(e));
-      break;
-    default:
-      // Fixed words and numbers: nothing to escape.
-      out += '"';
-      AppendName(out, e);
-      out += '"';
-  }
-  const std::string_view cat = Category(e);
+  out += ",\"name\":\"";
+  args_.clear();
+  const std::string_view cat = Render(e, out, args_);
+  out += '"';
   if (!cat.empty()) {
     out += ",\"cat\":\"";
     out += cat;
@@ -774,7 +722,11 @@ void ChromeEventRenderer::AppendJson(std::string& out,
     // Legacy flow finish binds to the enclosing slice.
     out += ",\"bp\":\"e\"";
   }
-  AppendArgs(out, e);
+  if (!args_.empty()) {
+    out += ",\"args\":{";
+    out += args_;
+    out += '}';
+  }
   out += '}';
 }
 

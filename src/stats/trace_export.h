@@ -16,16 +16,18 @@
 //   * flow arrows across the cross-core IRQ hop,
 //   * counter tracks from the periodic StateSampler (queue depths, chip
 //     occupancy, run-queue lengths),
-//   * instant events for doorbells, IRQs, NQ-scheduling and migrations.
+//   * instant events for doorbells and IRQs, and a control track with
+//     tenant migrations and the fault path (fault-inject, timeout, retry,
+//     abort).
 //
 // Everything here is post-processing: building and serializing the trace
 // reads simulation state but never schedules events or mutates it, so an
 // export-enabled run is simulated-time identical to a disabled one.
 //
 // Cost: events are compact references into the export input (they own no
-// strings), ordered in O(events log events); names and args are rendered
-// straight into one pre-reserved output buffer, so per-request events
-// allocate nothing.
+// strings), ordered in O(events log events); each event's name is rendered
+// straight into one pre-reserved output buffer and its args through a reused
+// scratch string, so per-request events allocate nothing.
 #ifndef DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 #define DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 
@@ -92,7 +94,6 @@ class RequestTimelineLog {
   size_t size() const { return records_.size(); }
   uint64_t total_recorded() const { return total_; }
   uint64_t dropped() const { return dropped_; }
-  void Clear();
 
  private:
   size_t capacity_;
@@ -112,7 +113,7 @@ inline constexpr int kTracePidDevice = 3;    // fetch engine + flash service
 inline constexpr int kTracePidNcq = 4;       // completion-queue residency
 inline constexpr int kTracePidRequests = 5;  // per-request nested lifecycles
 inline constexpr int kTracePidCounters = 6;  // StateSampler counter tracks
-inline constexpr int kTracePidControl = 7;   // scheduling / migration events
+inline constexpr int kTracePidControl = 7;   // migrations, fault-path events
 inline constexpr int kTracePidSlo = 8;       // per-tenant SLO violation tracks
 
 // What a ChromeEvent stands for. The event's name, category and args are
@@ -181,20 +182,27 @@ class ChromeEventRenderer {
  public:
   explicit ChromeEventRenderer(const TraceExportInput& input);
 
-  // The event's "name" and "cat" values, unescaped ("" = no category).
+  // The event's "name" value (JSON-escaped, without the quotes) and its
+  // "cat" value ("" = no category).
   std::string Name(const ChromeEvent& e) const;
   std::string_view Category(const ChromeEvent& e) const;
   // Appends the event as one JSON object.
   void AppendJson(std::string& out, const ChromeEvent& e) const;
 
  private:
-  void AppendName(std::string& out, const ChromeEvent& e) const;
+  // The one description of each event kind: appends the event's name,
+  // JSON-escaped, to `name` and the body of its args object to `args`
+  // (nothing = no args), and returns its category.
+  std::string_view Render(const ChromeEvent& e, std::string& name,
+                          std::string& args) const;
   // The process / thread name a metadata event announces.
   std::string TrackName(const ChromeEvent& e) const;
-  void AppendArgs(std::string& out, const ChromeEvent& e) const;
   const std::string& QuotedTenant(uint64_t tenant_id) const;
 
   const TraceExportInput& input_;
+  // AppendJson's args scratch: the args object follows the name, category
+  // and id, so Render's args wait here. Reused from event to event.
+  mutable std::string args_;
   // JSON string literals of the tenant names, by tenant id.
   std::map<uint64_t, std::string> quoted_tenants_;
   // Positional views of the maps events index into.

@@ -1,7 +1,5 @@
 #include "src/workload/scenario.h"
 
-#include <fstream>
-
 #include "src/blkmq/blkmq_stack.h"
 #include "src/core/daredevil_stack.h"
 
@@ -147,11 +145,11 @@ std::string ScenarioResult::ToJson(bool include_observability) const {
     // these values down for same-seed reproducibility, and keeping the
     // section out of ToJson(false) keeps the fingerprint schema stable.
     w.Key("errors").BeginObject();
-    w.Key("injections").UInt(fault_injections);
-    w.Key("retries").UInt(fault_retries);
-    w.Key("aborts").UInt(fault_aborts);
-    w.Key("timeouts").UInt(fault_timeouts);
-    w.Key("failed_requests").UInt(failed_requests);
+    w.Key("injections").UInt(fault_injections());
+    w.Key("retries").UInt(fault_retries());
+    w.Key("aborts").UInt(fault_aborts());
+    w.Key("timeouts").UInt(fault_timeouts());
+    w.Key("failed_requests").UInt(failed_requests());
     w.Key("errored_completions").UInt(total_errored);
     w.Key("tenants").BeginObject();
     for (const auto& [name, te] : tenant_errors) {
@@ -402,11 +400,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
   }
   if (env.fault_plan() != nullptr) {
     result.faults_attached = true;
-    result.fault_injections = env.fault_plan()->total_injections();
-    result.fault_retries = stack->fault_retries();
-    result.fault_aborts = stack->aborts();
-    result.fault_timeouts = stack->timeouts();
-    result.failed_requests = stack->failed_requests();
     std::map<TenantId, std::string> names;
     for (const auto& job : jobs) {
       names[job->tenant().id] = job->tenant().name;
@@ -474,11 +467,6 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
         input.nsq_labels[i] = stack->NsqTrackLabel(i);
       }
       result.trace_json = SerializeChromeTrace(input);
-      if (!config.trace_json_path.empty()) {
-        std::ofstream out(config.trace_json_path,
-                          std::ios::binary | std::ios::trunc);
-        out << result.trace_json;
-      }
     }
   }
   return result;

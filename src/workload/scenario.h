@@ -63,9 +63,8 @@ struct ScenarioConfig {
   // run-queue lengths / pending doorbell batches at this period.
   Tick sample_interval = 0;
   // Capture per-request stage timelines and build the Chrome-trace JSON into
-  // ScenarioResult::trace_json (and trace_json_path, if set).
+  // ScenarioResult::trace_json.
   bool export_trace = false;
-  std::string trace_json_path;  // non-empty: write the exported JSON here
   // Run the HOL-blocking attribution pass over the captured timelines into
   // ScenarioResult::holb (implied by export_trace).
   bool analyze_holb = false;
@@ -172,12 +171,21 @@ struct ScenarioResult {
     uint64_t errors = 0;  // completions the tenant saw with status != kOk
   };
   std::map<std::string, TenantErrors> tenant_errors;  // keyed by tenant name
-  uint64_t fault_injections = 0;  // FaultPlan firings (all kinds)
-  uint64_t fault_retries = 0;
-  uint64_t fault_aborts = 0;
-  uint64_t fault_timeouts = 0;
-  uint64_t failed_requests = 0;   // retries exhausted, failed to the tenant
-  uint64_t total_errored = 0;     // workload completions with status != kOk
+  // Reads of the fault gauges in the metrics snapshot (0 without a plan).
+  uint64_t fault_injections() const {  // FaultPlan firings (all kinds)
+    return MetricCount("device.faults.injections");
+  }
+  uint64_t fault_retries() const { return MetricCount("stack.faults.retries"); }
+  uint64_t fault_aborts() const { return MetricCount("stack.faults.aborts"); }
+  uint64_t fault_timeouts() const {
+    return MetricCount("stack.faults.timeouts");
+  }
+  // Retries exhausted, failed to the tenant.
+  uint64_t failed_requests() const {
+    return MetricCount("stack.faults.failed_requests");
+  }
+  // Workload completions with status != kOk, summed over the jobs.
+  uint64_t total_errored = 0;
 
   const GroupStats* Find(const std::string& group) const;
   double AvgLatencyNs(const std::string& group) const;

@@ -73,7 +73,9 @@ ScenarioConfig ExportGateConfig(StackKind kind, bool faults) {
 // Each case pins golden digests of the observers' serialized outputs: the
 // Chrome-trace JSON and ToJson(true). Recorded before the exporter and the
 // HOL / SLO attribution were rewritten for per-record cost; any change to
-// these bytes must be deliberate and update this table.
+// these bytes must be deliberate and update this table. The blk-switch case,
+// recorded before the renderer moved onto one case per event kind, is the
+// one that renders a "migrate tenant" instant.
 struct ExportCase {
   const char* name;
   StackKind kind;
@@ -88,6 +90,8 @@ constexpr ExportCase kExportCases[] = {
      993680880485863363ull},
     {"Daredevil+faults", StackKind::kDareFull, true, 17135459052114326767ull,
      8050765164392099777ull},
+    {"BlkSwitch", StackKind::kBlkSwitch, false, 2313627475058271034ull,
+     10685852073419165249ull},
 };
 
 // Digests of everything the observers serialize for one export case: the
@@ -457,7 +461,7 @@ TEST_P(FaultDeterminismGate, SameSeedSameFingerprintUnderFaults) {
   const ScenarioResult b = RunScenario(cfg);
 
   ASSERT_TRUE(a.faults_attached);
-  EXPECT_GT(a.fault_injections, 0u)
+  EXPECT_GT(a.fault_injections(), 0u)
       << StackKindName(GetParam()) << ": dense plan never fired";
   EXPECT_EQ(a.SimulationFingerprint(), b.SimulationFingerprint())
       << "faulted runs diverged for " << StackKindName(GetParam());

@@ -832,8 +832,8 @@ TEST(FaultRecoveryTest, ScenarioResultCarriesErrorAccounting) {
 
   const ScenarioResult with_faults = RunScenario(config);
   EXPECT_TRUE(with_faults.faults_attached);
-  EXPECT_GT(with_faults.fault_injections, 0u);
-  EXPECT_GT(with_faults.fault_retries, 0u);
+  EXPECT_GT(with_faults.fault_injections(), 0u);
+  EXPECT_GT(with_faults.fault_retries(), 0u);
   EXPECT_FALSE(with_faults.tenant_errors.empty());
   EXPECT_NE(with_faults.ToJson().find("\"errors\""), std::string::npos);
   // The fingerprinted projection must NOT contain the errors section.

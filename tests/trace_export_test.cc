@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -212,6 +213,98 @@ TEST(TraceExportTest, IrqHopEmitsFlowArrows) {
   EXPECT_LE(starts[0]->ts, finishes[0]->ts);
 }
 
+// One TraceLog event of every category, first without request records (the
+// events-only path) and then with one: which categories become instants, on
+// which (pid, tid) track, and with which name and args.
+TEST(TraceExportTest, TraceCategoriesRenderAsInstants) {
+  struct Expected {
+    TraceCategory category;
+    int pid;           // 0: the category renders nothing
+    int tid;
+    const char* json;  // the serialized event from "name" on, minus its '}'
+  };
+  // Every event carries id 70, a = 2 and b = 3.
+  const Expected kExpected[] = {
+      {TraceCategory::kSubmit, kTracePidHost, 2, R"("name":"submit rq70")"},
+      {TraceCategory::kRoute, 0, 0, ""},
+      {TraceCategory::kDoorbell, kTracePidNsq, 2,
+       R"("name":"doorbell","args":{"batch":3})"},
+      {TraceCategory::kFetchStart, 0, 0, ""},
+      {TraceCategory::kFetch, 0, 0, ""},
+      {TraceCategory::kFlashStart, 0, 0, ""},
+      {TraceCategory::kFlashEnd, 0, 0, ""},
+      {TraceCategory::kComplete, 0, 0, ""},
+      {TraceCategory::kIrq, kTracePidHost, 3, R"("name":"irq NCQ2")"},
+      {TraceCategory::kDeliver, kTracePidHost, 2, R"("name":"deliver rq70")"},
+      {TraceCategory::kSchedule, 0, 0, ""},
+      {TraceCategory::kMigrate, kTracePidControl, 0,
+       R"("name":"migrate tenant70","args":{"a":2,"b":3})"},
+      {TraceCategory::kFaultInject, kTracePidControl, 0,
+       R"("name":"fault-inject","args":{"id":70,"where":2,"kind":3})"},
+      {TraceCategory::kTimeout, kTracePidControl, 0,
+       R"("name":"timeout rq70","args":{"nsq":2,"attempt":3})"},
+      {TraceCategory::kRetry, kTracePidControl, 0,
+       R"("name":"retry rq70","args":{"nsq":2,"attempt":3})"},
+      {TraceCategory::kAbort, kTracePidControl, 0,
+       R"("name":"abort rq70","args":{"nsq":2,"attempt":3})"},
+      {TraceCategory::kOther, 0, 0, ""},
+  };
+  ASSERT_EQ(std::size(kExpected), static_cast<size_t>(kNumTraceCategories));
+
+  TraceExportInput input = MakeInput({});
+  for (const Expected& x : kExpected) {
+    ASSERT_EQ(static_cast<size_t>(x.category), input.events.size());
+    TraceEvent te;
+    te.at = 1000 * static_cast<Tick>(input.events.size() + 1);
+    te.category = x.category;
+    te.id = 70;
+    te.a = 2;
+    te.b = 3;
+    input.events.push_back(te);
+  }
+  // The rendered TraceLog instants, keyed by event index (= category).
+  auto instants = [](const TraceExportInput& in) {
+    std::map<uint32_t, std::tuple<int, int, std::string>> out;
+    const ChromeEventRenderer renderer(in);
+    for (const ChromeEvent& e : BuildChromeEvents(in)) {
+      if (e.kind != ChromeEventKind::kTraceEvent) {
+        continue;
+      }
+      std::string json;
+      renderer.AppendJson(json, e);
+      const size_t name = json.find("\"name\":");
+      out[e.ref] = {e.pid, e.tid, json.substr(name, json.size() - name - 1)};
+    }
+    return out;
+  };
+  auto expect_instants = [&](const TraceExportInput& in) {
+    const auto got = instants(in);
+    for (const Expected& x : kExpected) {
+      SCOPED_TRACE(TraceCategoryName(x.category));
+      const auto c = static_cast<uint32_t>(x.category);
+      // Record-derived instants replace submit / deliver when records exist.
+      const bool dropped = !in.requests.empty() &&
+                           (x.category == TraceCategory::kSubmit ||
+                            x.category == TraceCategory::kDeliver);
+      if (x.pid == 0 || dropped) {
+        EXPECT_EQ(got.count(c), 0u);
+        continue;
+      }
+      ASSERT_EQ(got.count(c), 1u);
+      EXPECT_EQ(got.at(c), std::make_tuple(x.pid, x.tid, std::string(x.json)));
+    }
+  };
+  {
+    SCOPED_TRACE("events only");
+    expect_instants(input);
+  }
+  input.requests.push_back(MakeRecord(1, 0, 100, 200, 400));
+  {
+    SCOPED_TRACE("with a request record");
+    expect_instants(input);
+  }
+}
+
 TEST(TraceExportTest, SerializationIsDeterministicAndParses) {
   const TraceExportInput input = MakeInput({
       MakeRecord(1, 0, 100, 200, 400, /*pages=*/32),
@@ -346,6 +439,9 @@ TEST(TraceExportTest, ControlCharactersInNamesStayValidJson) {
   EXPECT_TRUE(JsonLooksValid(r.trace_json, &err)) << err;
   EXPECT_NE(r.trace_json.find("\"tenant\":\"L\\t0\""), std::string::npos);
   EXPECT_NE(r.trace_json.find("\"SLO L\\t0\""), std::string::npos);
+  EXPECT_NE(r.trace_json.find("\"name\":\"SLO violation L\\t0\""),
+            std::string::npos);
+  EXPECT_NE(r.trace_json.find("\"name\":\"burn L\\t0\""), std::string::npos);
   EXPECT_TRUE(JsonLooksValid(r.ToJson(), &err)) << err;
 }
 

@@ -78,10 +78,10 @@
 //   fingerprint-taint (taint)
 //                 — observability-only ScenarioConfig fields (export_trace,
 //                   sample_interval, analyze_holb, slos, timeline_capacity,
-//                   trace_capacity, trace_json_path) must not flow into code
-//                   that writes fingerprinted state. Region-scoped taint:
-//                   if/while/for conditions taint their controlled blocks,
-//                   other reads taint the enclosing statement. Hard errors;
+//                   trace_capacity) must not flow into code that writes
+//                   fingerprinted state. Region-scoped taint: if/while/for
+//                   conditions taint their controlled blocks, other reads
+//                   taint the enclosing statement. Hard errors;
 //                   unresolved callees ratchet as "taint-unresolved.<layer>".
 #ifndef DAREDEVIL_TOOLS_DDANALYZE_ANALYZER_H_
 #define DAREDEVIL_TOOLS_DDANALYZE_ANALYZER_H_
