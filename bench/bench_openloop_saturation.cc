@@ -5,11 +5,8 @@
 // interactive services experience.
 #include <chrono>
 #include <cstdlib>
-#include <memory>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "src/workload/open_loop.h"
 
 using namespace daredevil;
 
@@ -51,10 +48,6 @@ int main() {
         cfg.fault_recovery.timeout = TickDuration{5 * kMillisecond};
         cfg.fault_recovery.backoff = TickDuration{100 * kMicrosecond};
       }
-      ScenarioEnv env(cfg);
-
-      Rng master(cfg.seed);
-      std::vector<std::unique_ptr<OpenLoopJob>> sources;
       for (int i = 0; i < 4; ++i) {
         OpenLoopSpec spec;
         spec.name = "ol" + std::to_string(i);
@@ -65,82 +58,32 @@ int main() {
         spec.burst_prob = 0.1;
         spec.burst_len = 8;
         spec.core = i % 4;
-        sources.push_back(std::make_unique<OpenLoopJob>(
-            &env.machine(), &env.stack(), spec, static_cast<uint64_t>(500 + i),
-            master.Fork(), env.measure_start(), env.measure_end()));
-        sources.back()->Start();
+        cfg.open_loop.push_back(spec);
       }
-      std::vector<std::unique_ptr<FioJob>> t_jobs;
-      uint64_t tid = 1;
-      for (const auto& spec : cfg.jobs) {
-        t_jobs.push_back(std::make_unique<FioJob>(
-            &env.machine(), &env.stack(), spec, tid, (tid - 1) % 4,
-            master.Fork(), env.measure_start(), env.measure_end()));
-        ++tid;
-        t_jobs.back()->Start();
+      const ScenarioResult r = RunScenario(cfg);
+      for (const auto& [group, g] : r.groups) {
+        headline_ios += g.ios;
       }
-      env.sim().RunUntil(env.measure_end());
-
-      Histogram latency;
-      StageBreakdown stages;
-      uint64_t ios = 0;
-      uint64_t dropped = 0;
-      for (const auto& src : sources) {
-        latency.Merge(src->latency());
-        stages.Merge(src->stages());
-        ios += src->measured_ios();
-        dropped += src->dropped_arrivals();
-      }
-      uint64_t errored = 0;
-      for (const auto& src : sources) {
-        errored += src->total_errored();
-      }
-      for (const auto& job : t_jobs) {
-        errored += job->total_errored();
-        headline_ios += job->measured_ios();
-      }
-      headline_ios += ios;
       if (fault_rate > 0) {
-        const StorageStack& stack = env.stack();
         std::printf(
             "  faults[%s nt=%d]: injected=%llu retries=%llu aborts=%llu "
             "timeouts=%llu failed=%llu errored=%llu\n",
             std::string(StackKindName(kind)).c_str(), n_t,
-            static_cast<unsigned long long>(env.fault_plan()->total_injections()),
-            static_cast<unsigned long long>(stack.fault_retries()),
-            static_cast<unsigned long long>(stack.aborts()),
-            static_cast<unsigned long long>(stack.timeouts()),
-            static_cast<unsigned long long>(stack.failed_requests()),
-            static_cast<unsigned long long>(errored));
+            static_cast<unsigned long long>(r.fault_injections()),
+            static_cast<unsigned long long>(r.fault_retries()),
+            static_cast<unsigned long long>(r.fault_aborts()),
+            static_cast<unsigned long long>(r.fault_timeouts()),
+            static_cast<unsigned long long>(r.failed_requests()),
+            static_cast<unsigned long long>(r.total_errored));
       }
-      if (json.enabled()) {
-        JsonWriter w;
-        w.BeginObject();
-        w.Key("ios").UInt(ios);
-        w.Key("dropped").UInt(dropped);
-        if (fault_rate > 0) {
-          w.Key("fault_injections").UInt(env.fault_plan()->total_injections());
-          w.Key("fault_retries").UInt(env.stack().fault_retries());
-          w.Key("fault_aborts").UInt(env.stack().aborts());
-          w.Key("fault_timeouts").UInt(env.stack().timeouts());
-          w.Key("failed_requests").UInt(env.stack().failed_requests());
-          w.Key("errored").UInt(errored);
-        }
-        w.Key("latency_ns");
-        AppendHistogramJson(w, latency);
-        w.Key("stages_ns");
-        stages.AppendJson(w);
-        w.EndObject();
-        json.AddJson(std::string(StackKindName(kind)) + "/nt=" +
-                         std::to_string(n_t),
-                     w.str());
-      }
+      json.Add(std::string(StackKindName(kind)) + "/nt=" + std::to_string(n_t),
+               r);
       table.AddRow({std::to_string(n_t), std::string(StackKindName(kind)),
-                    FormatMs(latency.Mean()),
-                    FormatMs(static_cast<double>(latency.P99())),
-                    FormatMs(static_cast<double>(latency.P999())),
-                    FormatCount(static_cast<double>(ios) / ToSec(cfg.duration)),
-                    FormatCount(static_cast<double>(dropped))});
+                    FormatMs(r.AvgLatencyNs("L")),
+                    FormatMs(static_cast<double>(r.P99Ns("L"))),
+                    FormatMs(static_cast<double>(r.P999Ns("L"))),
+                    FormatCount(r.Iops("L")),
+                    FormatCount(r.Metric("workload.L.dropped"))});
     }
   }
   const double wall_sec =

@@ -2,9 +2,6 @@
 // design factors. The capability matrix is queried from the live stack
 // objects, and Factor 2 (NQ exploitation) is additionally demonstrated at
 // runtime by counting the distinct NSQs each stack touches.
-#include <memory>
-#include <vector>
-
 #include "bench/bench_util.h"
 
 using namespace daredevil;
@@ -46,17 +43,7 @@ int main() {
     AddTTenants(cfg, 8);
 
     ScenarioEnv env(cfg);
-    std::vector<std::unique_ptr<FioJob>> jobs;
-    Rng master(cfg.seed);
-    uint64_t tid = 1;
-    int core = 0;
-    for (const auto& spec : cfg.jobs) {
-      jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                              tid++, core, master.Fork(), 0,
-                                              env.measure_end()));
-      core = (core + 1) % env.machine().num_cores();
-      jobs.back()->Start();
-    }
+    env.Start();
     env.sim().RunUntil(env.measure_end());
 
     int used = 0;

@@ -114,7 +114,7 @@ inline void WarnOnTraceDrops(const std::string& label,
   if (result.timeline_dropped > 0) {
     std::fprintf(stderr,
                  "WARNING: %s: timeline ring dropped %llu of %llu request "
-                 "records - raise timeline_capacity\n",
+                 "records\n",
                  label.c_str(),
                  static_cast<unsigned long long>(result.timeline_dropped),
                  static_cast<unsigned long long>(result.timeline_total));

@@ -28,7 +28,7 @@ struct CliOptions {
   double duration_ms = 150;
   double warmup_ms = 30;
   uint64_t seed = 42;
-  uint32_t split_kb = 0;
+  int split_kb = 0;
   std::string trace_csv;
   bool help = false;
 };
@@ -66,13 +66,25 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (ParseFlag(arg, "--seed", &value)) {
       opts.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "--split-kb", &value)) {
-      opts.split_kb = static_cast<uint32_t>(std::atoi(value.c_str()));
+      opts.split_kb = std::atoi(value.c_str());
     } else if (ParseFlag(arg, "--trace-csv", &value)) {
       opts.trace_csv = value;
     } else {
       std::fprintf(stderr, "unknown argument: %s (try --help)\n", arg);
       std::exit(2);
     }
+  }
+  const char* bad = opts.cores < 1          ? "--cores must be >= 1"
+                    : opts.duration_ms <= 0 ? "--duration-ms must be > 0"
+                    : opts.warmup_ms < 0    ? "--warmup-ms must be >= 0"
+                    : opts.l_tenants < 0    ? "--l must be >= 0"
+                    : opts.t_tenants < 0    ? "--t must be >= 0"
+                    : opts.split_kb < 0     ? "--split-kb must be >= 0"
+                    : opts.namespaces < 1   ? "--namespaces must be >= 1"
+                                            : nullptr;
+  if (bad != nullptr) {
+    std::fprintf(stderr, "invalid argument: %s (try --help)\n", bad);
+    std::exit(2);
   }
   return opts;
 }
@@ -122,7 +134,7 @@ int main(int argc, char** argv) {
   cfg.seed = opts.seed;
   cfg.warmup = static_cast<Tick>(opts.warmup_ms * kMillisecond);
   cfg.duration = static_cast<Tick>(opts.duration_ms * kMillisecond);
-  cfg.split_pages = opts.split_kb / 4;
+  cfg.split_pages = static_cast<uint32_t>(opts.split_kb / 4);
   if (opts.namespaces > 1) {
     cfg.device.namespace_pages.assign(static_cast<size_t>(opts.namespaces),
                                       1ULL << 20);
@@ -150,46 +162,20 @@ int main(int argc, char** argv) {
               opts.namespaces, opts.duration_ms,
               static_cast<unsigned long long>(opts.seed));
 
-  // Trace dumping needs the live environment; replicate RunScenario's job
-  // plumbing so the log survives.
+  // One run path; the env outlives the run so the trace log can be dumped.
+  ScenarioEnv env(cfg);
+  env.Start();
+  env.sim().RunUntil(env.measure_end());
+  const ScenarioResult r = env.Finish();
   if (!opts.trace_csv.empty()) {
-    ScenarioEnv env(cfg);
-    Rng master(cfg.seed);
-    std::vector<std::unique_ptr<FioJob>> jobs;
-    uint64_t tid = 1;
-    int core = 0;
-    for (const auto& spec : cfg.jobs) {
-      jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                              tid++, core, master.Fork(),
-                                              env.measure_start(),
-                                              env.measure_end()));
-      core = (core + 1) % env.machine().num_cores();
-      jobs.back()->Start();
-    }
-    env.sim().RunUntil(env.measure_end());
     std::ofstream out(opts.trace_csv);
     out << env.trace_log()->ToCsv();
-    std::printf("wrote %zu trace events (%llu recorded, %llu dropped) to %s\n",
+    std::printf("wrote %zu trace events (%llu recorded, %llu dropped) to %s\n\n",
                 env.trace_log()->size(),
                 static_cast<unsigned long long>(env.trace_log()->total_recorded()),
                 static_cast<unsigned long long>(env.trace_log()->dropped()),
                 opts.trace_csv.c_str());
-    Histogram l_latency;
-    uint64_t l_ios = 0;
-    for (const auto& job : jobs) {
-      if (job->spec().group == "L") {
-        l_latency.Merge(job->latency());
-        l_ios += job->measured_ios();
-      }
-    }
-    std::printf("L avg=%s p99.9=%s ios=%llu\n",
-                FormatMs(l_latency.Mean()).c_str(),
-                FormatMs(static_cast<double>(l_latency.P999())).c_str(),
-                static_cast<unsigned long long>(l_ios));
-    return 0;
   }
-
-  const ScenarioResult r = RunScenario(cfg);
   TablePrinter table({"group", "avg", "p99", "p99.9", "IOPS", "tput"});
   for (const auto& [group, stats] : r.groups) {
     table.AddRow({group, FormatMs(stats.latency.Mean()),

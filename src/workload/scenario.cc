@@ -192,39 +192,47 @@ std::string ScenarioResult::ToJson(bool include_observability) const {
   return w.str();
 }
 
+namespace {
+
+// Ring capacity (records) of the per-request timeline capture that the
+// exporter, the HOL analyzer and SLO attribution read.
+constexpr size_t kTimelineCapacity = 1 << 20;
+
 std::unique_ptr<StorageStack> MakeStack(StackKind kind, Machine* machine,
                                         Device* device, const ScenarioConfig& config) {
+  const StackCosts costs;
   switch (kind) {
     case StackKind::kVanilla:
-      return std::make_unique<BlkMqStack>(machine, device, config.costs,
+      return std::make_unique<BlkMqStack>(machine, device, costs,
                                           config.used_nqs);
     case StackKind::kStaticSplit:
-      return std::make_unique<StaticSplitStack>(machine, device, config.costs,
+      return std::make_unique<StaticSplitStack>(machine, device, costs,
                                                 config.used_nqs);
     case StackKind::kBlkSwitch:
-      return std::make_unique<BlkSwitchStack>(machine, device, config.costs,
-                                              config.blkswitch);
+      return std::make_unique<BlkSwitchStack>(machine, device, costs);
     case StackKind::kDareBase: {
       DaredevilConfig dd = config.dd;
       dd.enable_nq_scheduling = false;
       dd.enable_sla_dispatch = false;
-      return std::make_unique<DaredevilStack>(machine, device, config.costs, dd);
+      return std::make_unique<DaredevilStack>(machine, device, costs, dd);
     }
     case StackKind::kDareSched: {
       DaredevilConfig dd = config.dd;
       dd.enable_nq_scheduling = true;
       dd.enable_sla_dispatch = false;
-      return std::make_unique<DaredevilStack>(machine, device, config.costs, dd);
+      return std::make_unique<DaredevilStack>(machine, device, costs, dd);
     }
     case StackKind::kDareFull: {
       DaredevilConfig dd = config.dd;
       dd.enable_nq_scheduling = true;
       dd.enable_sla_dispatch = true;
-      return std::make_unique<DaredevilStack>(machine, device, config.costs, dd);
+      return std::make_unique<DaredevilStack>(machine, device, costs, dd);
     }
   }
   return nullptr;
 }
+
+}  // namespace
 
 ScenarioEnv::ScenarioEnv(const ScenarioConfig& config)
     : config_(config),
@@ -255,7 +263,7 @@ ScenarioEnv::ScenarioEnv(const ScenarioConfig& config)
   if (config.export_trace || config.analyze_holb || !config.slos.empty()) {
     // SLO episode attribution replays the HOL analysis over the captured
     // timelines, so configuring specs implies the capture.
-    timeline_ = std::make_unique<RequestTimelineLog>(config.timeline_capacity);
+    timeline_ = std::make_unique<RequestTimelineLog>(kTimelineCapacity);
     stack_->SetTimelineLog(timeline_.get());
   }
   if (config.sample_interval > 0) {
@@ -289,126 +297,123 @@ ScenarioEnv::ScenarioEnv(const ScenarioConfig& config)
   }
 }
 
-void ScenarioEnv::AttachSampler() {
-  if (sampler_ != nullptr) {
-    sampler_->Attach(&shard_.sim(), measure_start(), measure_end());
-  }
-}
-
-ScenarioResult RunScenario(const ScenarioConfig& config) {
-  ScenarioEnv env(config);
-  Simulator& sim = env.sim();
-  Machine& machine = env.machine();
-  Device& device = env.device();
-  StorageStack* stack = &env.stack();
-
-  const Tick measure_start = config.warmup;
-  const Tick measure_end = config.warmup + config.duration;
-
-  ScenarioResult result;
-  result.measure_duration = config.duration;
-
-  // Pre-create per-group series so jobs can hold stable pointers.
-  if (config.series_window > 0) {
-    for (const auto& spec : config.jobs) {
-      result.latency_series.try_emplace(spec.group, 0, config.series_window);
-      result.bytes_series.try_emplace(spec.group, 0, config.series_window);
-    }
-  }
-
+void ScenarioEnv::Start() {
   // Every layer registers its accounting into one registry; the result is a
   // snapshot of that registry instead of hand-copied per-class getters. The
   // registry is this run's metrics sink, published on the shard so shard-
   // aware components reach it through the context instead of a global.
-  MetricsRegistry registry;
-  env.shard().AttachMetrics(&registry);
-  RegisterMachineMetrics(machine, &registry);
-  device.RegisterMetrics(&registry);
-  stack->RegisterMetrics(&registry);
-  if (env.sampler() != nullptr) {
-    env.sampler()->RegisterMetrics(&registry);
-    env.AttachSampler();
+  registry_ = std::make_unique<MetricsRegistry>();
+  shard_.AttachMetrics(registry_.get());
+  RegisterMachineMetrics(machine_, registry_.get());
+  device_.RegisterMetrics(registry_.get());
+  stack_->RegisterMetrics(registry_.get());
+  if (sampler_ != nullptr) {
+    sampler_->RegisterMetrics(registry_.get());
+    sampler_->Attach(&shard_.sim(), measure_start(), measure_end());
   }
-  if (config.series_window > 0) {
+  if (config_.series_window > 0) {
     // Truncated series are otherwise invisible: TimeSeries::Record counts
     // pre-origin samples instead of silently dropping them, and this gauge
     // surfaces the sum. Registered only when series are collected, so runs
     // without them keep an unchanged metrics schema (and fingerprint).
-    registry.RegisterGauge("timeseries.dropped_early", [&result]() {
+    registry_->RegisterGauge("timeseries.dropped_early", [this]() {
       uint64_t dropped = 0;
-      for (const auto& [group, series] : result.latency_series) {
+      for (const auto& [group, series] : latency_series_) {
         dropped += series.dropped_early();
       }
-      for (const auto& [group, series] : result.bytes_series) {
+      for (const auto& [group, series] : bytes_series_) {
         dropped += series.dropped_early();
       }
       return static_cast<double>(dropped);
     });
   }
+  slo_ = std::make_unique<SloTracker>(config_.slos, measure_start(),
+                                      measure_end());
 
-  // The SLO tracker observes deliveries via raw pointers handed to the jobs,
-  // so it must outlive them (declared first = destroyed last).
-  SloTracker slo_tracker(config.slos, measure_start, measure_end);
-
-  // Per-tenant streams fork from the shard's RNG (seeded with config.seed at
-  // env construction, with no draws in between — the fork sequence is
-  // byte-identical to the former local master Rng).
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  jobs.reserve(config.jobs.size());
+  // One tenant per spec, closed-loop jobs first. Each forks the shard's RNG
+  // (seeded with config.seed at construction, with no draws in between), so
+  // a tenant's stream depends only on its position in that order.
+  const auto wire = [this](TenantIo& io) {
+    const Tenant& t = io.tenant();
+    io.AttachMetrics(registry_.get());
+    if (config_.series_window > 0) {
+      io.AttachSeries(
+          &latency_series_.try_emplace(t.group, 0, config_.series_window)
+               .first->second,
+          &bytes_series_.try_emplace(t.group, 0, config_.series_window)
+               .first->second);
+    }
+    if (!slo_->empty()) {
+      io.AttachSlo(slo_->AddTenant(t.name, t.group, t.id.value()));
+    }
+    tenants_.push_back(&io);
+  };
   int next_core = 0;
-  uint64_t next_tenant_id = 1;
-  for (const auto& spec : config.jobs) {
+  for (const FioJobSpec& spec : config_.jobs) {
     int core = spec.core;
     if (core < 0) {
       core = next_core;
-      next_core = (next_core + 1) % machine.num_cores();
+      next_core = (next_core + 1) % machine_.num_cores();
     }
-    auto job = std::make_unique<FioJob>(
-        &machine, stack, spec, next_tenant_id++, core, env.shard().rng().Fork(),
-        measure_start, measure_end);
-    job->AttachMetrics(&registry);
-    if (config.series_window > 0) {
-      job->AttachSeries(&result.latency_series.at(spec.group),
-                        &result.bytes_series.at(spec.group));
-    }
-    if (!slo_tracker.empty()) {
-      job->AttachSlo(slo_tracker.AddTenant(job->tenant().name,
-                                           job->tenant().group,
-                                           job->tenant().id.value()));
-    }
-    jobs.push_back(std::move(job));
+    jobs_.push_back(std::make_unique<FioJob>(
+        &machine_, stack_.get(), spec, tenants_.size() + 1, core,
+        shard_.rng().Fork(), measure_start(), measure_end()));
+    wire(*jobs_.back());
+    jobs_.back()->Start();
   }
-  for (auto& job : jobs) {
-    job->Start();
+  for (const OpenLoopSpec& spec : config_.open_loop) {
+    open_loop_.push_back(std::make_unique<OpenLoopJob>(
+        &machine_, stack_.get(), spec, tenants_.size() + 1,
+        shard_.rng().Fork(), measure_start(), measure_end()));
+    wire(*open_loop_.back());
+    open_loop_.back()->Start();
+    // Arrivals refused at max_outstanding, per group; FIO-only runs keep
+    // an unchanged metrics schema.
+    registry_->RegisterGauge(
+        "workload." + spec.group + ".dropped", [this, group = spec.group]() {
+          uint64_t dropped = 0;
+          for (const auto& src : open_loop_) {
+            if (src->spec().group == group) {
+              dropped += src->dropped_arrivals();
+            }
+          }
+          return static_cast<double>(dropped);
+        });
   }
 
-  // Snapshot CPU busy time at the start of the measurement window.
-  TickDuration busy_at_warmup;
-  sim.At(measure_start, [&]() { busy_at_warmup = machine.total_busy_ns(); });
+  shard_.sim().At(measure_start(),
+                  [this]() { busy_at_warmup_ = machine_.total_busy_ns(); });
+}
 
-  sim.RunUntil(measure_end);
-
-  for (auto& job : jobs) {
-    GroupStats& g = result.groups[job->spec().group];
-    g.latency.Merge(job->latency());
-    g.stages.Merge(job->stages());
-    g.ios += job->measured_ios();
-    g.bytes += job->measured_bytes();
-    result.total_issued += job->total_issued();
-    result.total_completed += job->total_completed();
-    result.total_errored += job->total_errored();
+std::map<uint64_t, std::string> ScenarioEnv::TenantNames() const {
+  std::map<uint64_t, std::string> names;
+  for (TenantIo* io : tenants_) {
+    names[io->tenant().id.value()] = io->tenant().name;
   }
-  if (env.fault_plan() != nullptr) {
+  return names;
+}
+
+ScenarioResult ScenarioEnv::Finish() {
+  ScenarioResult result;
+  result.measure_duration = config_.duration;
+  for (TenantIo* io : tenants_) {
+    GroupStats& g = result.groups[io->tenant().group];
+    g.latency.Merge(io->latency());
+    g.stages.Merge(io->stages());
+    g.ios += io->measured_ios();
+    g.bytes += io->measured_bytes();
+    result.total_issued += io->total_issued();
+    result.total_completed += io->total_completed();
+    result.total_errored += io->total_errored();
+  }
+  std::map<uint64_t, std::string> tenant_names = TenantNames();
+  if (fault_plan() != nullptr) {
     result.faults_attached = true;
-    std::map<TenantId, std::string> names;
-    for (const auto& job : jobs) {
-      names[job->tenant().id] = job->tenant().name;
-    }
-    for (const auto& [tid, stats] : stack->tenant_errors()) {
-      auto it = names.find(tid);
+    for (const auto& [tid, stats] : stack_->tenant_errors()) {
+      auto it = tenant_names.find(tid.value());
       const std::string name =
-          it != names.end() ? it->second
-                            : "tenant-" + std::to_string(tid.value());
+          it != tenant_names.end() ? it->second
+                                   : "tenant-" + std::to_string(tid.value());
       ScenarioResult::TenantErrors& te = result.tenant_errors[name];
       te.retries = stats.retries;
       te.aborts = stats.aborts;
@@ -416,28 +421,27 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       te.errors = stats.errors;
     }
   }
-  result.cpu_util = machine.Utilization(busy_at_warmup, measure_start, measure_end);
-  result.metrics = registry.Snapshot();
-  if (env.trace_log() != nullptr) {
-    result.trace_hash = HashTraceStream(*env.trace_log());
-    result.trace_total = env.trace_log()->total_recorded();
-    result.trace_dropped = env.trace_log()->dropped();
+  result.cpu_util =
+      machine_.Utilization(busy_at_warmup_, measure_start(), measure_end());
+  result.metrics = registry_->Snapshot();
+  result.latency_series = latency_series_;
+  result.bytes_series = bytes_series_;
+  if (trace_ != nullptr) {
+    result.trace_hash = HashTraceStream(*trace_);
+    result.trace_total = trace_->total_recorded();
+    result.trace_dropped = trace_->dropped();
   }
-  if (env.sampler() != nullptr) {
-    result.sampler = env.sampler()->Snapshot();
+  if (sampler_ != nullptr) {
+    result.sampler = sampler_->Snapshot();
   }
-  if (!slo_tracker.empty()) {
-    result.slo = slo_tracker.Finalize();
+  if (!slo_->empty()) {
+    result.slo = slo_->Finalize();
   }
-  if (env.timeline_log() != nullptr) {
-    result.timeline_total = env.timeline_log()->total_recorded();
-    result.timeline_dropped = env.timeline_log()->dropped();
+  if (timeline_ != nullptr) {
+    result.timeline_total = timeline_->total_recorded();
+    result.timeline_dropped = timeline_->dropped();
 
-    std::map<uint64_t, std::string> tenant_names;
-    for (const auto& job : jobs) {
-      tenant_names[job->tenant().id.value()] = job->tenant().name;
-    }
-    std::vector<RequestRecord> records = env.timeline_log()->Records();
+    std::vector<RequestRecord> records = timeline_->Records();
     {
       // One interval index serves the HOL report and every SLO episode.
       const BlockingIntervals intervals(records);
@@ -450,26 +454,33 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
       AttributeSloEpisodes(result.slo, holb);
     }
 
-    if (config.export_trace) {
+    if (config_.export_trace) {
       TraceExportInput input;
-      input.stack_name = std::string(stack->name());
-      input.num_cores = machine.num_cores();
-      input.nr_nsq = device.nr_nsq();
-      input.nr_ncq = device.nr_ncq();
-      if (env.trace_log() != nullptr) {
-        input.events = env.trace_log()->Events();
+      input.stack_name = std::string(stack_->name());
+      input.num_cores = machine_.num_cores();
+      input.nr_nsq = device_.nr_nsq();
+      input.nr_ncq = device_.nr_ncq();
+      if (trace_ != nullptr) {
+        input.events = trace_->Events();
       }
       input.requests = std::move(records);
-      input.sampler = env.sampler();
+      input.sampler = sampler_.get();
       input.slo = &result.slo;
       input.tenant_names = std::move(tenant_names);
-      for (int i = 0; i < device.nr_nsq(); ++i) {
-        input.nsq_labels[i] = stack->NsqTrackLabel(i);
+      for (int i = 0; i < device_.nr_nsq(); ++i) {
+        input.nsq_labels[i] = stack_->NsqTrackLabel(i);
       }
       result.trace_json = SerializeChromeTrace(input);
     }
   }
   return result;
+}
+
+ScenarioResult RunScenario(const ScenarioConfig& config) {
+  ScenarioEnv env(config);
+  env.Start();
+  env.sim().RunUntil(env.measure_end());
+  return env.Finish();
 }
 
 ScenarioConfig MakeSvmConfig(int cores) {

@@ -1,6 +1,6 @@
 // Scenario runner: builds a machine + device + storage stack + tenants, runs
 // the simulation, and aggregates per-group statistics. Every test, example
-// and bench goes through this entry point.
+// and bench builds its run from one ScenarioConfig through ScenarioEnv.
 #ifndef DAREDEVIL_SRC_WORKLOAD_SCENARIO_H_
 #define DAREDEVIL_SRC_WORKLOAD_SCENARIO_H_
 
@@ -23,6 +23,7 @@
 #include "src/stats/time_series.h"
 #include "src/stats/trace_export.h"
 #include "src/workload/fio_job.h"
+#include "src/workload/open_loop.h"
 
 namespace daredevil {
 
@@ -40,10 +41,8 @@ std::string_view StackKindName(StackKind kind);
 struct ScenarioConfig {
   Machine::Config machine;
   DeviceConfig device;
-  StackCosts costs;
   StackKind stack = StackKind::kVanilla;
   DaredevilConfig dd;        // used by the kDare* kinds (flags overridden)
-  BlkSwitchConfig blkswitch;
   int used_nqs = 0;          // NQ cap for vanilla/static-split (0 = default)
   uint32_t split_pages = 0;  // block-layer I/O splitting threshold (0 = off)
   size_t trace_capacity = 0;  // >0: attach a TraceLog ring of this many events
@@ -68,9 +67,6 @@ struct ScenarioConfig {
   // Run the HOL-blocking attribution pass over the captured timelines into
   // ScenarioResult::holb (implied by export_trace).
   bool analyze_holb = false;
-  // Ring capacity (records) for the per-request timeline capture used by the
-  // exporter and the HOL analyzer.
-  size_t timeline_capacity = 1 << 20;
   // Per-tenant latency objectives (src/stats/slo.h). Non-empty: an SloTracker
   // observes every matched tenant's deliveries over the measurement window
   // and ScenarioResult::slo carries the finalized conformance report, with
@@ -80,6 +76,8 @@ struct ScenarioConfig {
   std::vector<SloSpec> slos;
 
   std::vector<FioJobSpec> jobs;
+  // Open-loop sources, built after `jobs` (see ScenarioEnv::Start).
+  std::vector<OpenLoopSpec> open_loop;
 
   Tick warmup = 20 * kMillisecond;
   Tick duration = 150 * kMillisecond;
@@ -130,7 +128,7 @@ struct ScenarioResult {
     return MetricCount("stack.requests_completed");
   }
 
-  // Summed over the scenario's jobs.
+  // Summed over the scenario's jobs and open-loop sources.
   uint64_t total_issued = 0;
   uint64_t total_completed = 0;
 
@@ -184,7 +182,7 @@ struct ScenarioResult {
   uint64_t failed_requests() const {
     return MetricCount("stack.faults.failed_requests");
   }
-  // Workload completions with status != kOk, summed over the jobs.
+  // Workload completions with status != kOk, summed like total_issued.
   uint64_t total_errored = 0;
 
   const GroupStats* Find(const std::string& group) const;
@@ -216,13 +214,10 @@ struct ScenarioResult {
   uint64_t SimulationFingerprint() const;
 };
 
-// Builds the storage stack for a kind (factory shared with tests/benches).
-std::unique_ptr<StorageStack> MakeStack(StackKind kind, Machine* machine,
-                                        Device* device, const ScenarioConfig& config);
-
-// A ready-to-run environment (simulator + machine + device + stack) for
-// harnesses that mix FIO jobs with application tenants (e.g. the YCSB and
-// Mailserver benches).
+// One run's environment (simulator + machine + device + stack + observers).
+// RunScenario is Start(), RunUntil(measure_end()) and Finish(); harnesses
+// that inspect live state in between, or add application tenants around
+// the config's ones, call the three steps themselves.
 class ScenarioEnv {
  public:
   explicit ScenarioEnv(const ScenarioConfig& config);
@@ -243,13 +238,34 @@ class ScenarioEnv {
   TraceLog* trace_log() { return trace_.get(); }
   // Null unless config.export_trace / config.analyze_holb / config.slos.
   RequestTimelineLog* timeline_log() { return timeline_.get(); }
-  // Null unless config.sample_interval > 0. Probes are wired but the sampler
-  // is not yet scheduled; call AttachSampler() (RunScenario does).
+  // Null unless config.sample_interval > 0; scheduled by Start().
   StateSampler* sampler() { return sampler_.get(); }
-  // Schedules the sampler over [measure_start, measure_end].
-  void AttachSampler();
   // Null unless config.faults was non-empty.
   FaultPlan* fault_plan() { return device_.fault_plan(); }
+
+  // Wires the run, in this order: the metrics registry (machine, device,
+  // stack, sampler), published on the shard; the sampler over the
+  // measurement window; the SLO tracker; one FioJob per config.jobs entry
+  // (tenant ids from 1, spec.core or round-robin when negative), then one
+  // OpenLoopJob per config.open_loop entry (ids continuing, spec.core as
+  // given), each with one shard-RNG fork, metrics, series and SLO hooks,
+  // started as built; and the CPU-busy snapshot at measure_start. Call once.
+  void Start();
+  // The result of a started run that reached measure_end(): groups and
+  // totals, fault accounting, the metrics snapshot and the observers' outputs
+  // (HOL pass, SLO attribution, Chrome-trace export). Call once; the logs
+  // stay readable.
+  ScenarioResult Finish();
+
+  // Set by Start() (empty or null before): the config's closed-loop jobs and
+  // open-loop sources, and the SLO tracker they feed.
+  const std::vector<std::unique_ptr<FioJob>>& jobs() const { return jobs_; }
+  const std::vector<std::unique_ptr<OpenLoopJob>>& open_loop_jobs() const {
+    return open_loop_;
+  }
+  SloTracker* slo_tracker() { return slo_.get(); }
+  // Tenant id -> name over every started job and source.
+  std::map<uint64_t, std::string> TenantNames() const;
 
  private:
   ScenarioConfig config_;
@@ -263,6 +279,17 @@ class ScenarioEnv {
   // The env's own copy of config.faults (reseeded from config.seed); the
   // device and stack hold raw pointers into it for the run's lifetime.
   FaultPlan faults_;
+
+  // Built by Start(). The tenants hold raw pointers into the registry,
+  // series and SLO tracker, so those are declared first (destroyed last).
+  std::unique_ptr<MetricsRegistry> registry_;
+  std::map<std::string, TimeSeries> latency_series_;
+  std::map<std::string, TimeSeries> bytes_series_;
+  std::unique_ptr<SloTracker> slo_;
+  std::vector<std::unique_ptr<FioJob>> jobs_;
+  std::vector<std::unique_ptr<OpenLoopJob>> open_loop_;
+  std::vector<TenantIo*> tenants_;  // jobs_ then open_loop_: id = index + 1
+  TickDuration busy_at_warmup_;
 };
 
 ScenarioResult RunScenario(const ScenarioConfig& config);

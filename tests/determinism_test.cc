@@ -44,6 +44,30 @@ ScenarioConfig FaultGateConfig(StackKind kind, uint64_t seed) {
   return cfg;
 }
 
+// The gate scenario plus open-loop load: a bursty random reader whose
+// max_outstanding drops arrivals, and a sequential writer.
+ScenarioConfig OpenLoopGateConfig(StackKind kind, uint64_t seed) {
+  ScenarioConfig cfg = GateConfig(kind, seed);
+  OpenLoopSpec bursty;
+  bursty.name = "olb";
+  bursty.iops = 20000;
+  bursty.burst_prob = 0.3;
+  bursty.burst_len = 8;
+  bursty.max_outstanding = 8;
+  bursty.core = 2;
+  OpenLoopSpec sequential;
+  sequential.name = "ols";
+  sequential.group = "OLS";
+  sequential.ionice = IoniceClass::kBestEffort;
+  sequential.pages = 8;
+  sequential.random = false;
+  sequential.is_write = true;
+  sequential.iops = 5000;
+  sequential.core = 3;
+  cfg.open_loop = {bursty, sequential};
+  return cfg;
+}
+
 // FNV-1a over a byte string (the digest SimulationFingerprint uses).
 uint64_t Fnv1a(std::string_view bytes) {
   uint64_t h = 1469598103934665603ull;
@@ -106,14 +130,16 @@ ExportDigests DigestExport(const ExportCase& c) {
   return {Fnv1a(r.trace_json), Fnv1a(r.ToJson(true))};
 }
 
-// Every traffic source in one environment, since RunScenario only builds
-// closed-loop FIO jobs: an L FioJob with REQ_SYNC/REQ_META draws, think time
-// and core migrations, a sequential T writer with outlier requests and ionice
-// updates, a bursty random OpenLoopJob whose max_outstanding drops arrivals,
-// a sequential OpenLoopJob, and a YCSB-A KvStore client over an AppIoContext
-// (FUA WAL writes, memtable flushes with their flush barriers, block reads). The digest covers each source's public
-// counters, latency and stage JSON, the SLO report fed by the FioJob and the
-// app, the L group's time series, the metrics snapshot and the trace ring.
+// Every traffic source in one environment, hand-built rather than through
+// ScenarioEnv::Start so it pins each source's own issue and delivery path:
+// an L FioJob with REQ_SYNC/REQ_META draws, think time and core migrations,
+// a sequential T writer with outlier requests and ionice updates, a bursty
+// random OpenLoopJob whose max_outstanding drops arrivals, a sequential
+// OpenLoopJob, and a YCSB-A KvStore client over an AppIoContext (FUA WAL
+// writes, memtable flushes with their flush barriers, block reads). The
+// digest covers each source's public counters, latency and stage JSON, the
+// SLO report fed by the FioJob and the app, the L group's time series, the
+// metrics snapshot and the trace ring.
 uint64_t MixedSourcesDigest() {
   ScenarioConfig cfg = MakeSvmConfig(4);
   cfg.stack = StackKind::kDareFull;
@@ -363,20 +389,51 @@ TEST(DeterminismGate, TraceExportIsByteIdentical) {
       << "same-seed runs must export byte-identical traces";
 }
 
+// Golden faults-off fingerprints for the gate scenario (seed 42), recorded
+// when the fault-injection layer landed. CI additionally regenerates these
+// via FingerprintManifest in both build configs (Debug/invariants-ON and
+// Release/OFF) and diffs them, so the constants are config-independent. A
+// mismatch here means a change moved the fault-free simulation - if that was
+// intentional, update this table in the same commit and say so.
+struct GoldenFingerprint {
+  StackKind kind;
+  uint64_t fingerprint;
+  uint64_t trace_hash;
+  bool open_loop = false;  // OpenLoopGateConfig instead of GateConfig
+};
+constexpr GoldenFingerprint kGoldenFingerprints[] = {
+    {StackKind::kVanilla, 16706100600092867395ull, 4580788066272524879ull},
+    {StackKind::kStaticSplit, 16208319676165017738ull, 10078876820672934669ull},
+    {StackKind::kBlkSwitch, 16616661676804479412ull, 13924621214163013484ull},
+    {StackKind::kDareBase, 13404699886219054779ull, 9808033404675582731ull},
+    {StackKind::kDareFull, 2357443079684649269ull, 14135888807379484863ull},
+    // Pins ScenarioConfig::open_loop wiring: ids and RNG forks after the
+    // FIO jobs', the sources' groups and the dropped-arrival gauge.
+    {StackKind::kDareFull, 8247709236339194841ull, 8387695748662132892ull,
+     /*open_loop=*/true},
+};
+
+ScenarioConfig GoldenConfig(const GoldenFingerprint& golden) {
+  return golden.open_loop ? OpenLoopGateConfig(golden.kind, /*seed=*/42)
+                          : GateConfig(golden.kind, /*seed=*/42);
+}
+
+std::string GoldenName(const GoldenFingerprint& golden) {
+  return std::string(StackKindName(golden.kind)) +
+         (golden.open_loop ? "+open-loop" : "");
+}
+
 TEST(DeterminismGate, FingerprintManifest) {
   // Emits the per-stack fingerprints so different build configurations can be
   // diffed against each other. CI builds the tree twice - Debug with
   // DAREDEVIL_INVARIANTS=ON and Release with OFF - runs this test in both
   // with DD_FINGERPRINT_OUT set, and diffs the two files: DD_CHECK must have
   // no fingerprint-visible side effects, and neither may the optimizer.
-  const StackKind kinds[] = {StackKind::kVanilla, StackKind::kStaticSplit,
-                             StackKind::kBlkSwitch, StackKind::kDareBase,
-                             StackKind::kDareFull};
   std::string manifest;
-  for (StackKind kind : kinds) {
-    const ScenarioResult r = RunScenario(GateConfig(kind, /*seed=*/42));
-    EXPECT_GT(r.total_completed, 0u) << StackKindName(kind);
-    manifest += std::string(StackKindName(kind)) + " " +
+  for (const GoldenFingerprint& golden : kGoldenFingerprints) {
+    const ScenarioResult r = RunScenario(GoldenConfig(golden));
+    EXPECT_GT(r.total_completed, 0u) << GoldenName(golden);
+    manifest += GoldenName(golden) + " " +
                 std::to_string(r.SimulationFingerprint()) + " " +
                 std::to_string(r.trace_hash) + "\n";
   }
@@ -398,33 +455,14 @@ TEST(DeterminismGate, FingerprintManifest) {
   }
 }
 
-// Golden faults-off fingerprints for the gate scenario (seed 42), recorded
-// when the fault-injection layer landed. CI additionally regenerates these
-// via FingerprintManifest in both build configs (Debug/invariants-ON and
-// Release/OFF) and diffs them, so the constants are config-independent. A
-// mismatch here means a change moved the fault-free simulation - if that was
-// intentional, update this table in the same commit and say so.
-struct GoldenFingerprint {
-  StackKind kind;
-  uint64_t fingerprint;
-  uint64_t trace_hash;
-};
-constexpr GoldenFingerprint kGoldenFingerprints[] = {
-    {StackKind::kVanilla, 16706100600092867395ull, 4580788066272524879ull},
-    {StackKind::kStaticSplit, 16208319676165017738ull, 10078876820672934669ull},
-    {StackKind::kBlkSwitch, 16616661676804479412ull, 13924621214163013484ull},
-    {StackKind::kDareBase, 13404699886219054779ull, 9808033404675582731ull},
-    {StackKind::kDareFull, 2357443079684649269ull, 14135888807379484863ull},
-};
-
 TEST(DeterminismGate, FaultsOffMatchesRecordedFingerprints) {
   for (const GoldenFingerprint& golden : kGoldenFingerprints) {
-    const ScenarioResult r = RunScenario(GateConfig(golden.kind, /*seed=*/42));
+    const ScenarioResult r = RunScenario(GoldenConfig(golden));
     EXPECT_EQ(r.SimulationFingerprint(), golden.fingerprint)
-        << StackKindName(golden.kind)
+        << GoldenName(golden)
         << ": fault-free fingerprint drifted from the recorded baseline";
     EXPECT_EQ(r.trace_hash, golden.trace_hash)
-        << StackKindName(golden.kind) << ": trace stream drifted";
+        << GoldenName(golden) << ": trace stream drifted";
   }
 }
 
@@ -496,7 +534,7 @@ TEST(DeterminismGate, SloTrackingDoesNotPerturbFingerprints) {
   // way as tracing - each stack's fingerprint AND trace stream must still
   // match the pinned goldens with tracking enabled.
   for (const GoldenFingerprint& golden : kGoldenFingerprints) {
-    ScenarioConfig cfg = GateConfig(golden.kind, /*seed=*/42);
+    ScenarioConfig cfg = GoldenConfig(golden);
     SloSpec spec;
     spec.selector = "L";
     spec.threshold = 300 * kMicrosecond;
@@ -504,12 +542,12 @@ TEST(DeterminismGate, SloTrackingDoesNotPerturbFingerprints) {
     cfg.slos.push_back(spec);
     const ScenarioResult r = RunScenario(cfg);
     EXPECT_FALSE(r.slo.empty())
-        << StackKindName(golden.kind) << ": spec matched no tenant";
+        << GoldenName(golden) << ": spec matched no tenant";
     EXPECT_EQ(r.SimulationFingerprint(), golden.fingerprint)
-        << StackKindName(golden.kind)
+        << GoldenName(golden)
         << ": enabling SLO tracking moved the fingerprint";
     EXPECT_EQ(r.trace_hash, golden.trace_hash)
-        << StackKindName(golden.kind)
+        << GoldenName(golden)
         << ": enabling SLO tracking moved the trace stream";
   }
 }

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -20,7 +19,6 @@
 #include "src/core/invariant.h"
 #include "src/fault/fault_plan.h"
 #include "src/nvme/device.h"
-#include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 #include "src/stack/request.h"
 #include "src/workload/fio_job.h"
@@ -574,22 +572,12 @@ FaultRun RunFaultScenario(StackKind stack_kind, const FaultSpec& fault,
   config.fault_recovery.backoff = TickDuration{100 * kMicrosecond};
   config.fault_recovery.backoff_cap = TickDuration{1 * kMillisecond};
 
-  ScenarioEnv env(config);
-  Rng master(config.seed);
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  uint64_t next_tenant_id = 1;
-  int next_core = 0;
   for (auto& spec : specs) {
     spec.stop_time = 10 * kMillisecond;
-    const int core = next_core;
-    next_core = (next_core + 1) % env.machine().num_cores();
-    jobs.push_back(std::make_unique<FioJob>(
-        &env.machine(), &env.stack(), spec, next_tenant_id++, core,
-        master.Fork(), env.measure_start(), env.measure_end()));
   }
-  for (auto& job : jobs) {
-    job->Start();
-  }
+  config.jobs = std::move(specs);
+  ScenarioEnv env(config);
+  env.Start();
   // Time-bounded drain (not RunUntilIdle: some stacks keep periodic timers
   // armed). 80ms covers the worst retry chain: 4 attempts x (5ms timeout +
   // recovery poll) + backoffs after the last issue at 10ms.
@@ -598,7 +586,7 @@ FaultRun RunFaultScenario(StackKind stack_kind, const FaultSpec& fault,
   FaultRun r;
   FaultPlan* plan = env.fault_plan();
   r.injections = plan != nullptr ? plan->total_injections() : 0;
-  for (const auto& job : jobs) {
+  for (const auto& job : env.jobs()) {
     r.issued += job->total_issued();
     r.completed += job->total_completed();
     r.errored += job->total_errored();

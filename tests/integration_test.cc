@@ -3,7 +3,6 @@
 // Parameterized sweeps (TEST_P) run the invariants over stacks x pressures.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -107,17 +106,7 @@ TEST_P(DaredevilSeparationSweep, GroupsNeverMix) {
   auto* dd = dynamic_cast<DaredevilStack*>(&env.stack());
   ASSERT_NE(dd, nullptr);
 
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  Rng master(cfg.seed);
-  uint64_t tid = 1;
-  int core = 0;
-  for (const auto& spec : cfg.jobs) {
-    jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                            tid++, core, master.Fork(), 0,
-                                            env.measure_end()));
-    core = (core + 1) % env.machine().num_cores();
-    jobs.back()->Start();
-  }
+  env.Start();
   env.sim().RunUntil(env.measure_end());
 
   // High-group NSQs must only have carried L-class traffic; every request an
@@ -139,7 +128,7 @@ TEST_P(DaredevilSeparationSweep, GroupsNeverMix) {
   }
   uint64_t expected_high = 0;
   uint64_t expected_low = 0;
-  for (const auto& job : jobs) {
+  for (const auto& job : env.jobs()) {
     if (job->spec().group == "L") {
       expected_high += job->total_issued();
     }
@@ -148,7 +137,7 @@ TEST_P(DaredevilSeparationSweep, GroupsNeverMix) {
   EXPECT_GE(high_submitted, expected_high);
   // And the low group carried only the remainder.
   uint64_t total_issued = 0;
-  for (const auto& job : jobs) {
+  for (const auto& job : env.jobs()) {
     total_issued += job->total_issued();
   }
   expected_low = total_issued - expected_high;

@@ -49,17 +49,7 @@ TEST_P(GeometrySweep, DaredevilRunsAndSeparates) {
                 dd->nqreg().NsqsOfGroup(NqPrio::kLow).size(),
             static_cast<size_t>(nsq));
 
-  Rng master(cfg.seed);
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  uint64_t tid = 1;
-  int core = 0;
-  for (const auto& spec : cfg.jobs) {
-    jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                            tid++, core, master.Fork(), 0,
-                                            env.measure_end()));
-    core = (core + 1) % cores;
-    jobs.back()->Start();
-  }
+  env.Start();
   env.sim().RunUntil(env.measure_end());
 
   // Traffic flowed and the groups never mixed.
@@ -70,7 +60,7 @@ TEST_P(GeometrySweep, DaredevilRunsAndSeparates) {
   EXPECT_GT(total, 0u);
   uint64_t l_issued = 0;
   uint64_t all_issued = 0;
-  for (const auto& job : jobs) {
+  for (const auto& job : env.jobs()) {
     all_issued += job->total_issued();
     if (job->spec().group == "L") {
       l_issued += job->total_issued();
@@ -308,26 +298,17 @@ TEST(FailureInjection, RandomFaultPlansPreserveConservation) {
 
     // Drained run: jobs stop issuing at 10ms; 80ms covers the worst
     // timeout+retry chain of anything issued before the stop.
-    ScenarioEnv env(cfg);
-    Rng job_rng(cfg.seed);
-    std::vector<std::unique_ptr<FioJob>> jobs;
-    FioJobSpec l = LTenantSpec(0);
-    FioJobSpec t = TTenantSpec(0);
-    uint64_t tid = 1;
-    int core = 0;
-    for (FioJobSpec spec : {l, t}) {
+    cfg.jobs = {LTenantSpec(0), TTenantSpec(0)};
+    for (FioJobSpec& spec : cfg.jobs) {
       spec.stop_time = 10 * kMillisecond;
-      jobs.push_back(std::make_unique<FioJob>(
-          &env.machine(), &env.stack(), spec, tid++, core, job_rng.Fork(),
-          env.measure_start(), env.measure_end()));
-      core = (core + 1) % 2;
-      jobs.back()->Start();
     }
+    ScenarioEnv env(cfg);
+    env.Start();
     env.sim().RunUntil(80 * kMillisecond);
 
     // Per-tenant conservation: issued == completed (errored is a subset of
     // completed: an errored request was still delivered), no pool leaks.
-    for (const auto& job : jobs) {
+    for (const auto& job : env.jobs()) {
       EXPECT_EQ(job->total_issued(), job->total_completed())
           << "trial " << trial << " tenant " << job->spec().name;
       EXPECT_LE(job->total_errored(), job->total_completed());
@@ -347,7 +328,7 @@ TEST(FailureInjection, RandomFaultPlansPreserveConservation) {
       tenant_errors += es.errors;
     }
     uint64_t workload_errors = 0;
-    for (const auto& job : jobs) {
+    for (const auto& job : env.jobs()) {
       workload_errors += job->total_errored();
     }
     EXPECT_EQ(tenant_errors, workload_errors) << "trial " << trial;

@@ -500,7 +500,7 @@ TEST(SloAttributionTest, IndexMatchesAFreshPassPerEpisodeOnARealRun) {
   cfg.slos.push_back(spec);
   CapturedRun run = CaptureRun(cfg);
   ASSERT_GE(run.slo.TotalEpisodes(), 50u);
-  ExpectMatchesReference(run.slo, run.records, run.tenant_names);
+  ExpectMatchesReference(run.slo, run.records, run.env->TenantNames());
 }
 
 TEST(SloAttributionTest, IndexMatchesAFreshPassPerEpisodeOnRandomRecords) {

@@ -399,7 +399,7 @@ TEST(TraceExportTest, RealRunEventsAreStructurallySound) {
     ASSERT_FALSE(run.records.empty());
     const BlockingIntervals intervals(run.records);
     HolbOptions opts;
-    opts.tenant_names = run.tenant_names;
+    opts.tenant_names = run.env->TenantNames();
     AttributeSloEpisodes(run.slo, HolbAnalyzer(run.records, intervals, opts));
     EXPECT_GT(run.slo.TotalEpisodes(), 0u);
     const TraceExportInput input = MakeExportInput(run, &run.slo);

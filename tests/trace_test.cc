@@ -93,17 +93,7 @@ TEST(TraceWiringTest, ScenarioProducesLifecycleEvents) {
 
   ScenarioEnv env(cfg);
   ASSERT_NE(env.trace_log(), nullptr);
-  Rng master(cfg.seed);
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  uint64_t tid = 1;
-  int core = 0;
-  for (const auto& spec : cfg.jobs) {
-    jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                            tid++, core, master.Fork(), 0,
-                                            env.measure_end()));
-    core = (core + 1) % 2;
-    jobs.back()->Start();
-  }
+  env.Start();
   env.sim().RunUntil(env.measure_end());
 
   TraceLog& log = *env.trace_log();

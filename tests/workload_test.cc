@@ -219,15 +219,73 @@ TEST(ScenarioTest, SeriesCollectedWhenRequested) {
 }
 
 TEST(ScenarioTest, ExplicitCoresRespected) {
+  // An explicit core is kept; the other specs take the cores round-robin,
+  // and tenant ids follow spec order from 1.
   ScenarioConfig cfg = TinyConfig(StackKind::kVanilla);
-  FioJobSpec spec = LTenantSpec(0);
-  spec.core = 1;
-  cfg.jobs.push_back(spec);
+  AddLTenants(cfg, 4);
+  cfg.jobs[1].core = 1;
   ScenarioEnv env(cfg);
-  Rng rng(1);
-  FioJob job(&env.machine(), &env.stack(), cfg.jobs[0], 1, cfg.jobs[0].core, rng,
-             0, env.measure_end());
-  EXPECT_EQ(job.tenant().core, 1);
+  env.Start();
+  const int want_cores[] = {0, 1, 1, 0};
+  ASSERT_EQ(env.jobs().size(), 4u);
+  for (size_t i = 0; i < env.jobs().size(); ++i) {
+    EXPECT_EQ(env.jobs()[i]->tenant().core, want_cores[i]) << "spec " << i;
+    EXPECT_EQ(env.jobs()[i]->tenant().id.value(), i + 1) << "spec " << i;
+  }
+}
+
+TEST(ScenarioTest, OpenLoopSpecsJoinTheRun) {
+  // Two bursty sources that overflow max_outstanding, next to FIO jobs,
+  // with a series window and an SLO on their group.
+  ScenarioConfig cfg = TinyConfig(StackKind::kVanilla);
+  AddLTenants(cfg, 1);
+  AddTTenants(cfg, 2);
+  OpenLoopSpec spec;
+  spec.name = "ol0";
+  spec.iops = 20000;
+  spec.burst_prob = 0.3;
+  spec.max_outstanding = 4;
+  cfg.open_loop.push_back(spec);
+  spec.name = "ol1";
+  spec.core = 1;
+  cfg.open_loop.push_back(spec);
+  cfg.series_window = 5 * kMillisecond;
+  SloSpec slo;
+  slo.selector = "OL";
+  slo.threshold = 100 * kMicrosecond;
+  slo.window = kMillisecond;
+  cfg.slos.push_back(slo);
+
+  ScenarioEnv env(cfg);
+  env.Start();
+  env.sim().RunUntil(env.measure_end());
+  const ScenarioResult r = env.Finish();
+  EXPECT_EQ(r.SimulationFingerprint(), RunScenario(cfg).SimulationFingerprint());
+
+  ASSERT_NE(r.Find("OL"), nullptr);
+  EXPECT_GT(r.Find("OL")->ios, 0u);
+  uint64_t arrivals = 0;
+  uint64_t dropped = 0;
+  uint64_t issued = 0;
+  ASSERT_EQ(env.open_loop_jobs().size(), 2u);
+  for (size_t i = 0; i < env.open_loop_jobs().size(); ++i) {
+    OpenLoopJob& src = *env.open_loop_jobs()[i];
+    EXPECT_EQ(src.tenant().id.value(), 4 + i);  // after the 3 FIO jobs
+    arrivals += src.total_arrivals();
+    dropped += src.dropped_arrivals();
+    issued += src.total_issued();
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(r.MetricCount("workload.OL.dropped"), dropped);
+  EXPECT_EQ(issued, arrivals - dropped);
+  EXPECT_EQ(r.MetricCount("workload.OL.issued"), issued);
+  // FIO groups get no dropped gauge, so FIO-only schemas stay unchanged.
+  EXPECT_EQ(r.metrics.count("workload.L.dropped"), 0u);
+
+  ASSERT_EQ(r.latency_series.count("OL"), 1u);
+  EXPECT_GT(r.latency_series.at("OL").num_windows(), 1u);
+  EXPECT_NE(r.slo.Find("ol0"), nullptr);
+  EXPECT_NE(r.slo.Find("ol1"), nullptr);
 }
 
 TEST(ScenarioTest, MakeConfigsMatchPaperSetups) {

@@ -77,8 +77,8 @@
 //                   as "purity-unresolved.<layer>".
 //   fingerprint-taint (taint)
 //                 — observability-only ScenarioConfig fields (export_trace,
-//                   sample_interval, analyze_holb, slos, timeline_capacity,
-//                   trace_capacity) must not flow into code that writes
+//                   sample_interval, analyze_holb, slos, trace_capacity)
+//                   must not flow into code that writes
 //                   fingerprinted state. Region-scoped taint: if/while/for
 //                   conditions taint their controlled blocks, other reads
 //                   taint the enclosing statement. Hard errors;

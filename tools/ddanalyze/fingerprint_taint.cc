@@ -3,9 +3,9 @@
 //
 // SimulationFingerprint hashes ToJson(include_observability=false), so the
 // contract is that flipping export_trace / sample_interval / analyze_holb /
-// slos / timeline_capacity / trace_capacity cannot move a single simulated
-// byte. The determinism gates re-prove that dynamically per scenario; this
-// pass closes the bug class statically: a *read* of one of those fields
+// slos / trace_capacity cannot move a single simulated byte. The
+// determinism gates re-prove that dynamically per scenario; this pass
+// closes the bug class statically: a *read* of one of those fields
 // taints a region — the controlled block (else branch included) when the
 // read sits in an if/while/for condition, otherwise the enclosing statement
 // — and inside a tainted region any write to simulation-owned state, or any
@@ -40,8 +40,8 @@ namespace {
 // here: it sizes the fingerprinted timeseries.dropped_early gauge.
 const std::set<std::string>& ObservabilityFields() {
   static const std::set<std::string> kFields = {
-      "export_trace", "sample_interval", "analyze_holb",
-      "timeline_capacity", "slos", "trace_capacity",
+      "export_trace", "sample_interval", "analyze_holb", "slos",
+      "trace_capacity",
   };
   return kFields;
 }
