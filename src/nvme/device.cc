@@ -29,6 +29,7 @@ Device::Device(Simulator* sim, const DeviceConfig& config)
         QueueId{i}, config_.queue_depth, CoreId{i}));
   }
   armed_words_.assign((nsqs_.size() + 63) / 64, 0);
+  head_pages_.assign(nsqs_.size(), 0);
   uint64_t base = 0;
   ns_base_.reserve(config_.namespace_pages.size());
   for (uint64_t pages : config_.namespace_pages) {
@@ -175,13 +176,10 @@ int Device::SelectNsq() {
       current_sq_ >= 0) {
     burst_limit *= nsqs_[current_sq_]->weight();
   }
-  if (current_sq_ >= 0 && burst_used_ < burst_limit) {
-    SubmissionQueue& sq = *nsqs_[current_sq_];
-    if (sq.armed() &&
-        inflight_pages_ + static_cast<int>(sq.PeekVisible().pages) <=
-            config_.max_inflight_pages) {
-      return current_sq_;
-    }
+  if (current_sq_ >= 0 && burst_used_ < burst_limit && Armed(current_sq_) &&
+      inflight_pages_ + head_pages_[static_cast<size_t>(current_sq_)] <=
+          config_.max_inflight_pages) {
+    return current_sq_;
   }
   // Round-robin scan for the next armed NSQ whose head fits the remaining
   // device capacity (small commands slip past stalled bulky ones). The armed
@@ -202,7 +200,7 @@ int Device::SelectNsq() {
       if (sqid >= end) {
         break;
       }
-      const int head_pages = static_cast<int>(nsqs_[sqid]->PeekVisible().pages);
+      const int head_pages = head_pages_[static_cast<size_t>(sqid)];
       if (inflight_pages_ + head_pages <= config_.max_inflight_pages) {
         current_sq_ = sqid;
         burst_used_ = 0;
@@ -289,10 +287,14 @@ void Device::FinishFetch() {
     return;
   }
   inflight_pages_ += static_cast<int>(cmd.pages);
+  DD_CHECK(FindInflight(cmd.cid) < 0)
+      << "duplicate command id " << cmd.cid << " in flight (NSQ " << cmd.sqid
+      << ", tick " << sim_->now() << ")";
 
-  // Page-done events are scheduled as each page is placed; nothing else
-  // schedules in between, so their seq order is the page order.
-  const uint64_t cid = cmd.cid;
+  // The command's slot is taken before its page-done events, which carry
+  // it. They are scheduled as each page is placed; nothing else schedules in
+  // between, so their seq order is the page order.
+  const uint32_t slot = AllocInflight();
   const uint64_t base = GlobalPage(cmd.nsid, cmd.lba);
   Tick flash_start = 0;
   uint32_t page_events = 1;
@@ -303,7 +305,7 @@ void Device::FinishFetch() {
     // which keeps the lifecycle stamps valid.
     flash_start = sim_->now();
     sim_->At(sim_->now() + config_.flush_exec,
-             [this, cid]() { OnPageDone(cid); });
+             [this, slot]() { OnPageDone(slot); });
     inflight_pages_ -= static_cast<int>(cmd.pages) - 1;
   } else {
     page_events = cmd.pages;
@@ -317,7 +319,7 @@ void Device::FinishFetch() {
       Tick start = 0;
       const Tick done =
           flash_.SchedulePage(sim_->now(), base + p, cmd.is_write, &start);
-      sim_->At(done, [this, cid]() { OnPageDone(cid); });
+      sim_->At(done, [this, slot]() { OnPageDone(slot); });
       flash_start = p == 0 ? start : std::min(flash_start, start);
       if (cmd.is_write && faults_ != nullptr) {
         // Durability hazards are decided here — the same hazard point as
@@ -370,30 +372,42 @@ void Device::FinishFetch() {
                    cmd.sqid, cmd.pages);
   }
 
-  InflightCommand ic;
-  ic.cmd = cmd;
-  ic.pages_remaining = page_events;
-  const bool inserted = inflight_.emplace(cid, ic).second;
-  DD_CHECK(inserted) << "duplicate command id " << cid
-                     << " in flight (NSQ " << cmd.sqid << ", tick "
-                     << sim_->now() << ")";
+  inflight_[slot] = InflightCommand{cmd, page_events};
   ControllerStep();
 }
 
-void Device::OnPageDone(uint64_t cid) {
-  auto it = inflight_.find(cid);
-  DD_CHECK(it != inflight_.end())
-      << "flash page completion for unknown command id " << cid << " at tick "
-      << sim_->now();
-  InflightCommand& ic = it->second;
+uint32_t Device::AllocInflight() {
+  if (inflight_free_.empty()) {
+    inflight_.emplace_back();
+    return static_cast<uint32_t>(inflight_.size() - 1);
+  }
+  const uint32_t slot = inflight_free_.back();
+  inflight_free_.pop_back();
+  return slot;
+}
+
+int Device::FindInflight(uint64_t cid) const {
+  for (size_t i = 0; i < inflight_.size(); ++i) {
+    if (inflight_[i].pages_remaining > 0 && inflight_[i].cmd.cid == cid) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+void Device::OnPageDone(uint32_t slot) {
+  InflightCommand& ic = inflight_[slot];
+  DD_CHECK(ic.pages_remaining > 0)
+      << "flash page completion for free in-flight slot " << slot
+      << " at tick " << sim_->now();
   --ic.pages_remaining;
   --inflight_pages_;
   DD_CHECK_LE(0, inflight_pages_)
-      << "device buffer accounting underflow (cid " << cid << ")";
+      << "device buffer accounting underflow (cid " << ic.cmd.cid << ")";
   ic.last_page_done = sim_->now();
   if (ic.pages_remaining == 0) {
-    InflightCommand done = ic;
-    inflight_.erase(it);
+    const InflightCommand done = ic;
+    inflight_free_.push_back(slot);
     if (done.aborted) {
       // Host-aborted while in flash service: the pages ran to completion
       // (they cannot be recalled from the chips) but no CQE is posted. The
@@ -595,13 +609,23 @@ void Device::Crash() {
   // interrupted rewrite simply never happened), while a first write with
   // nothing to fall back to reads back torn. Recovery must detect the torn
   // pages, never serve them. Ascending cid order: the oldest in-flight write
-  // claims an unmapped page first.
-  for (const auto& [cid, ic] : inflight_) {
-    if (!ic.cmd.is_write || ic.cmd.is_flush || ic.aborted) {
-      continue;
+  // claims an unmapped page first. Slot order is reuse order, so the live
+  // writes are sorted by cid explicitly.
+  std::vector<const NvmeCommand*> writes;
+  for (const InflightCommand& ic : inflight_) {
+    if (ic.pages_remaining > 0 && ic.cmd.is_write && !ic.cmd.is_flush &&
+        !ic.aborted) {
+      writes.push_back(&ic.cmd);
     }
-    const uint64_t base = GlobalPage(ic.cmd.nsid, ic.cmd.lba);
-    persisted_.FillGaps(base, base + ic.cmd.pages, PersistedPage{cid, true});
+  }
+  std::sort(writes.begin(), writes.end(),
+            [](const NvmeCommand* a, const NvmeCommand* b) {
+              return a->cid < b->cid;
+            });
+  for (const NvmeCommand* cmd : writes) {
+    const uint64_t base = GlobalPage(cmd->nsid, cmd->lba);
+    persisted_.FillGaps(base, base + cmd->pages,
+                        PersistedPage{cmd->cid, true});
   }
 }
 
@@ -631,9 +655,8 @@ Device::AbortOutcome Device::AbortCommand(int sqid, uint64_t cid) {
   }
   // (2) In flash service: mark it; the final OnPageDone reclaims and
   // suppresses the CQE (in-flight page events cannot be cancelled).
-  auto it = inflight_.find(cid);
-  if (it != inflight_.end()) {
-    it->second.aborted = true;
+  if (const int slot = FindInflight(cid); slot >= 0) {
+    inflight_[static_cast<size_t>(slot)].aborted = true;
     return AbortOutcome::kAbortedInFlight;
   }
   // (3) Fault-dropped at fetch: the command is already gone; reclaim now.
@@ -664,15 +687,21 @@ void Device::ArmCoalesceTimer(int ncq_id) {
 }
 
 std::vector<NvmeCompletion> Device::DrainCompletions(int ncq_id, size_t max) {
-  CompletionQueue& cq = *ncqs_[ncq_id];
   std::vector<NvmeCompletion> out;
-  out.reserve(std::min(max, cq.pending()));
-  while (out.size() < max && cq.pending() > 0) {
-    out.push_back(cq.Pop());
-    out.back().drained_time = sim_->now();
-  }
-  cq.AddInFlight(-static_cast<int>(out.size()));
+  DrainCompletions(ncq_id, max, &out);
   return out;
+}
+
+void Device::DrainCompletions(int ncq_id, size_t max,
+                              std::vector<NvmeCompletion>* out) {
+  CompletionQueue& cq = *ncqs_[ncq_id];
+  const size_t n = std::min(max, cq.pending());
+  out->reserve(out->size() + n);
+  for (size_t i = 0; i < n; ++i) {
+    out->push_back(cq.Pop());
+    out->back().drained_time = sim_->now();
+  }
+  cq.AddInFlight(-static_cast<int>(n));
 }
 
 void Device::IrqDone(int ncq_id) {

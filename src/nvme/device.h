@@ -20,9 +20,7 @@
 #define DAREDEVIL_SRC_NVME_DEVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -34,6 +32,7 @@
 #include "src/nvme/flash.h"
 #include "src/nvme/queues.h"
 #include "src/sim/clock.h"
+#include "src/sim/ring_fifo.h"
 #include "src/sim/simulator.h"
 #include "src/sim/trace.h"
 
@@ -136,6 +135,10 @@ class Device {
   // --- Host-side completion path ---------------------------------------
   // Drains up to `max` completions from an NCQ (driver ISR body).
   std::vector<NvmeCompletion> DrainCompletions(int ncq_id, size_t max);
+  // The same drain, appended to a caller-owned batch, so a driver that
+  // keeps one batch per NCQ drains without allocating.
+  void DrainCompletions(int ncq_id, size_t max,
+                        std::vector<NvmeCompletion>* out);
   // Unmasks the NCQ vector; re-raises immediately if entries are pending.
   void IrqDone(int ncq_id);
 
@@ -210,6 +213,8 @@ class Device {
   uint64_t fua_persists() const { return fua_persists_; }
 
  private:
+  // One slot of the in-flight table. A slot is live while pages_remaining
+  // is above zero: from the fetch that takes it to the last page-done event.
   struct InflightCommand {
     NvmeCommand cmd;
     uint32_t pages_remaining = 0;
@@ -232,16 +237,24 @@ class Device {
   // that exceed remaining device capacity). Returns -1 when nothing is
   // fetchable.
   int SelectNsq();
-  // Mirrors nsqs_[sqid]->armed() into armed_words_ after any operation that
-  // can change doorbell visibility (ring, fetch, abort-removal). SelectNsq
-  // scans this bitmap instead of chasing every queue pointer per step.
+  // Mirrors nsqs_[sqid]->armed() into armed_words_, and an armed queue's
+  // head command size into head_pages_, after any operation that can change
+  // doorbell visibility or the visible head (ring, fetch, abort-removal).
+  // SelectNsq reads only these two arrays instead of chasing every queue
+  // pointer per step.
   void SyncArmed(int sqid) {
+    const SubmissionQueue& sq = *nsqs_[static_cast<size_t>(sqid)];
     const uint64_t bit = 1ull << (sqid & 63);
-    if (nsqs_[static_cast<size_t>(sqid)]->armed()) {
+    if (sq.armed()) {
       armed_words_[static_cast<size_t>(sqid) >> 6] |= bit;
+      head_pages_[static_cast<size_t>(sqid)] =
+          static_cast<int>(sq.PeekVisible().pages);
     } else {
       armed_words_[static_cast<size_t>(sqid) >> 6] &= ~bit;
     }
+  }
+  bool Armed(int sqid) const {
+    return (armed_words_[static_cast<size_t>(sqid) >> 6] >> (sqid & 63)) & 1;
   }
   bool AnyArmed() const {
     for (const uint64_t w : armed_words_) {
@@ -255,10 +268,15 @@ class Device {
   // Fetch-delay expiry for the command parked in fetching_. The fetch pipe is
   // single-entry (fetch_busy_), so the scheduled event captures only `this`.
   void FinishFetch();
-  void OnPageDone(uint64_t cid);
+  // Takes an in-flight slot (the most recently freed one first).
+  uint32_t AllocInflight();
+  // Slot of the live in-flight command `cid`, or -1. A scan: it runs on the
+  // abort path and in invariant checks only.
+  int FindInflight(uint64_t cid) const;
+  void OnPageDone(uint32_t slot);
   void PostCompletion(const InflightCommand& ic);
   // Completion-post delay expiry: posts the front of completion_pending_.
-  // The post delay is one constant, so deque FIFO order is event order.
+  // The post delay is one constant, so FIFO order is event order.
   void PostPendingCompletion();
   void RaiseIrq(int ncq_id);
   void ArmCoalesceTimer(int ncq_id);
@@ -277,10 +295,10 @@ class Device {
   bool fetch_busy_ = false;
   // The command occupying the single-entry fetch pipe (valid while
   // fetch_busy_) and completed commands awaiting the completion-post delay:
-  // parked in members/deques so their events stay within EventFn's inline
+  // parked in members/rings so their events stay within EventFn's inline
   // capture budget.
   NvmeCommand fetching_;
-  std::deque<InflightCommand> completion_pending_;
+  RingFifo<InflightCommand> completion_pending_;
   bool stalled_ = false;
   Tick stall_since_ = 0;
   // Smallest armed head (in pages) the last failed SelectNsq scan saw. While
@@ -290,13 +308,21 @@ class Device {
   int stall_min_head_pages_ = 0;
   // One bit per NSQ, set iff armed() (kept in sync by SyncArmed).
   std::vector<uint64_t> armed_words_;
+  // Per NSQ: pages of the visible head command, valid while its armed bit is
+  // set (kept in sync by SyncArmed).
+  std::vector<int> head_pages_;
   int rr_next_ = 0;      // next NSQ for round-robin scan
   int current_sq_ = -1;  // NSQ currently holding the burst
   int burst_used_ = 0;
   int inflight_pages_ = 0;
-  // Ordered by command id: the in-flight table sits on the completion path,
-  // where unordered iteration order would be seed-dependent nondeterminism.
-  std::map<uint64_t, InflightCommand> inflight_;
+  // The in-flight table: commands in flash service (or FLUSH execution),
+  // addressed by slot. FinishFetch takes a slot and the command's page-done
+  // events carry it, so the per-page path is an index, not a lookup. Freed
+  // slots are reused last-in first-out. Nothing on the simulated path walks
+  // the table in slot order: AbortCommand matches by cid and Crash() sorts
+  // by cid.
+  std::vector<InflightCommand> inflight_;
+  std::vector<uint32_t> inflight_free_;
 
   uint64_t commands_fetched_ = 0;
   uint64_t commands_completed_ = 0;
@@ -308,8 +334,8 @@ class Device {
   // this is simulation state on the abort path.
   std::set<uint64_t> dropped_cids_;
   // Commands aborted in the completion-post gap (after the last flash page
-  // retired the inflight_ entry, before PostCompletion ran): PostCompletion
-  // consumes the cid and suppresses the CQE.
+  // freed the command's inflight_ slot, before PostCompletion ran):
+  // PostCompletion consumes the cid and suppresses the CQE.
   std::set<uint64_t> aborted_cids_;
   uint64_t commands_errored_ = 0;
   uint64_t commands_dropped_ = 0;

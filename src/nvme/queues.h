@@ -9,12 +9,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 
 #include "src/core/invariant.h"
 #include "src/core/types.h"
 #include "src/nvme/command.h"
 #include "src/sim/clock.h"
+#include "src/sim/ring_fifo.h"
 
 namespace daredevil {
 
@@ -82,7 +82,7 @@ class SubmissionQueue {
       if (entries_[i].cid != cid) {
         continue;
       }
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+      entries_.erase_at(i);
       if (i < visible_) {
         --visible_;
       }
@@ -122,7 +122,7 @@ class SubmissionQueue {
   QueueId id_;
   int depth_;
   int weight_ = 1;
-  std::deque<NvmeCommand> entries_;
+  RingFifo<NvmeCommand> entries_;
   size_t visible_ = 0;
   Tick lock_free_at_ = 0;
   CoreId last_core_ = kNoCore;
@@ -196,7 +196,7 @@ class CompletionQueue {
   bool polled_ = false;
   bool irq_masked_ = false;
   bool timer_armed_ = false;
-  std::deque<NvmeCompletion> entries_;
+  RingFifo<NvmeCompletion> entries_;
   int64_t in_flight_rqs_ = 0;
   uint64_t complete_rqs_ = 0;
   uint64_t irqs_ = 0;

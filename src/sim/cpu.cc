@@ -32,8 +32,22 @@ TickDuration CpuCore::total_busy_ns() const {
 }
 
 TickDuration CpuCore::TenantBusyNs(TenantId tenant) const {
-  auto it = tenant_busy_ns_.find(tenant);
-  return it == tenant_busy_ns_.end() ? TickDuration{} : it->second;
+  for (const auto& [id, busy] : tenant_busy_ns_) {
+    if (id == tenant) {
+      return busy;
+    }
+  }
+  return TickDuration{};
+}
+
+void CpuCore::ChargeTenant(TenantId tenant, TickDuration cost) {
+  for (auto& [id, busy] : tenant_busy_ns_) {
+    if (id == tenant) {
+      busy += cost;
+      return;
+    }
+  }
+  tenant_busy_ns_.emplace_back(tenant, cost);
 }
 
 void CpuCore::MaybeRun() {
@@ -61,7 +75,7 @@ void CpuCore::FinishCurrent() {
   const TickDuration cost = current_cost_;
   busy_ns_[static_cast<int>(current_.level)] += cost;
   if (current_.tenant != kNoTenant) {
-    tenant_busy_ns_[current_.tenant] += cost;
+    ChargeTenant(current_.tenant, cost);
   }
   ++items_executed_;
   // Move the callback out before dropping running_: the callback may post

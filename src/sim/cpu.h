@@ -10,14 +10,14 @@
 #define DAREDEVIL_SRC_SIM_CPU_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/types.h"
 #include "src/sim/clock.h"
 #include "src/sim/engine/event_fn.h"
+#include "src/sim/ring_fifo.h"
 #include "src/sim/simulator.h"
 
 namespace daredevil {
@@ -71,19 +71,24 @@ class CpuCore {
   // in-flight item lives in a member so the scheduled event captures only
   // `this` and stays inside EventFn's inline storage.
   void FinishCurrent();
+  void ChargeTenant(TenantId tenant, TickDuration cost);
 
   Simulator* sim_;
   CoreId id_;
   TickDuration dispatch_overhead_;
-  std::deque<Work> queues_[kNumWorkLevels];
+  RingFifo<Work> queues_[kNumWorkLevels];
   bool running_ = false;
   Work current_{};         // valid only while running_
   TickDuration current_cost_;  // dispatch overhead + current_.duration
   TickDuration busy_ns_[kNumWorkLevels];
   uint64_t items_executed_ = 0;
-  // Ordered so any future iteration (per-tenant accounting dumps) is
-  // deterministic; unordered iteration here is seed-dependent DES poison.
-  std::map<TenantId, TickDuration> tenant_busy_ns_;
+  // CPU time per tenant, in first-run order, searched linearly; it
+  // allocates only when a tenant first runs on this core. The most any
+  // bench puts on one core is 18 tenants (bench_fig09's 2-core, 32-T cell),
+  // 23 once blk-switch migrates them. At those counts, and at 63-68 per
+  // core (ddsim_cli --cores=2 --t=200), whole runs time the same as with a
+  // std::map.
+  std::vector<std::pair<TenantId, TickDuration>> tenant_busy_ns_;
 };
 
 // A set of cores sharing one simulator, plus cross-core signalling costs.
@@ -122,8 +127,8 @@ class Machine {
 
  private:
   // Delivery of the front of cross_pending_ after the wakeup delay. The
-  // payload waits in the deque so the scheduled event captures only `this`;
-  // the wakeup delay is one constant, so deque FIFO order is event order.
+  // payload waits in the ring so the scheduled event captures only `this`;
+  // the wakeup delay is one constant, so FIFO order is event order.
   void DeliverCrossPost();
 
   struct CrossPost {
@@ -137,7 +142,7 @@ class Machine {
   Simulator* sim_;
   Config config_;
   std::vector<std::unique_ptr<CpuCore>> cores_;
-  std::deque<CrossPost> cross_pending_;
+  RingFifo<CrossPost> cross_pending_;
   uint64_t cross_core_posts_ = 0;
 };
 

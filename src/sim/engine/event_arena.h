@@ -3,9 +3,12 @@
 // Event records are pool-allocated in fixed-size slabs and recycled through
 // an intrusive freelist, so the steady-state schedule/dispatch cycle performs
 // zero heap allocations: a slab is carved only when the number of events
-// simultaneously pending exceeds every previous high-water mark. Slots carry
-// a generation counter that advances on every free, which is what makes
-// TimerHandles safe against slot reuse.
+// simultaneously pending exceeds every previous high-water mark. Slabs are
+// separate heap arrays, so growth never moves a record: a callable may run in
+// place in its record while the events it schedules grow the arena. Slots
+// carry a generation counter that advances when the event leaves the queue
+// (popped to fire, or its tombstone freed), which is what makes TimerHandles
+// safe against slot reuse.
 #ifndef DAREDEVIL_SRC_SIM_ENGINE_EVENT_ARENA_H_
 #define DAREDEVIL_SRC_SIM_ENGINE_EVENT_ARENA_H_
 
@@ -62,15 +65,22 @@ class EventArena {
     return idx;
   }
 
-  // Recycles a slot: destroys the callable, advances the generation (killing
-  // any outstanding TimerHandle to this slot), and pushes it on the freelist.
-  void Free(uint32_t idx) {
+  // Recycles a slot whose generation already advanced (an event popped to
+  // fire, after its callable ran): destroys the callable and pushes the slot
+  // on the freelist.
+  void Recycle(uint32_t idx) {
     EventRecord& rec = slot(idx);
     rec.fn.Reset();
-    ++rec.gen;
     rec.cancelled = false;
     rec.next = free_head_;
     free_head_ = idx;
+  }
+
+  // Recycles a cancelled event's tombstone, advancing the generation first
+  // (killing any outstanding TimerHandle to this slot).
+  void Free(uint32_t idx) {
+    ++slot(idx).gen;
+    Recycle(idx);
   }
 
  private:

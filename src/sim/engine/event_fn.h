@@ -32,7 +32,17 @@ class EventFn {
                 !std::is_same_v<std::decay_t<F>, EventFn> &&
                 !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
+    Emplace(std::forward<F>(f));
+  }
+
+  // Constructs the callable straight into this EventFn, which must be empty.
+  // The engine schedules every event this way, building the callable in its
+  // arena record: no temporary EventFn, no relocation.
+  template <typename F>
+  void Emplace(F&& f) {
     using D = std::decay_t<F>;
+    static_assert(!std::is_same_v<D, EventFn>,
+                  "schedule the callable itself, not an EventFn wrapping it");
     static_assert(sizeof(D) <= kInlineBytes,
                   "capture too large for EventFn's inline storage: move bulky "
                   "state into a member or pending queue at the call site");

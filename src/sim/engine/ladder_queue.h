@@ -123,10 +123,12 @@ class LadderQueue {
   LadderQueue(const LadderQueue&) = delete;
   LadderQueue& operator=(const LadderQueue&) = delete;
 
-  // Schedules fn at absolute tick `at`. The engine owns clamp semantics:
-  // a tick in the past (at < now) is clamped to now and counted, so every
-  // caller shares one past-time policy. Returns a cancellation handle.
-  TimerHandle Push(Tick now, Tick at, EventFn fn) {
+  // Schedules fn at absolute tick `at`, constructing the callable straight
+  // into the event's arena record. The engine owns clamp semantics: a tick in
+  // the past (at < now) is clamped to now and counted, so every caller shares
+  // one past-time policy. Returns a cancellation handle.
+  template <typename F>
+  TimerHandle Push(Tick now, Tick at, F&& fn) {
     if (at < now) {
       at = now;
       ++clamped_;
@@ -136,7 +138,7 @@ class LadderQueue {
     EventRecord& rec = arena_.slot(slot);
     rec.at = at;
     rec.seq = next_seq_++;
-    rec.fn = std::move(fn);
+    rec.fn.Emplace(std::forward<F>(fn));
     if (CoarseOf(at) < coarse_next_ + kCoarseCount) {
       Place(at, slot);
     } else {
@@ -167,14 +169,17 @@ class LadderQueue {
   }
 
   // Pops the earliest live event whose tick is <= limit, writing its tick to
-  // *at and moving its callable into *out. Returns false (popping nothing)
-  // when the queue is empty or the earliest event lies beyond the limit.
+  // *at and returning its slot, which the caller hands to Fire(). Returns
+  // kNilEvent (popping nothing) when the queue is empty or the earliest event
+  // lies beyond the limit. The popped record is unlinked from its chain and
+  // its generation advanced, so a handle to it is already stale (Cancel
+  // returns false); until Fire() it is on no chain and not on the freelist.
   // Every fine event precedes every coarse event, which precedes every heap
   // event, so the earliest event is the head of the first occupied bucket of
   // the first non-empty rung (for the coarse rung: the earliest event of an
   // unsorted chain). The window only slides to the tick of a live event, so
   // it never passes the clock.
-  bool PopEarliest(Tick limit, Tick* at, EventFn* out) {
+  uint32_t PopEarliest(Tick limit, Tick* at) {
     for (;;) {
       Tick tick;
       const int idx = fine_bits_.FirstCyclic(BucketOf(window_start_));
@@ -190,12 +195,12 @@ class LadderQueue {
       } else {
         PurgeOverflowTombstones();
         if (overflow_.empty()) {
-          return false;
+          return kNilEvent;
         }
         tick = overflow_.front().at;
       }
       if (tick > limit) {
-        return false;
+        return kNilEvent;
       }
       // The popped tick is the new clock: slide the window, demoting the
       // coarse buckets and heap events that now fit (the popped event among
@@ -210,12 +215,19 @@ class LadderQueue {
         c.tail = kNilEvent;
         fine_bits_.Clear(b);
       }
-      *out = std::move(rec.fn);
-      arena_.Free(slot);
+      ++rec.gen;
       --live_;
       *at = tick;
-      return true;
+      return slot;
     }
+  }
+
+  // Runs a popped event's callable in place in its record, then recycles the
+  // slot. The callable may schedule (growing the arena never moves the
+  // record) and cancel other events.
+  void Fire(uint32_t slot) {
+    arena_.slot(slot).fn();
+    arena_.Recycle(slot);
   }
 
   bool empty() const { return live_ == 0; }

@@ -1,16 +1,15 @@
 #include "src/sim/simulator.h"
 
 #include <limits>
-#include <utility>
 
 #include "src/core/invariant.h"
 
 namespace daredevil {
 
-bool Simulator::Step() {
+inline bool Simulator::FireNext(Tick limit) {
   Tick at = 0;
-  EventFn fn;
-  if (!engine_.PopEarliest(std::numeric_limits<Tick>::max(), &at, &fn)) {
+  const uint32_t slot = engine_.PopEarliest(limit, &at);
+  if (slot == kNilEvent) {
     return false;
   }
   // Pop-time monotonicity: the DES clock must never move backwards. The
@@ -19,21 +18,19 @@ bool Simulator::Step() {
   DD_CHECK_LE(now_, at) << "event-engine pop-time regression";
   now_ = at;
   ++events_processed_;
-  fn();
+  engine_.Fire(slot);
   return true;
 }
 
+bool Simulator::Step() {
+  return FireNext(std::numeric_limits<Tick>::max());
+}
+
 void Simulator::RunUntil(Tick t) {
-  Tick at = 0;
-  EventFn fn;
-  // Fused find-and-pop: one engine call per event, same-tick batches drain
-  // off one bucket chain (including events the callbacks schedule at the
-  // current tick, which fire in this same pass).
-  while (engine_.PopEarliest(t, &at, &fn)) {
-    DD_CHECK_LE(now_, at) << "event-engine pop-time regression";
-    now_ = at;
-    ++events_processed_;
-    fn();
+  // One engine pop per event; same-tick batches drain off one bucket chain
+  // (including events the callbacks schedule at the current tick, which
+  // fire in this same pass).
+  while (FireNext(t)) {
   }
   if (now_ < t) {
     now_ = t;
@@ -41,13 +38,7 @@ void Simulator::RunUntil(Tick t) {
 }
 
 void Simulator::RunUntilIdle() {
-  Tick at = 0;
-  EventFn fn;
-  while (engine_.PopEarliest(std::numeric_limits<Tick>::max(), &at, &fn)) {
-    DD_CHECK_LE(now_, at) << "event-engine pop-time regression";
-    now_ = at;
-    ++events_processed_;
-    fn();
+  while (FireNext(std::numeric_limits<Tick>::max())) {
   }
 }
 

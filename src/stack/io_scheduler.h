@@ -13,11 +13,11 @@
 #define DAREDEVIL_SRC_STACK_IO_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string_view>
 
 #include "src/sim/clock.h"
+#include "src/sim/ring_fifo.h"
 #include "src/stack/request.h"
 
 namespace daredevil {
@@ -51,7 +51,7 @@ class NoopScheduler : public IoScheduler {
   std::string_view name() const override { return "noop"; }
 
  private:
-  std::deque<Request*> fifo_;
+  RingFifo<Request*> fifo_;
 };
 
 // mq-deadline-like: reads and writes queue separately with per-class
@@ -84,8 +84,8 @@ class DeadlineScheduler : public IoScheduler {
   };
 
   Config config_;
-  std::deque<Entry> reads_;
-  std::deque<Entry> writes_;
+  RingFifo<Entry> reads_;
+  RingFifo<Entry> writes_;
   int batch_credit_ = 0;
   bool write_served_last_ = false;  // starvation guard: alternate under expiry
   uint64_t expired_writes_served_ = 0;

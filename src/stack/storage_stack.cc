@@ -19,6 +19,7 @@ int StorageStack::PendingDoorbells() const {
 StorageStack::StorageStack(Machine* machine, Device* device, const StackCosts& costs)
     : machine_(machine), device_(device), costs_(costs) {
   doorbells_.resize(static_cast<size_t>(device->nr_nsq()));
+  isr_batches_.resize(static_cast<size_t>(device->nr_ncq()));
   AssignIrqCoresRoundRobin();
   // The kernel default completes requests in (mild) batches (§2.1).
   for (int i = 0; i < device_->nr_ncq(); ++i) {
@@ -372,22 +373,30 @@ void StorageStack::OnDeviceIrq(int ncq_id) {
 }
 
 void StorageStack::IsrBody(int ncq_id) {
-  auto cqes = device_->DrainCompletions(
-      ncq_id, static_cast<size_t>(device_->config().queue_depth));
+  // The NCQ's vector stays masked from the IRQ (or its delayed delivery)
+  // until IrqDone, so at most one batch per NCQ is ever in flight. Were that
+  // broken in a build without invariants, the drain appends: the earlier
+  // CQEs would be delivered with this batch, not lost.
+  std::vector<NvmeCompletion>& batch = isr_batches_[static_cast<size_t>(ncq_id)];
+  DD_CHECK(batch.empty()) << "ISR for NCQ " << ncq_id
+                          << " while its previous batch is undelivered";
+  device_->DrainCompletions(
+      ncq_id, static_cast<size_t>(device_->config().queue_depth), &batch);
   const int irq_core = device_->ncq(ncq_id).irq_core().value();
-  if (cqes.empty()) {
+  if (batch.empty()) {
     device_->IrqDone(ncq_id);
     return;
   }
   // Charge per-CQE processing, then deliver and unmask.
-  const TickDuration work = static_cast<Tick>(cqes.size()) * costs_.isr_per_cqe;
-  machine_->Post(irq_core, WorkLevel::kIrq, work,
-                 [this, ncq_id, irq_core, cqes = std::move(cqes)]() {
-                   for (const auto& cqe : cqes) {
-                     DeliverCompletion(cqe, ncq_id, irq_core);
-                   }
-                   device_->IrqDone(ncq_id);
-                 });
+  const TickDuration work = static_cast<Tick>(batch.size()) * costs_.isr_per_cqe;
+  machine_->Post(irq_core, WorkLevel::kIrq, work, [this, ncq_id, irq_core]() {
+    std::vector<NvmeCompletion>& cqes = isr_batches_[static_cast<size_t>(ncq_id)];
+    for (const auto& cqe : cqes) {
+      DeliverCompletion(cqe, ncq_id, irq_core);
+    }
+    cqes.clear();
+    device_->IrqDone(ncq_id);
+  });
 }
 
 void StorageStack::DeliverCompletion(const NvmeCompletion& cqe, int ncq_id,

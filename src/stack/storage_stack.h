@@ -255,6 +255,10 @@ class StorageStack {
     bool timer_armed = false;
   };
   std::vector<DoorbellState> doorbells_;
+  // Per NCQ: the completions IsrBody drained, awaiting delivery on the IRQ
+  // core. Reused across interrupts, so the ISR allocates nothing once each
+  // batch has reached its high-water size.
+  std::vector<std::vector<NvmeCompletion>> isr_batches_;
 
   struct SplitJob {
     Request* parent = nullptr;

@@ -584,5 +584,46 @@ TEST(CrashModelTest, InFlightRewriteKeepsPriorDurableVersion) {
   EXPECT_EQ(pv.cid, v1_cid);
 }
 
+TEST(CrashModelTest, OverlappingInFlightFirstWritesGoToTheLowerCid) {
+  // A bare device, so the test picks the cids and the fetch order. The
+  // in-flight table reuses the most recently freed slot first.
+  Simulator sim;
+  Device device(&sim, DeviceConfig{});
+  device.SetIrqHandler([](int) {});
+  auto cmd = [](uint64_t cid, uint64_t lba, uint32_t pages, bool write) {
+    NvmeCommand c;
+    c.cid = cid;
+    c.lba = Lba{lba};
+    c.pages = pages;
+    c.is_write = write;
+    return c;
+  };
+  // cid 1, a one-page read, is fetched into slot 0; cid 2, a 128-page write
+  // (four programs per chip), into slot 1.
+  ASSERT_TRUE(device.Enqueue(0, cmd(1, /*lba=*/1000, 1, /*write=*/false)));
+  ASSERT_TRUE(device.Enqueue(0, cmd(2, /*lba=*/0, 128, /*write=*/true)));
+  device.RingDoorbell(0);
+  while (device.commands_completed() == 0 && sim.Step()) {
+  }
+  ASSERT_EQ(device.commands_completed(), 1u);
+  // The read freed slot 0; cid 3, a write over cid 2's pages 8..15, takes
+  // it. The lower cid now sits in the higher slot, both still in flight.
+  ASSERT_TRUE(device.Enqueue(0, cmd(3, /*lba=*/8, 8, /*write=*/true)));
+  device.RingDoorbell(0);
+  while (device.commands_fetched() < 3 && sim.Step()) {
+  }
+  ASSERT_EQ(device.commands_fetched(), 3u);
+  ASSERT_EQ(device.commands_completed(), 1u);
+  device.Crash();
+  // Neither write has a durable prior, so every page reads back torn, and
+  // the oldest in-flight write (cid 2) claims each unmapped page first.
+  for (const uint64_t lba : {0, 8, 15, 16, 127}) {
+    const PersistedPageView pv = device.PersistedAt(0, Lba{lba});
+    EXPECT_TRUE(pv.present) << "lba " << lba;
+    EXPECT_TRUE(pv.torn) << "lba " << lba;
+    EXPECT_EQ(pv.cid, 2u) << "lba " << lba;
+  }
+}
+
 }  // namespace
 }  // namespace daredevil

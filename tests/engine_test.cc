@@ -1,8 +1,9 @@
 // Unit tests for the zero-allocation event engine (src/sim/engine/):
 // ladder-queue ordering across bucket and window boundaries, demotion from
 // the coarse rung and the overflow heap, cancellation semantics, the
-// centralized past-time clamp, and two determinism gates against a reference
-// binary-heap queue (a recorded schedule, and a callback-driven workload).
+// centralized past-time clamp, in-place firing, and two determinism gates
+// against a reference binary-heap queue (a recorded schedule, and a
+// callback-driven workload).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/engine/event_arena.h"
 #include "src/sim/engine/event_fn.h"
 #include "src/sim/engine/ladder_queue.h"
 #include "src/sim/engine/timer_handle.h"
@@ -23,13 +25,22 @@ namespace {
 
 constexpr Tick kWindow = static_cast<Tick>(LadderQueue::kBucketCount);
 
+// Pops the earliest event and runs its callable in place, as Simulator's
+// loop does. Returns false when the queue is empty.
+bool PopAndFire(LadderQueue& q, Tick* at) {
+  const uint32_t slot = q.PopEarliest(INT64_MAX, at);
+  if (slot == kNilEvent) {
+    return false;
+  }
+  q.Fire(slot);
+  return true;
+}
+
 // Drains the queue. Each callback appends one (0, tag) entry to `fired`;
 // the drain then stamps the actual pop tick onto the entry it appended.
 void DrainAll(LadderQueue& q, std::vector<std::pair<Tick, int>>& fired) {
   Tick at = 0;
-  EventFn fn;
-  while (q.PopEarliest(INT64_MAX, &at, &fn)) {
-    fn();
+  while (PopAndFire(q, &at)) {
     ASSERT_FALSE(fired.empty());
     fired.back().first = at;
   }
@@ -143,15 +154,12 @@ TEST(LadderQueueTest, RefillPreservesSeqOrderAgainstLaterPushes) {
   std::vector<int> order;
   q.Push(0, far, [&order]() { order.push_back(1); });  // beyond the fine rung
   Tick at = 0;
-  EventFn fn;
   // A near event whose pop slides the window far enough to demote nothing;
   // then push a same-tick rival AFTER the spill (still before demotion).
   q.Push(0, 5, [&order]() { order.push_back(0); });
-  ASSERT_TRUE(q.PopEarliest(INT64_MAX, &at, &fn));
-  fn();
+  ASSERT_TRUE(PopAndFire(q, &at));
   q.Push(at, far, [&order]() { order.push_back(2); });
-  while (q.PopEarliest(INT64_MAX, &at, &fn)) {
-    fn();
+  while (PopAndFire(q, &at)) {
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -165,8 +173,7 @@ TEST(LadderQueueTest, CancelBeforeFire) {
   EXPECT_EQ(q.live(), 0u);
   EXPECT_EQ(q.cancelled(), 1u);
   Tick at = 0;
-  EventFn fn;
-  EXPECT_FALSE(q.PopEarliest(INT64_MAX, &at, &fn));
+  EXPECT_FALSE(PopAndFire(q, &at));
   EXPECT_FALSE(fired);
 }
 
@@ -174,9 +181,7 @@ TEST(LadderQueueTest, CancelAfterFireIsStale) {
   LadderQueue q;
   TimerHandle h = q.Push(0, 10, []() {});
   Tick at = 0;
-  EventFn fn;
-  ASSERT_TRUE(q.PopEarliest(INT64_MAX, &at, &fn));
-  fn();
+  ASSERT_TRUE(PopAndFire(q, &at));
   // The slot was freed (and its generation bumped): the handle is stale.
   EXPECT_FALSE(q.Cancel(h));
   EXPECT_EQ(q.cancelled(), 0u);
@@ -199,10 +204,8 @@ TEST(LadderQueueTest, CancelledOverflowEventNeverFires) {
   q.Push(0, 10 * kWindow, [&other]() { other = true; });
   EXPECT_TRUE(q.Cancel(h));
   Tick at = 0;
-  EventFn fn;
-  ASSERT_TRUE(q.PopEarliest(INT64_MAX, &at, &fn));
-  fn();
-  EXPECT_FALSE(q.PopEarliest(INT64_MAX, &at, &fn));
+  ASSERT_TRUE(PopAndFire(q, &at));
+  EXPECT_FALSE(PopAndFire(q, &at));
   EXPECT_FALSE(fired);
   EXPECT_TRUE(other);
   EXPECT_EQ(at, 10 * kWindow);
@@ -218,9 +221,7 @@ TEST(LadderQueueTest, PastTimePushClampsAndCounts) {
   q.Push(100, 40, [&order]() { order.push_back(1); });  // the past: clamps
   EXPECT_EQ(q.clamped(), 1u);
   Tick at = 0;
-  EventFn fn;
-  while (q.PopEarliest(INT64_MAX, &at, &fn)) {
-    fn();
+  while (PopAndFire(q, &at)) {
     EXPECT_EQ(at, 100);
   }
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
@@ -250,6 +251,65 @@ TEST(SimulatorEngineTest, CancelThroughSimulatorApi) {
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.cancelled_events(), 1u);
   EXPECT_EQ(sim.events_processed(), 0u);
+}
+
+// --- In-place firing --------------------------------------------------------
+//
+// The callable runs in its arena record: popped (generation advanced) but not
+// yet recycled while it executes.
+
+TEST(SimulatorEngineTest, CallbackCancellingItsOwnHandleGetsFalse) {
+  Simulator sim;
+  TimerHandle h;
+  bool cancelled = true;
+  bool finished = false;
+  h = sim.ScheduleAfter(TickDuration{10}, [&sim, &h, &cancelled, &finished]() {
+    cancelled = sim.Cancel(h);  // the handle went stale at pop
+    finished = true;
+  });
+  sim.RunUntilIdle();
+  EXPECT_FALSE(cancelled);
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(sim.cancelled_events(), 0u);
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(SimulatorEngineTest, CallbackReadsCapturesAfterArenaGrowsUnderIt) {
+  Simulator sim;
+  constexpr uint32_t kScheduled = 2 * EventArena::kSlabSize;
+  uint64_t seen_a = 0;
+  uint64_t seen_b = 0;
+  size_t pending = 0;
+  int fired = 0;
+  const uint64_t a = 0x0123456789abcdefull;
+  const uint64_t b = 0xfedcba9876543210ull;
+  // The first event sits in the first slab; scheduling 2 slabs' worth of
+  // events from inside it grows the arena by two slabs while it runs.
+  sim.At(1, [&sim, &seen_a, &seen_b, &pending, &fired, a, b]() {
+    for (uint32_t i = 0; i < kScheduled; ++i) {
+      sim.At(2, [&fired]() { ++fired; });
+    }
+    pending = sim.pending_events();
+    seen_a = a;  // read from the record after the growth
+    seen_b = b;
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(seen_a, a);
+  EXPECT_EQ(seen_b, b);
+  EXPECT_EQ(pending, kScheduled);
+  EXPECT_EQ(fired, static_cast<int>(kScheduled));
+  EXPECT_EQ(sim.events_processed(), kScheduled + 1u);
+}
+
+TEST(SimulatorEngineTest, PendingEventsInsideCallbackExcludesFiringEvent) {
+  Simulator sim;
+  size_t inside = 99;
+  sim.At(5, [&sim, &inside]() { inside = sim.pending_events(); });
+  sim.At(7, []() {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(inside, 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 // --- Old-vs-new determinism gate -----------------------------------------

@@ -391,6 +391,32 @@ TEST_F(FaultDeviceTest, AbortInFlashServiceSuppressesCompletion) {
   EXPECT_EQ(device_.commands_completed(), 1u);
 }
 
+TEST_F(FaultDeviceTest, AbortFindsCommandInRecycledSlotByCid) {
+  // cid 1 completes and frees its in-flight slot; cid 2, a bulky write,
+  // takes that same slot (the most recently freed one is reused first).
+  ASSERT_TRUE(device_.Enqueue(0, MakeCmd(1)));
+  device_.RingDoorbell(0);
+  sim_.RunUntilIdle();
+  ASSERT_EQ(device_.commands_completed(), 1u);
+  ASSERT_TRUE(device_.Enqueue(0, MakeCmd(2, /*pages=*/8, /*write=*/true)));
+  device_.RingDoorbell(0);
+  ASSERT_TRUE(RunUntilCondition([&] { return device_.commands_fetched() == 2; },
+                                kMicrosecond, 5 * kMillisecond));
+  ASSERT_EQ(device_.commands_completed(), 1u);
+  // The earlier command is found nowhere (not queued, not in flight, not
+  // dropped): the abort falls through to the completion-post tombstone.
+  EXPECT_EQ(device_.AbortCommand(0, 1),
+            Device::AbortOutcome::kAbortedAtCompletion);
+  EXPECT_EQ(device_.AbortCommand(0, 2), Device::AbortOutcome::kAbortedInFlight);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(device_.commands_completed(), 1u);
+  EXPECT_EQ(device_.commands_aborted(), 2u);
+  // Only cid 1's CQE was ever posted.
+  const std::vector<NvmeCompletion> cqes = device_.DrainCompletions(0, 16);
+  ASSERT_EQ(cqes.size(), 1u);
+  EXPECT_EQ(cqes[0].cid, 1u);
+}
+
 TEST_F(FaultDeviceTest, AbortInCompletionPostGapConsumesTombstone) {
   ASSERT_TRUE(device_.Enqueue(0, MakeCmd(1, /*pages=*/4, /*write=*/true)));
   device_.RingDoorbell(0);

@@ -1,0 +1,127 @@
+// Allocation guard for the fault-free per-I/O path. The paper's headline
+// Daredevil mix (4 L readers against 16 bulky T writers on one SSD) must run
+// its steady state without heap allocations beyond one per write: the engine
+// builds events in its arena, the CPU and NVMe queues are rings, the
+// device's in-flight table is a slot vector and the ISR drains into a reused
+// batch.
+//
+// Allocations are counted by a replacement global operator new that exists
+// only in this binary, as in perfbench's ddbench. The one allocation per
+// write is an ExtentMap node of the device's volatile write cache
+// (src/nvme/extent_map.h): each T write's cid differs from its neighbours',
+// so the cache cannot merge it. Bounding that cache is ROADMAP item 5's
+// work. The budget is therefore that node per write plus at most half an
+// allocation per read, so one more allocation per read, or per write,
+// fails the test.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "src/workload/scenario.h"
+
+namespace {
+// The test is single-threaded; a plain counter is exact.
+uint64_t g_allocs = 0;
+
+void* CountedAlloc(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
+  ++g_allocs;
+  const std::size_t a = static_cast<std::size_t>(align);
+  const std::size_t rounded = ((n == 0 ? 1 : n) + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedAlloc(n); }
+void* operator new[](std::size_t n) { return CountedAlloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return CountedAlignedAlloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return CountedAlignedAlloc(n, a);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+namespace daredevil {
+namespace {
+
+TEST(HotPathAllocTest, SteadyStateStaysWithinAllocationBudget) {
+  if (DAREDEVIL_INVARIANTS) {
+    GTEST_SKIP() << "invariants are on: LifecycleChecker's std::map "
+                    "allocates per request";
+  }
+  ScenarioConfig cfg = MakeSvmConfig(4);
+  cfg.stack = StackKind::kDareFull;
+  AddLTenants(cfg, 4);
+  AddTTenants(cfg, 16);
+  cfg.warmup = 50 * kMillisecond;
+  cfg.duration = 1000 * kMillisecond;
+  ScenarioEnv env(cfg);
+  env.Start();
+  // Completed I/Os so far, and how many of them were writes.
+  auto completed = [&env](uint64_t* ios, uint64_t* writes) {
+    *ios = 0;
+    *writes = 0;
+    for (const auto& job : env.jobs()) {
+      *ios += job->total_completed();
+      if (job->spec().is_write) {
+        *writes += job->total_completed();
+      }
+    }
+  };
+  // Past warm-up, plus slack for every ring, pool and batch to reach its
+  // high-water size; the window after it is steady state.
+  env.sim().RunUntil(env.measure_start() + 50 * kMillisecond);
+  const uint64_t allocs_before = g_allocs;
+  uint64_t ios_before = 0;
+  uint64_t writes_before = 0;
+  completed(&ios_before, &writes_before);
+  env.sim().RunUntil(env.measure_end());
+  const uint64_t allocs = g_allocs - allocs_before;
+  uint64_t ios = 0;
+  uint64_t writes = 0;
+  completed(&ios, &writes);
+  ios -= ios_before;
+  writes -= writes_before;
+  const uint64_t reads = ios - writes;
+  ASSERT_GT(reads, 1000u) << "the L tenants barely ran";
+  ASSERT_GT(writes, 5000u) << "the T tenants barely ran";
+  const double beyond_writes_per_read =
+      (static_cast<double>(allocs) - static_cast<double>(writes)) /
+      static_cast<double>(reads);
+  RecordProperty("allocs_per_io", std::to_string(static_cast<double>(allocs) /
+                                                 static_cast<double>(ios)));
+  RecordProperty("allocs_beyond_writes_per_read",
+                 std::to_string(beyond_writes_per_read));
+  EXPECT_LE(beyond_writes_per_read, 0.5)
+      << allocs << " heap allocations over " << writes << " writes and "
+      << reads << " reads";
+}
+
+}  // namespace
+}  // namespace daredevil

@@ -243,6 +243,36 @@ TEST_F(DeviceTest, InFlightCountsFromEnqueueToDrain) {
   EXPECT_EQ(device_.ncq(0).in_flight_rqs(), 0);
 }
 
+TEST_F(DeviceTest, DrainIntoBatchAppendsAndBoundsOnlyNewEntries) {
+  for (uint64_t cid = 1; cid <= 3; ++cid) {
+    ASSERT_TRUE(device_.Enqueue(0, MakeCmd(cid)));
+  }
+  device_.RingDoorbell(0);
+  sim_.RunUntilIdle();
+  ASSERT_EQ(device_.commands_completed(), 3u);
+  std::vector<NvmeCompletion> batch;
+  device_.DrainCompletions(0, 1, &batch);
+  ASSERT_EQ(batch.size(), 1u);
+  const uint64_t first = batch[0].cid;
+  EXPECT_EQ(device_.ncq(0).in_flight_rqs(), 2);
+  // A drain into an undelivered batch keeps its entries and appends; `max`
+  // counts only the entries this drain takes.
+  device_.DrainCompletions(0, 1, &batch);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].cid, first);
+  EXPECT_NE(batch[1].cid, first);
+  EXPECT_EQ(device_.ncq(0).in_flight_rqs(), 1);
+  device_.DrainCompletions(0, 16, &batch);
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(device_.ncq(0).in_flight_rqs(), 0);
+  std::vector<uint64_t> cids;
+  for (const NvmeCompletion& cqe : batch) {
+    cids.push_back(cqe.cid);
+  }
+  std::sort(cids.begin(), cids.end());
+  EXPECT_EQ(cids, (std::vector<uint64_t>{1, 2, 3}));
+}
+
 TEST_F(DeviceTest, RoundRobinAcrossArmedNsqs) {
   // Fill two NSQs, then check interleaved fetch order via fetch timestamps.
   for (uint64_t i = 0; i < 8; ++i) {

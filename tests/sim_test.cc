@@ -1,9 +1,13 @@
-// Unit tests for the discrete-event engine: simulator, RNG, and CPU model.
+// Unit tests for the discrete-event engine: simulator, RNG, CPU model, and
+// the RingFifo queue under the CPU model and the NVMe queue rings.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
+#include "src/nvme/queues.h"
 #include "src/sim/cpu.h"
+#include "src/sim/ring_fifo.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 
@@ -303,6 +307,112 @@ TEST(CpuCoreTest, ConservationUnderRandomLoad) {
   sim.RunUntilIdle();
   EXPECT_EQ(executed, n);
   EXPECT_EQ(core.total_busy_ns(), total);
+}
+
+std::vector<int> Contents(const RingFifo<int>& ring) {
+  std::vector<int> out;
+  for (size_t i = 0; i < ring.size(); ++i) {
+    out.push_back(ring[i]);
+  }
+  return out;
+}
+
+TEST(RingFifoTest, OrderSurvivesGrowthWhileWrapped) {
+  RingFifo<int> ring;
+  // Slide the head forward, then refill until the live range wraps past
+  // the end of the array and the array is full.
+  for (int i = 0; i < 10; ++i) {
+    ring.push_back(i);
+  }
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(ring.front(), i);
+    ring.pop_front();
+  }
+  std::vector<int> want = {6, 7, 8, 9};
+  for (int i = 10; static_cast<int>(want.size()) < 16; ++i) {
+    ring.push_back(i);
+    want.push_back(i);
+  }
+  ASSERT_EQ(Contents(ring), want);
+  // The next pushes grow the wrapped array twice.
+  for (int i = 100; i < 120; ++i) {
+    ring.push_back(i);
+    want.push_back(i);
+  }
+  EXPECT_EQ(Contents(ring), want);
+  for (const int v : want) {
+    ASSERT_FALSE(ring.empty());
+    EXPECT_EQ(ring.front(), v);
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(RingFifoTest, EraseAtMiddleKeepsOrder) {
+  RingFifo<std::unique_ptr<int>> ring;  // move-only: erase_at must move
+  for (int i = 0; i < 12; ++i) {
+    ring.push_back(std::make_unique<int>(i));
+  }
+  for (int i = 0; i < 5; ++i) {
+    ring.pop_front();  // head now mid-array, so the shift crosses the wrap
+  }
+  for (int i = 12; i < 20; ++i) {
+    ring.push_back(std::make_unique<int>(i));
+  }
+  ring.erase_at(4);  // value 9
+  ring.erase_at(0);  // value 5 (the front)
+  ring.erase_at(ring.size() - 1);  // value 19 (the back)
+  std::vector<int> got;
+  while (!ring.empty()) {
+    got.push_back(*ring.front());
+    ring.pop_front();
+  }
+  EXPECT_EQ(got, (std::vector<int>{6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17,
+                                   18}));
+}
+
+TEST(RingFifoTest, SubmissionQueueRemoveByIdAcrossWrap) {
+  SubmissionQueue sq(QueueId{0}, 64);
+  auto cmd = [](uint64_t cid) {
+    NvmeCommand c;
+    c.cid = cid;
+    return c;
+  };
+  // Move the ring's head to the middle of its array, then enqueue past the
+  // array's end: cids 10..17 are visible, 20..25 enqueued but not rung and
+  // stored wrapped around to the array's start.
+  for (uint64_t cid = 0; cid < 8; ++cid) {
+    ASSERT_TRUE(sq.Enqueue(cmd(cid)));
+  }
+  sq.RingDoorbell();
+  while (sq.armed()) {
+    sq.PopVisible();
+  }
+  for (uint64_t cid = 10; cid < 18; ++cid) {
+    ASSERT_TRUE(sq.Enqueue(cmd(cid)));
+  }
+  sq.RingDoorbell();
+  for (uint64_t cid = 20; cid < 26; ++cid) {
+    ASSERT_TRUE(sq.Enqueue(cmd(cid)));
+  }
+  ASSERT_EQ(sq.visible(), 8u);
+  EXPECT_TRUE(sq.RemoveById(12));  // visible: the visible prefix shrinks
+  EXPECT_EQ(sq.visible(), 7u);
+  EXPECT_TRUE(sq.RemoveById(22));  // not yet rung: the prefix is unchanged
+  EXPECT_EQ(sq.visible(), 7u);
+  EXPECT_FALSE(sq.RemoveById(12));
+  EXPECT_EQ(sq.size(), 12u);
+  std::vector<uint64_t> fetched;
+  while (sq.armed()) {
+    fetched.push_back(sq.PopVisible().cid);
+  }
+  EXPECT_EQ(fetched, (std::vector<uint64_t>{10, 11, 13, 14, 15, 16, 17}));
+  sq.RingDoorbell();
+  fetched.clear();
+  while (sq.armed()) {
+    fetched.push_back(sq.PopVisible().cid);
+  }
+  EXPECT_EQ(fetched, (std::vector<uint64_t>{20, 21, 23, 24, 25}));
 }
 
 }  // namespace
