@@ -117,8 +117,8 @@ void BM_HistogramPercentile(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramPercentile);
 
-// Headline events/sec (ddperf.py extracts items_per_second from this
-// benchmark): one push + one dispatch through the engine per iteration.
+// Engine events/sec (items_per_second): one push + one dispatch through the
+// engine per iteration.
 void BM_EventQueuePushPop(benchmark::State& state) {
   Simulator sim;
   Rng rng(2);

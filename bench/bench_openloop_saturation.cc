@@ -3,7 +3,6 @@
 // FIO jobs) self-throttle when the stack slows down; an open-loop source
 // keeps the arrival pressure on, exposing the latency collapse that real
 // interactive services experience.
-#include <chrono>
 #include <cstdlib>
 
 #include "bench/bench_util.h"
@@ -30,11 +29,6 @@ int main() {
   BenchJsonSink json("openloop_saturation");
   TablePrinter table({"T-tenants", "stack", "L avg", "L p99", "L p99.9",
                       "achieved IOPS", "dropped"});
-  // Headline metric (ROADMAP / EXPERIMENTS "perf baseline"): simulated I/Os
-  // completed per wall-clock second across the whole sweep. Wall time here
-  // is the engine hot path; ddperf.py gates CI on this number.
-  uint64_t headline_ios = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
   for (int n_t : {0, 8, 16}) {
     for (StackKind kind :
          {StackKind::kVanilla, StackKind::kBlkSwitch, StackKind::kDareFull}) {
@@ -61,9 +55,6 @@ int main() {
         cfg.open_loop.push_back(spec);
       }
       const ScenarioResult r = RunScenario(cfg);
-      for (const auto& [group, g] : r.groups) {
-        headline_ios += g.ios;
-      }
       if (fault_rate > 0) {
         std::printf(
             "  faults[%s nt=%d]: injected=%llu retries=%llu aborts=%llu "
@@ -86,21 +77,7 @@ int main() {
                     FormatCount(r.Metric("workload.L.dropped"))});
     }
   }
-  const double wall_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   table.Print();
-  const double sim_iops_per_wall_sec =
-      wall_sec > 0 ? static_cast<double>(headline_ios) / wall_sec : 0.0;
-  std::printf(
-      "\nheadline: %llu simulated I/Os in %.2f wall-sec = %.0f "
-      "sim-IOPS/wall-sec\n",
-      static_cast<unsigned long long>(headline_ios), wall_sec,
-      sim_iops_per_wall_sec);
-  json.AddParam("wall_sec", wall_sec);
-  json.AddParam("sim_ios", static_cast<double>(headline_ios));
-  json.AddParam("sim_iops_per_wall_sec", sim_iops_per_wall_sec);
   std::printf(
       "\nExpected: all stacks sustain the full offered load when idle; under\n"
       "T-pressure vanilla/blk-switch queue arrivals into seconds of backlog\n"

@@ -130,7 +130,7 @@ inline void WarnOnTraceDrops(const std::string& label,
 //   ...
 //   json.Add("vanilla/nt=8", result);
 //
-// Schema: {"bench":..., "params":{...}, "results":[{"label":..., <ScenarioResult::ToJson()>}]}
+// Schema: {"bench":..., "bench_scale":..., "results":[{"label":..., <ScenarioResult::ToJson()>}]}
 class BenchJsonSink {
  public:
   explicit BenchJsonSink(std::string bench_name)
@@ -160,13 +160,6 @@ class BenchJsonSink {
       entries_.emplace_back(label, std::move(json));
     }
   }
-  // Records a scalar bench parameter (scale factor, core count, ...).
-  void AddParam(const std::string& key, double value) {
-    if (enabled()) {
-      params_.emplace_back(key, value);
-    }
-  }
-
   // Writes the file now (also called from the destructor; idempotent).
   void Write() {
     if (!enabled() || written_) {
@@ -177,11 +170,6 @@ class BenchJsonSink {
     w.BeginObject();
     w.Key("bench").String(name_);
     w.Key("bench_scale").Double(BenchScale());
-    w.Key("params").BeginObject();
-    for (const auto& [key, value] : params_) {
-      w.Key(key).Double(value);
-    }
-    w.EndObject();
     w.Key("results").BeginArray();
     for (const auto& [label, json] : entries_) {
       w.BeginObject();
@@ -206,7 +194,6 @@ class BenchJsonSink {
  private:
   std::string name_;
   std::string path_;
-  std::vector<std::pair<std::string, double>> params_;
   std::vector<std::pair<std::string, std::string>> entries_;
   bool written_ = false;
 };

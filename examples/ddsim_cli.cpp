@@ -80,6 +80,8 @@ CliOptions ParseArgs(int argc, char** argv) {
                     : opts.l_tenants < 0    ? "--l must be >= 0"
                     : opts.t_tenants < 0    ? "--t must be >= 0"
                     : opts.split_kb < 0     ? "--split-kb must be >= 0"
+                    : opts.split_kb % 4 != 0
+                        ? "--split-kb must be a multiple of 4"
                     : opts.namespaces < 1   ? "--namespaces must be >= 1"
                                             : nullptr;
   if (bad != nullptr) {
@@ -116,7 +118,8 @@ void PrintHelp() {
       "  --duration-ms=MS    measured window (default 150)\n"
       "  --warmup-ms=MS      warmup before measuring (default 30)\n"
       "  --seed=N            RNG seed (default 42)\n"
-      "  --split-kb=KB       enable block-layer I/O splitting at KB (default off)\n"
+      "  --split-kb=KB       split block-layer I/O at KB, a multiple of 4\n"
+      "                      (default off)\n"
       "  --trace-csv=PATH    dump tracepoint events to PATH as CSV\n");
 }
 
@@ -153,7 +156,15 @@ int main(int argc, char** argv) {
     AddLTenants(cfg, opts.l_tenants);
     AddTTenants(cfg, opts.t_tenants);
   }
+  // Opened before the run, so a bad path fails before any work is done.
+  std::ofstream trace_out;
   if (!opts.trace_csv.empty()) {
+    trace_out.open(opts.trace_csv);
+    if (!trace_out) {
+      std::fprintf(stderr, "cannot open --trace-csv %s\n",
+                   opts.trace_csv.c_str());
+      return 2;
+    }
     cfg.trace_capacity = 1 << 20;
   }
 
@@ -168,8 +179,7 @@ int main(int argc, char** argv) {
   env.sim().RunUntil(env.measure_end());
   const ScenarioResult r = env.Finish();
   if (!opts.trace_csv.empty()) {
-    std::ofstream out(opts.trace_csv);
-    out << env.trace_log()->ToCsv();
+    trace_out << env.trace_log()->ToCsv();
     std::printf("wrote %zu trace events (%llu recorded, %llu dropped) to %s\n\n",
                 env.trace_log()->size(),
                 static_cast<unsigned long long>(env.trace_log()->total_recorded()),

@@ -50,8 +50,7 @@ void AppIoContext::Compute(TickDuration duration, Callback done) {
                    if (done) {
                      done();
                    }
-                 },
-                 tenant().id);
+                 });
 }
 
 }  // namespace daredevil

@@ -230,10 +230,8 @@ void BlkSwitchStack::ReschedNamespace(PerNamespace& ns, int* budget) {
                       old_core, desired);
     }
     // Migration overhead lands on both cores (runqueue + cache refill costs).
-    machine().Post(old_core, WorkLevel::kKernel, config_.migration_cost, nullptr,
-                   tenant->id);
-    machine().Post(desired, WorkLevel::kKernel, config_.migration_cost, nullptr,
-                   tenant->id);
+    machine().Post(old_core, WorkLevel::kKernel, config_.migration_cost, nullptr);
+    machine().Post(desired, WorkLevel::kKernel, config_.migration_cost, nullptr);
   }
 }
 

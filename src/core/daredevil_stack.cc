@@ -84,7 +84,7 @@ void DaredevilStack::OnIoniceChange(Tenant* tenant) {
   // asynchronously to the critical I/O path (§5.2): charge kernel work on
   // the tenant's core, then update.
   machine().Post(tenant->core, WorkLevel::kKernel, config_.ionice_update_cost,
-                 [this, tenant]() { troute_->OnIoniceChange(tenant); }, tenant->id);
+                 [this, tenant]() { troute_->OnIoniceChange(tenant); });
 }
 
 void DaredevilStack::OnTenantMigrated(Tenant* tenant, int old_core) {

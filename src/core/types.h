@@ -147,7 +147,7 @@ using ShardId = StrongId<struct ShardIdTag, int>;
 
 inline constexpr ShardId kShard0{0};
 
-// A tenant (process) id. Zero means "no tenant" in CPU accounting.
+// A tenant (process) id. Zero means "no tenant".
 using TenantId = StrongId<struct TenantIdTag, uint64_t>;
 
 inline constexpr TenantId kNoTenant{0};

@@ -9,13 +9,12 @@ namespace daredevil {
 CpuCore::CpuCore(Simulator* sim, CoreId id, TickDuration dispatch_overhead)
     : sim_(sim), id_(id), dispatch_overhead_(dispatch_overhead) {}
 
-void CpuCore::Post(WorkLevel level, TickDuration duration, EventFn fn,
-                   TenantId tenant) {
+void CpuCore::Post(WorkLevel level, TickDuration duration, EventFn fn) {
   if (duration < kZeroDuration) {
     duration = kZeroDuration;
   }
   queues_[static_cast<int>(level)].push_back(
-      Work{level, duration, std::move(fn), tenant});
+      Work{level, duration, std::move(fn)});
   MaybeRun();
 }
 
@@ -29,25 +28,6 @@ size_t CpuCore::TotalQueueDepth() const {
 
 TickDuration CpuCore::total_busy_ns() const {
   return busy_ns_[0] + busy_ns_[1] + busy_ns_[2];
-}
-
-TickDuration CpuCore::TenantBusyNs(TenantId tenant) const {
-  for (const auto& [id, busy] : tenant_busy_ns_) {
-    if (id == tenant) {
-      return busy;
-    }
-  }
-  return TickDuration{};
-}
-
-void CpuCore::ChargeTenant(TenantId tenant, TickDuration cost) {
-  for (auto& [id, busy] : tenant_busy_ns_) {
-    if (id == tenant) {
-      busy += cost;
-      return;
-    }
-  }
-  tenant_busy_ns_.emplace_back(tenant, cost);
 }
 
 void CpuCore::MaybeRun() {
@@ -72,11 +52,7 @@ void CpuCore::MaybeRun() {
 }
 
 void CpuCore::FinishCurrent() {
-  const TickDuration cost = current_cost_;
-  busy_ns_[static_cast<int>(current_.level)] += cost;
-  if (current_.tenant != kNoTenant) {
-    ChargeTenant(current_.tenant, cost);
-  }
+  busy_ns_[static_cast<int>(current_.level)] += current_cost_;
   ++items_executed_;
   // Move the callback out before dropping running_: the callback may post
   // new work, re-entering MaybeRun and overwriting current_.
@@ -100,21 +76,21 @@ Machine::Machine(ShardContext* shard, const Config& config)
     : Machine(&shard->sim(), config) {}
 
 void Machine::Post(int core, WorkLevel level, TickDuration duration, EventFn fn,
-                   TenantId tenant, int from_core) {
+                   int from_core) {
   if (from_core >= 0 && from_core != core) {
     ++cross_core_posts_;
     cross_pending_.push_back(
-        CrossPost{core, level, duration, std::move(fn), tenant});
+        CrossPost{core, level, duration, std::move(fn)});
     sim_->After(config_.cross_core_wakeup, [this]() { DeliverCrossPost(); });
     return;
   }
-  cores_[core]->Post(level, duration, std::move(fn), tenant);
+  cores_[core]->Post(level, duration, std::move(fn));
 }
 
 void Machine::DeliverCrossPost() {
   CrossPost p = std::move(cross_pending_.front());
   cross_pending_.pop_front();
-  cores_[p.core]->Post(p.level, p.duration, std::move(p.fn), p.tenant);
+  cores_[p.core]->Post(p.level, p.duration, std::move(p.fn));
 }
 
 TickDuration Machine::total_busy_ns() const {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/core/types.h"
@@ -40,9 +39,7 @@ class CpuCore {
   CpuCore& operator=(const CpuCore&) = delete;
 
   // Enqueues a work item. fn runs when the item's computation finishes.
-  // tenant (kNoTenant = none) attributes the CPU time for accounting.
-  void Post(WorkLevel level, TickDuration duration, EventFn fn,
-            TenantId tenant = kNoTenant);
+  void Post(WorkLevel level, TickDuration duration, EventFn fn);
 
   CoreId id() const { return id_; }
   bool busy() const { return running_; }
@@ -55,7 +52,6 @@ class CpuCore {
     return busy_ns_[static_cast<int>(level)];
   }
   TickDuration total_busy_ns() const;
-  TickDuration TenantBusyNs(TenantId tenant) const;
   uint64_t items_executed() const { return items_executed_; }
 
  private:
@@ -63,7 +59,6 @@ class CpuCore {
     WorkLevel level;
     TickDuration duration;
     EventFn fn;
-    TenantId tenant;
   };
 
   void MaybeRun();
@@ -71,7 +66,6 @@ class CpuCore {
   // in-flight item lives in a member so the scheduled event captures only
   // `this` and stays inside EventFn's inline storage.
   void FinishCurrent();
-  void ChargeTenant(TenantId tenant, TickDuration cost);
 
   Simulator* sim_;
   CoreId id_;
@@ -82,13 +76,6 @@ class CpuCore {
   TickDuration current_cost_;  // dispatch overhead + current_.duration
   TickDuration busy_ns_[kNumWorkLevels];
   uint64_t items_executed_ = 0;
-  // CPU time per tenant, in first-run order, searched linearly; it
-  // allocates only when a tenant first runs on this core. The most any
-  // bench puts on one core is 18 tenants (bench_fig09's 2-core, 32-T cell),
-  // 23 once blk-switch migrates them. At those counts, and at 63-68 per
-  // core (ddsim_cli --cores=2 --t=200), whole runs time the same as with a
-  // std::map.
-  std::vector<std::pair<TenantId, TickDuration>> tenant_busy_ns_;
 };
 
 // A set of cores sharing one simulator, plus cross-core signalling costs.
@@ -117,7 +104,7 @@ class Machine {
   // Posts work to a core. If from_core differs from core (a cross-core wakeup
   // or IPI), the item is delayed by the cross-core cost and the event counted.
   void Post(int core, WorkLevel level, TickDuration duration, EventFn fn,
-            TenantId tenant = kNoTenant, int from_core = -1);
+            int from_core = -1);
 
   uint64_t cross_core_posts() const { return cross_core_posts_; }
   TickDuration total_busy_ns() const;
@@ -136,7 +123,6 @@ class Machine {
     WorkLevel level;
     TickDuration duration;
     EventFn fn;
-    TenantId tenant;
   };
 
   Simulator* sim_;

@@ -40,7 +40,7 @@ inline const char* IoniceName(IoniceClass c) {
 // A process (or thread) demanding I/O service. Tenants are owned by the
 // workload layer; stacks receive stable pointers.
 struct Tenant {
-  TenantId id;  // nonzero; kNoTenant means "no tenant" in CPU accounting
+  TenantId id;  // nonzero; kNoTenant means "no tenant"
   std::string name;
   std::string group;  // stats label: "L", "T", "TL", ...
   IoniceClass ionice = IoniceClass::kBestEffort;

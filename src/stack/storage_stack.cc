@@ -461,7 +461,6 @@ void StorageStack::DeliverCompletion(const NvmeCompletion& cqe, int ncq_id,
                    tenant_core);
   }
   OnRequestCompleted(rq);
-  const TenantId tid = rq->tenant != nullptr ? rq->tenant->id : kNoTenant;
   machine_->Post(
       tenant_core, WorkLevel::kUser, costs_.complete_delivery,
       [this, rq, ncq_id, irq_core]() {
@@ -475,7 +474,7 @@ void StorageStack::DeliverCompletion(const NvmeCompletion& cqe, int ncq_id,
           rq->on_complete(rq);
         }
       },
-      tid, irq_core);
+      irq_core);
 }
 
 void StorageStack::SetFaultPlan(FaultPlan* plan) {
@@ -620,7 +619,6 @@ void StorageStack::FailRequest(Request* rq, IoStatus status) {
   ++failed_requests_;
   ++ErrorStatsFor(*rq).errors;
   const int tenant_core = rq->tenant != nullptr ? rq->tenant->core : 0;
-  const TenantId tid = rq->tenant != nullptr ? rq->tenant->id : kNoTenant;
   machine_->Post(
       tenant_core, WorkLevel::kUser, costs_.complete_delivery,
       [this, rq]() {
@@ -628,8 +626,7 @@ void StorageStack::FailRequest(Request* rq, IoStatus status) {
         if (rq->on_complete) {
           rq->on_complete(rq);
         }
-      },
-      tid);
+      });
 }
 
 }  // namespace daredevil

@@ -108,8 +108,7 @@ uint64_t TenantIo::Issue(const Shape& shape, Callback done) {
                  [this, rq]() {
                    rq->submit_core = tenant_->core;
                    stack_->SubmitAsync(rq);
-                 },
-                 tenant_->id);
+                 });
   return rq->id;
 }
 

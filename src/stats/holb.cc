@@ -250,15 +250,6 @@ HolbReport HolbAnalyzer::Report() const {
     if (opts_.victims_latency_sensitive_only && !victim.latency_sensitive) {
       continue;
     }
-    if (opts_.victim_tenant_id != 0 &&
-        victim.tenant_id != opts_.victim_tenant_id) {
-      continue;
-    }
-    if (victim.complete < opts_.victim_complete_begin ||
-        (opts_.victim_complete_end >= 0 &&
-         victim.complete >= opts_.victim_complete_end)) {
-      continue;
-    }
     ChargeVictim(v, pass);
   }
   return FinishPass(pass);

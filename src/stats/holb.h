@@ -93,19 +93,6 @@ struct HolbOptions {
   size_t top_n = 10;
   // Optional tenant display names ("L0", "T1", ...); ids otherwise.
   std::map<uint64_t, std::string> tenant_names;
-
-  // --- Victim filters ------------------------------------------------------
-  // These narrow *who counts as a victim*; blocker intervals always come
-  // from every record, so a filtered pass still charges out-of-range
-  // blockers correctly. HolbAnalyzer::TenantWindow answers the tenant +
-  // completion-range filter without scanning every record (the SLO episode
-  // cross-link, slo.h).
-  // Nonzero: only this tenant's requests are victims (tenant ids start at 1).
-  uint64_t victim_tenant_id = 0;
-  // Only requests completing in [victim_complete_begin, victim_complete_end)
-  // are victims; a negative end means unbounded.
-  Tick victim_complete_begin = 0;
-  Tick victim_complete_end = -1;
 };
 
 // One row of a blocker ranking (key = tenant name or size class).
@@ -147,12 +134,13 @@ class HolbAnalyzer {
                const BlockingIntervals& intervals, const HolbOptions& opts);
 
   bool empty() const { return records_.empty(); }
-  // The pass over every record under the options' victim filters.
+  // The pass over every record: each latency-sensitive request is a victim
+  // (each request, with victims_latency_sensitive_only off).
   HolbReport Report() const;
   // The pass whose victims are tenant `tenant_id`'s requests (of any latency
   // class) completing in [begin, end); a negative `end` means unbounded.
-  // Equals Report() with the matching victim filters, but costs only the
-  // window's own victims.
+  // Blockers still come from every record, but the pass costs only the
+  // window's own victims (the SLO episode cross-link, slo.h).
   HolbReport TenantWindow(uint64_t tenant_id, Tick begin, Tick end) const;
 
  private:

@@ -217,8 +217,7 @@ class SloTracker {
 
 // Cross-links violation episodes with the HOL-blocking attribution: for each
 // episode, attributes the waits of the tenant's requests completing inside
-// it (HolbAnalyzer::TenantWindow, the same rows as a filtered
-// AnalyzeHolBlocking pass), then fills blame/mechanism/blame_ns and the
+// it (HolbAnalyzer::TenantWindow), then fills blame/mechanism/blame_ns and the
 // per-tenant attribution ranking: each episode's rows, ranked and cut to
 // the analyzer's top_n, summed. Row keys are the analyzer's tenant names.
 // Pure post-processing over captured records; deterministic.

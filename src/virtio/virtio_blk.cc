@@ -53,8 +53,7 @@ void GuestVm::SubmitGuestIo(GuestRequest* rq) {
   // Guest driver enqueue + VQ kick (VM exit) runs on the vCPU's host core.
   const int host_core = HostCoreOfVcpu(rq->vcpu);
   machine_->Post(host_core, WorkLevel::kKernel, costs_.vq_kick,
-                 [this, rq]() { ForwardToHost(rq); },
-                 this->vq(rq->sla).tenant_.id);
+                 [this, rq]() { ForwardToHost(rq); });
 }
 
 void GuestVm::ForwardToHost(GuestRequest* rq) {
@@ -106,8 +105,7 @@ void GuestVm::CompleteToGuest(HostIo* io) {
                    if (rq->on_complete) {
                      rq->on_complete(rq);
                    }
-                 },
-                 vq.tenant_.id);
+                 });
 }
 
 }  // namespace daredevil

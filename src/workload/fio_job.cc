@@ -80,8 +80,7 @@ void FioJob::ArmIoniceUpdate() {
                    [this]() {
                      stack_->OnIoniceChange(&tenant());
                      ArmIoniceUpdate();
-                   },
-                   tenant().id);
+                   });
   });
 }
 

@@ -243,18 +243,6 @@ TEST(CpuCoreTest, DispatchOverheadCharged) {
   EXPECT_EQ(core.total_busy_ns(), TickDuration{300});
 }
 
-TEST(CpuCoreTest, TenantAccounting) {
-  Simulator sim;
-  CpuCore core(&sim, CoreId{0}, kZeroDuration);
-  core.Post(WorkLevel::kUser, TickDuration{100}, nullptr, TenantId{7});
-  core.Post(WorkLevel::kUser, TickDuration{200}, nullptr, TenantId{8});
-  core.Post(WorkLevel::kUser, TickDuration{300}, nullptr, TenantId{7});
-  sim.RunUntilIdle();
-  EXPECT_EQ(core.TenantBusyNs(TenantId{7}), TickDuration{400});
-  EXPECT_EQ(core.TenantBusyNs(TenantId{8}), TickDuration{200});
-  EXPECT_EQ(core.TenantBusyNs(TenantId{99}), TickDuration{0});
-}
-
 TEST(MachineTest, CrossCorePostDelaysAndCounts) {
   Simulator sim;
   Machine::Config config;
@@ -266,9 +254,9 @@ TEST(MachineTest, CrossCorePostDelaysAndCounts) {
   Tick local_done = -1;
   Tick remote_done = -1;
   machine.Post(0, WorkLevel::kUser, TickDuration{100},
-               [&]() { local_done = sim.now(); }, kNoTenant, /*from_core=*/0);
+               [&]() { local_done = sim.now(); }, /*from_core=*/0);
   machine.Post(1, WorkLevel::kUser, TickDuration{100},
-               [&]() { remote_done = sim.now(); }, kNoTenant, /*from_core=*/0);
+               [&]() { remote_done = sim.now(); }, /*from_core=*/0);
   sim.RunUntilIdle();
   EXPECT_EQ(local_done, 100);
   EXPECT_EQ(remote_done, 600);  // 500 wakeup + 100 work

@@ -217,20 +217,16 @@ TEST(SloAttributionTest, VictimFiltersRestrictTheHolbPass) {
       MakeRecord(1, 9, 0, 100, 200, 400, 32, false),
       MakeRecord(2, 1, 0, 150, 400, 410, 1, true),  // completes at 490
   };
-  HolbOptions opts;
-  opts.victims_latency_sensitive_only = false;
-  opts.victim_tenant_id = 1;
-  opts.victim_complete_begin = 0;
-  opts.victim_complete_end = 100;  // excludes the completion at 490
-  EXPECT_EQ(AnalyzeHolBlocking(records, opts).victims, 0u);
-  opts.victim_complete_end = 500;
-  const HolbReport hr = AnalyzeHolBlocking(records, opts);
+  const BlockingIntervals intervals(records);
+  const HolbAnalyzer holb(records, intervals, HolbOptions());
+  // [0, 100) excludes the completion at 490.
+  EXPECT_EQ(holb.TenantWindow(1, 0, 100).victims, 0u);
+  const HolbReport hr = holb.TenantWindow(1, 0, 500);
   EXPECT_EQ(hr.victims, 1u);
   EXPECT_EQ(hr.total_wait_ns, 250);
-  // The tenant filter must also exclude the bulk request as a victim.
-  opts.victim_tenant_id = 9;
-  opts.victim_complete_end = -1;
-  EXPECT_EQ(AnalyzeHolBlocking(records, opts).victims, 1u);
+  // The tenant filter must also exclude the other tenant's request as a
+  // victim: tenant 9's unbounded window holds only its bulk request.
+  EXPECT_EQ(holb.TenantWindow(9, 0, -1).victims, 1u);
 }
 
 TEST(SloAttributionTest, UnattributedEpisodeStaysNamedAsSuch) {
@@ -248,12 +244,21 @@ TEST(SloAttributionTest, UnattributedEpisodeStaysNamedAsSuch) {
 
 // --- Attribution vs a fresh pass per episode ------------------------------
 
+// The victims a reference pass admits: requests of `tenant_id` (0: of any
+// tenant) completing in [begin, end); a negative `end` means unbounded.
+struct VictimWindow {
+  uint64_t tenant_id = 0;
+  Tick begin = 0;
+  Tick end = -1;
+};
+
 // A reference HOL pass that shares no code with BlockingIntervals or
 // HolbAnalyzer: each NSQ's records sorted on their own, head starts kept in a
-// pointer-keyed map, rows keyed by string. Honors HolbOptions' victim
-// filters, top_n cut and tenant names like AnalyzeHolBlocking.
+// pointer-keyed map, rows keyed by string. Admits the victims of `window`
+// and honors HolbOptions' latency-class filter, top_n cut and tenant names.
 HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
-                         const HolbOptions& opts) {
+                         const HolbOptions& opts,
+                         const VictimWindow& window = VictimWindow()) {
   struct Owned {
     Tick begin;
     Tick end;
@@ -334,11 +339,9 @@ HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
   };
   for (const RequestRecord& victim : records) {
     if ((opts.victims_latency_sensitive_only && !victim.latency_sensitive) ||
-        (opts.victim_tenant_id != 0 &&
-         victim.tenant_id != opts.victim_tenant_id) ||
-        victim.complete < opts.victim_complete_begin ||
-        (opts.victim_complete_end >= 0 &&
-         victim.complete >= opts.victim_complete_end)) {
+        (window.tenant_id != 0 && victim.tenant_id != window.tenant_id) ||
+        victim.complete < window.begin ||
+        (window.end >= 0 && victim.complete >= window.end)) {
       continue;
     }
     ++report.victims;
@@ -377,17 +380,15 @@ HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
   return report;
 }
 
-// The options of one episode's reference pass: the victims are the
-// episode tenant's requests (of any latency class) completing inside it.
-HolbOptions EpisodeOptions(const SloTenantReport& r, const SloEpisode& ep,
-                           const std::map<uint64_t, std::string>& names) {
+// One episode's reference pass: the victims are the episode tenant's
+// requests (of any latency class) completing inside it.
+HolbReport ReferenceEpisode(const std::vector<RequestRecord>& records,
+                            const SloTenantReport& r, const SloEpisode& ep,
+                            const std::map<uint64_t, std::string>& names) {
   HolbOptions opts;
   opts.victims_latency_sensitive_only = false;
-  opts.victim_tenant_id = r.tenant_id;
-  opts.victim_complete_begin = ep.begin;
-  opts.victim_complete_end = ep.end;
   opts.tenant_names = names;
-  return opts;
+  return ReferenceHolb(records, opts, {r.tenant_id, ep.begin, ep.end});
 }
 
 // The reference rule: one fresh reference pass per episode. Each episode's
@@ -405,8 +406,7 @@ SloReport ReferenceAttribution(SloReport report,
     }
     std::map<std::string, SloBlameRow> merged;
     for (SloEpisode& ep : r.episodes) {
-      const HolbReport hr =
-          ReferenceHolb(records, EpisodeOptions(r, ep, names));
+      const HolbReport hr = ReferenceEpisode(records, r, ep, names);
       bool blamed = false;
       for (const HolbRow& row : hr.by_tenant) {
         if (row.key == r.tenant) {
@@ -455,9 +455,8 @@ std::string HolbJson(const HolbReport& report) {
 }
 
 // Attributes `report` both ways and requires byte-equal reports. Also
-// requires AnalyzeHolBlocking to equal the reference pass per episode and
-// over the whole run, so the per-episode rule holds for a fresh
-// AnalyzeHolBlocking call too.
+// requires HolbAnalyzer::TenantWindow to equal the reference pass per
+// episode, and AnalyzeHolBlocking to equal it over the whole run.
 void ExpectMatchesReference(const SloReport& report,
                             const std::vector<RequestRecord>& records,
                             const std::map<uint64_t, std::string>& names) {
@@ -465,11 +464,14 @@ void ExpectMatchesReference(const SloReport& report,
   Attribute(indexed, records, names);
   EXPECT_EQ(ReportJson(indexed),
             ReportJson(ReferenceAttribution(report, records, names)));
+  const BlockingIntervals intervals(records);
+  HolbOptions named;
+  named.tenant_names = names;
+  const HolbAnalyzer holb(records, intervals, named);
   for (const auto& [name, r] : report.tenants) {
     for (const SloEpisode& ep : r.episodes) {
-      const HolbOptions opts = EpisodeOptions(r, ep, names);
-      ASSERT_EQ(HolbJson(AnalyzeHolBlocking(records, opts)),
-                HolbJson(ReferenceHolb(records, opts)))
+      ASSERT_EQ(HolbJson(holb.TenantWindow(r.tenant_id, ep.begin, ep.end)),
+                HolbJson(ReferenceEpisode(records, r, ep, names)))
           << name << " episode [" << ep.begin << ", " << ep.end << ")";
     }
   }
