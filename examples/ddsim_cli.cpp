@@ -6,11 +6,15 @@
 //   ddsim_cli --stack=daredevil --cores=4 --l=4 --t=16 --duration-ms=150
 //   ddsim_cli --stack=vanilla --t=32 --trace-csv=/tmp/trace.csv
 //   ddsim_cli --stack=blk-switch --namespaces=8 --seed=7
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "src/stats/table.h"
 #include "src/workload/scenario.h"
@@ -42,35 +46,58 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+// Reads all of `text` as a number of *out's type; false when characters are
+// left over, there are no digits, or the value does not fit the type.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+// A window in milliseconds: finite, and short enough that warm-up plus
+// measurement still fits a Tick.
+bool ParseMs(const std::string& text, double* out) {
+  constexpr double kMaxMs = static_cast<double>(
+      std::numeric_limits<Tick>::max() / 2 / kMillisecond);
+  return ParseNumber(text, out) && std::isfinite(*out) &&
+         std::fabs(*out) <= kMaxMs;
+}
+
 CliOptions ParseArgs(int argc, char** argv) {
   CliOptions opts;
   std::string value;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool parsed = true;
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       opts.help = true;
     } else if (ParseFlag(arg, "--stack", &value)) {
       opts.stack = value;
     } else if (ParseFlag(arg, "--cores", &value)) {
-      opts.cores = std::atoi(value.c_str());
+      parsed = ParseNumber(value, &opts.cores);
     } else if (ParseFlag(arg, "--l", &value)) {
-      opts.l_tenants = std::atoi(value.c_str());
+      parsed = ParseNumber(value, &opts.l_tenants);
     } else if (ParseFlag(arg, "--t", &value)) {
-      opts.t_tenants = std::atoi(value.c_str());
+      parsed = ParseNumber(value, &opts.t_tenants);
     } else if (ParseFlag(arg, "--namespaces", &value)) {
-      opts.namespaces = std::atoi(value.c_str());
+      parsed = ParseNumber(value, &opts.namespaces);
     } else if (ParseFlag(arg, "--duration-ms", &value)) {
-      opts.duration_ms = std::atof(value.c_str());
+      parsed = ParseMs(value, &opts.duration_ms);
     } else if (ParseFlag(arg, "--warmup-ms", &value)) {
-      opts.warmup_ms = std::atof(value.c_str());
+      parsed = ParseMs(value, &opts.warmup_ms);
     } else if (ParseFlag(arg, "--seed", &value)) {
-      opts.seed = std::strtoull(value.c_str(), nullptr, 10);
+      parsed = ParseNumber(value, &opts.seed);
     } else if (ParseFlag(arg, "--split-kb", &value)) {
-      opts.split_kb = std::atoi(value.c_str());
+      parsed = ParseNumber(value, &opts.split_kb);
     } else if (ParseFlag(arg, "--trace-csv", &value)) {
       opts.trace_csv = value;
     } else {
       std::fprintf(stderr, "unknown argument: %s (try --help)\n", arg);
+      std::exit(2);
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "invalid argument: %s (try --help)\n", arg);
       std::exit(2);
     }
   }

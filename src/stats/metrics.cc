@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "src/core/invariant.h"
 #include "src/sim/cpu.h"
@@ -12,64 +13,65 @@ namespace daredevil {
 
 // --- JsonWriter -----------------------------------------------------------
 
-void AppendJsonString(std::string& out, std::string_view s) {
-  out += '"';
-  AppendJsonEscaped(out, s);
-  out += '"';
-}
-
-void AppendJsonEscaped(std::string& out, std::string_view s) {
-  // Copy runs of plain characters in one append; escape the rest.
-  size_t run = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    const char* escaped = nullptr;
+char* WriteJsonEscaped(char* out, std::string_view s) {
+  for (const char c : s) {
+    char escape = 0;
     switch (c) {
       case '"':
-        escaped = "\\\"";
-        break;
       case '\\':
-        escaped = "\\\\";
+        escape = c;
         break;
       case '\n':
-        escaped = "\\n";
+        escape = 'n';
         break;
       case '\t':
-        escaped = "\\t";
+        escape = 't';
         break;
       case '\r':
-        escaped = "\\r";
+        escape = 'r';
         break;
       default:
         if (static_cast<unsigned char>(c) >= 0x20) {
+          *out++ = c;
           continue;
         }
+        escape = 'u';
     }
-    out.append(s.data() + run, i - run);
-    run = i + 1;
-    if (escaped != nullptr) {
-      out += escaped;
-    } else {
+    *out++ = '\\';
+    *out++ = escape;
+    if (escape == 'u') {
       constexpr char kHex[] = "0123456789abcdef";
       const auto u = static_cast<unsigned char>(c);
-      const char unicode[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
-      out.append(unicode, sizeof(unicode));
+      *out++ = '0';
+      *out++ = '0';
+      *out++ = kHex[u >> 4];
+      *out++ = kHex[u & 0xf];
     }
   }
-  out.append(s.data() + run, s.size() - run);
+  return out;
 }
 
-void AppendJsonInt(std::string& out, int64_t v) {
+namespace {
+
+// Appends `s` quoted and escaped.
+void AppendJsonString(std::string& out, std::string_view s) {
+  const size_t at = out.size();
+  out.resize(at + 2 + kJsonEscapeGrowth * s.size());
+  char* p = out.data() + at;
+  *p++ = '"';
+  p = WriteJsonEscaped(p, s);
+  *p++ = '"';
+  out.resize(static_cast<size_t>(p - out.data()));
+}
+
+template <typename Integer>
+void AppendJsonInteger(std::string& out, Integer v) {
   char buf[24];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
   out.append(buf, res.ptr);
 }
 
-void AppendJsonUInt(std::string& out, uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
+}  // namespace
 
 void JsonWriter::BeforeValue() {
   if (after_key_) {
@@ -128,13 +130,13 @@ JsonWriter& JsonWriter::String(std::string_view v) {
 
 JsonWriter& JsonWriter::Int(int64_t v) {
   BeforeValue();
-  AppendJsonInt(out_, v);
+  AppendJsonInteger(out_, v);
   return *this;
 }
 
 JsonWriter& JsonWriter::UInt(uint64_t v) {
   BeforeValue();
-  AppendJsonUInt(out_, v);
+  AppendJsonInteger(out_, v);
   return *this;
 }
 

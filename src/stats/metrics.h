@@ -16,7 +16,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/stats/histogram.h"
@@ -28,18 +27,17 @@ class Machine;   // src/sim/cpu.h
 
 // --- JSON -----------------------------------------------------------------
 
-// The JsonWriter's value encoders, for emitters that render many small
-// values straight into one buffer (the trace exporter).
-// Appends `s` quoted, escaping quotes, backslashes and control characters.
-void AppendJsonString(std::string& out, std::string_view s);
-// The same escaping without the quotes, for a string built in pieces.
-void AppendJsonEscaped(std::string& out, std::string_view s);
-// Integers go through std::to_chars: the digits of printf's %lld / %llu.
-void AppendJsonInt(std::string& out, int64_t v);
-void AppendJsonUInt(std::string& out, uint64_t v);
+// Writes `s` at `out` without quotes, escaping quotes, backslashes and
+// control characters, and returns the end. `out` needs room for
+// kJsonEscapeGrowth bytes per character of `s`. JsonWriter's strings and
+// the trace exporter's cursor both escape through it.
+inline constexpr size_t kJsonEscapeGrowth = 6;  // a control char -> \u00XX
+char* WriteJsonEscaped(char* out, std::string_view s);
 
 // Minimal JSON emitter (no external deps). Callers alternate Key()/value
-// calls inside objects; comma placement is handled automatically.
+// calls inside objects; comma placement is handled automatically. Integers
+// go through std::to_chars (the digits of printf's %lld / %llu), doubles
+// through "%.15g".
 class JsonWriter {
  public:
   void Reserve(size_t bytes) { out_.reserve(bytes); }
@@ -58,8 +56,6 @@ class JsonWriter {
   JsonWriter& Raw(std::string_view json);
 
   const std::string& str() const { return out_; }
-  // Hands the document over without copying; the writer is left empty.
-  std::string Release() { return std::move(out_); }
 
  private:
   void BeforeValue();

@@ -1,12 +1,16 @@
 #include "src/stats/trace_export.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <iterator>
+#include <numeric>
 
+#include "src/core/invariant.h"
 #include "src/stats/holb.h"
 #include "src/stats/metrics.h"
 #include "src/stats/slo.h"
@@ -77,7 +81,7 @@ namespace {
 // Lifecycle stages of a request's nested async slices (ChromeEventKind::
 // kStage, `sub` indexes this table).
 struct Stage {
-  const char* name;
+  std::string_view name;
   Tick RequestRecord::*begin;
   Tick RequestRecord::*end;
 };
@@ -98,25 +102,16 @@ int64_t FieldOf(const TraceEvent& te, TraceField field) {
   return field == TraceField::kA ? te.a : te.b;
 }
 
-// The id renders unsigned, a and b signed.
-void AppendField(std::string& out, const TraceEvent& te, TraceField field) {
-  if (field == TraceField::kId) {
-    AppendJsonUInt(out, te.id);
-  } else {
-    AppendJsonInt(out, FieldOf(te, field));
-  }
-}
-
 // How a TraceLog event of one category renders as an instant (ChromeEventKind
 // ::kTraceEvent): its track, its name and its args.
 struct TraceCategoryRow {
   TraceCategory category;
   int pid = 0;  // 0: no instant; the record slices cover the category
   TraceField tid = TraceField::kNone;  // kNone: tid 0
-  const char* name = "";
+  std::string_view name = {};
   TraceField suffix = TraceField::kNone;  // appended to the name
   struct Arg {
-    const char* key = nullptr;  // nullptr ends the list
+    std::string_view key = {};  // empty ends the list
     TraceField field = TraceField::kNone;
   } args[3] = {};
   // Redundant with record-derived instants when records exist (and the
@@ -177,7 +172,7 @@ const TraceCategoryRow& RowOf(TraceCategory category) {
   return kTraceCategoryRows[static_cast<size_t>(category)];
 }
 
-// Appends events in emission order, stamping each with its emission index.
+// Appends events in emission order.
 class EventSink {
  public:
   explicit EventSink(std::vector<ChromeEvent>& out) : out_(out) {}
@@ -188,10 +183,9 @@ class EventSink {
     e.kind = kind;
     e.ph = ph;
     e.ts = ts;
-    e.pid = pid;
+    e.pid = static_cast<uint8_t>(pid);
     e.tid = tid;
     e.ref = ref;
-    e.seq = static_cast<uint32_t>(out_.size() - 1);
     return e;
   }
   // A 'b' at `begin` and its 'e' at `end`, both with async id `id`.
@@ -387,9 +381,79 @@ void BuildCounterEvents(const TraceExportInput& input, EventSink& sink) {
   }
 }
 
+// The export order of `events`: the metadata prefix as emitted, then the
+// data events by a stable LSD radix sort on the signed timestamp, so equal
+// timestamps keep emission order (which preserves begin/end pairing within
+// each request's nested async slices). A digit on which all keys agree is
+// skipped, so a run shorter than 2^33 ns takes three passes.
+std::vector<uint32_t> TimestampOrder(const std::vector<ChromeEvent>& events) {
+  constexpr int kDigitBits = 11;
+  constexpr uint64_t kMask = (uint64_t{1} << kDigitBits) - 1;
+  DD_CHECK(events.size() <= UINT32_MAX) << events.size() << " trace events";
+  std::vector<uint32_t> order(events.size());
+  std::iota(order.begin(), order.end(), 0u);
+  size_t first = 0;
+  while (first < events.size() && events[first].ph == 'M') {
+    ++first;
+  }
+  const size_t n = events.size() - first;
+  if (n < 2) {
+    return order;
+  }
+  std::vector<uint64_t> keys(n);
+  uint64_t any = 0;
+  uint64_t all = ~uint64_t{0};
+  for (size_t i = 0; i < n; ++i) {
+    // Flipping the sign bit maps signed tick order onto unsigned key order.
+    const uint64_t key =
+        static_cast<uint64_t>(events[first + i].ts) ^ (uint64_t{1} << 63);
+    keys[i] = key;
+    any |= key;
+    all &= key;
+  }
+  const uint64_t varying = any ^ all;  // the bits some keys differ in
+  std::vector<uint64_t> keys_out(n);
+  std::vector<uint32_t> index_out(n);
+  uint32_t* index = order.data() + first;
+  uint32_t* index_next = index_out.data();
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    if (((varying >> shift) & kMask) == 0) {
+      continue;
+    }
+    std::array<uint32_t, kMask + 1> next{};  // bucket counts, then positions
+    for (const uint64_t key : keys) {
+      ++next[(key >> shift) & kMask];
+    }
+    uint32_t sum = 0;
+    for (uint32_t& c : next) {
+      const uint32_t count = c;
+      c = sum;
+      sum += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t pos = next[(keys[i] >> shift) & kMask]++;
+      keys_out[pos] = keys[i];
+      index_next[pos] = index[i];
+    }
+    keys.swap(keys_out);
+    std::swap(index, index_next);
+  }
+  // The result stays in `order`, the oldest of these buffers: the scratch
+  // freed above it can then be reused for the document, where freed scratch
+  // below a later buffer would stay resident beside it (+3.7 MB peak RSS in
+  // perfbench's blkmq-slo workload).
+  if (index != order.data() + first) {
+    std::copy(index, index + n, order.data() + first);
+  }
+  return order;
+}
+
 }  // namespace
 
-std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input) {
+// The event list is the export's largest array besides the document.
+static_assert(sizeof(ChromeEvent) == 40, "ChromeEvent grew");
+
+std::vector<ChromeEvent> EmitChromeEvents(const TraceExportInput& input) {
   // Built before the event vector is reserved: allocated after it, these
   // short-lived arrays left the heap fragmented (peak RSS 43 -> 51 MB in
   // perfbench's blkmq-slo workload on a 4-core VM).
@@ -410,75 +474,188 @@ std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input) {
   events.reserve(capacity);
   EventSink sink(events);
   BuildMetadata(input, sink);
-  const size_t data_begin = events.size();
   BuildRequestEvents(input, intervals, sink);
   BuildTraceEventInstants(input, sink);
   BuildCounterEvents(input, sink);
   BuildSloEvents(input, sink);
-  // Equal timestamps keep emission order, which preserves begin/end pairing
-  // within each request's nested async slices.
-  std::sort(events.begin() + static_cast<std::ptrdiff_t>(data_begin),
-            events.end(), [](const ChromeEvent& a, const ChromeEvent& b) {
-              return a.ts != b.ts ? a.ts < b.ts : a.seq < b.seq;
-            });
+  return events;
+}
+
+std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input) {
+  const std::vector<ChromeEvent> emitted = EmitChromeEvents(input);
+  std::vector<ChromeEvent> events;
+  events.reserve(emitted.size());
+  for (const uint32_t i : TimestampOrder(emitted)) {
+    events.push_back(emitted[i]);
+  }
   return events;
 }
 
 // --- Rendering ---------------------------------------------------------------
 
+// Writes the trace straight into a std::string. Before each item (an event,
+// a ddRequests row, the document's frame) the caller reserves kRoom bytes;
+// the fixed-size writes after it (literals, integers, ticks, doubles, single
+// characters) then copy without checks. A string of any length reserves its
+// own bound plus kRoom, so the fixed writes after it stay covered. The
+// string's size runs at most one growth step ahead of the bytes written, so
+// only pages about to be written are touched; Finish trims it. Invariant
+// builds check every write against the reserved end.
+class JsonCursor {
+ public:
+  // The longest fixed-size run between two reservations: a ddRequests row
+  // takes at most 566 bytes (21 keys, 11 ticks), an event under 300.
+  static constexpr size_t kRoom = 1024;
+
+  explicit JsonCursor(std::string& out)
+      : out_(out), p_(out.data() + out.size()), end_(p_) {}
+
+  void Reserve(size_t n) {
+    if (static_cast<size_t>(end_ - p_) < n) {
+      Grow(n);
+    }
+  }
+
+  template <size_t N>
+  void Lit(const char (&s)[N]) {
+    Copy(s, N - 1);
+  }
+  void Put(char c) {
+    Claim(1);
+    *p_++ = c;
+  }
+  // std::to_chars: the digits of printf's %lld / %llu.
+  template <typename Integer>
+  void Int(Integer v) {
+    Claim(20);
+    p_ = std::to_chars(p_, end_, v).ptr;
+  }
+  void Bool(bool v) {
+    if (v) {
+      Lit("true");
+    } else {
+      Lit("false");
+    }
+  }
+  // "%.15g" keeps integer-valued doubles exact.
+  void Double(double v) {
+    Claim(32);
+    p_ += std::snprintf(p_, 32, "%.15g", v);
+  }
+  // Chrome trace timestamps are microseconds; ticks are nanoseconds. Fixed
+  // "<us>.<ns%1000>" formatting keeps the export byte-deterministic (no
+  // floating-point rounding in play): printf's "%lld.%03lld" of
+  // (ns / 1000, ns % 1000), digit for digit.
+  void Micros(Tick ns) {
+    Int(ns / 1000);
+    Put('.');
+    Tick frac = ns % 1000;
+    if (frac < 0) {  // printf puts the sign inside the 3-digit field
+      Put('-');
+      frac = -frac;
+      if (frac < 10) {
+        Put('0');
+      }
+      Int(frac);
+      return;
+    }
+    Claim(3);
+    p_[0] = static_cast<char>('0' + frac / 100);
+    p_[1] = static_cast<char>('0' + frac / 10 % 10);
+    p_[2] = static_cast<char>('0' + frac % 10);
+    p_ += 3;
+  }
+
+  // Verbatim (already escaped) text.
+  void Text(std::string_view s) {
+    Reserve(s.size() + kRoom);
+    Copy(s.data(), s.size());
+  }
+  void Escaped(std::string_view s) {
+    Reserve(kJsonEscapeGrowth * s.size() + kRoom);
+    p_ = WriteJsonEscaped(p_, s);
+  }
+
+  // Trims the string to the bytes written.
+  void Finish() { out_.resize(static_cast<size_t>(p_ - out_.data())); }
+
+ private:
+  // How far the size runs ahead of the written bytes: small enough that the
+  // zeroes resize writes are still cached when they are overwritten.
+  static constexpr size_t kGrowStep = 16 << 10;
+
+  void Claim(size_t n) const {
+    DD_CHECK(static_cast<size_t>(end_ - p_) >= n)
+        << "JsonCursor: a write past the reserved bound";
+  }
+  void Copy(const char* s, size_t n) {
+    Claim(n);
+    std::memcpy(p_, s, n);
+    p_ += n;
+  }
+  void Grow(size_t n) {
+    const size_t used = static_cast<size_t>(p_ - out_.data());
+    // At least `n`, else one step, but no more than has been written so
+    // far, so a short string stays short.
+    out_.resize(used + std::max(n, std::min(used, kGrowStep)));
+    p_ = out_.data() + used;
+    end_ = out_.data() + out_.size();
+  }
+
+  std::string& out_;
+  char* p_;
+  char* end_;
+};
+
 namespace {
 
-// Chrome trace timestamps are microseconds; ticks are nanoseconds. Fixed
-// "<us>.<ns%1000>" formatting keeps the export byte-deterministic (no
-// floating-point rounding in play): printf's "%lld.%03lld" of
-// (ns / 1000, ns % 1000), digit for digit, via to_chars.
-void AppendMicros(std::string& out, Tick ns) {
-  char buf[48];
-  char* p = std::to_chars(buf, buf + 24, ns / 1000).ptr;
-  *p++ = '.';
-  Tick frac = ns % 1000;  // negative for negative ns, as printf prints it
-  if (frac < 0) {
-    *p++ = '-';
-    frac = -frac;
-  } else if (frac < 100) {
-    *p++ = '0';
+// The id renders unsigned, a and b signed.
+void WriteField(JsonCursor& w, const TraceEvent& te, TraceField field) {
+  if (field == TraceField::kId) {
+    w.Int(te.id);
+  } else {
+    w.Int(FieldOf(te, field));
   }
-  if (frac < 10) {
-    *p++ = '0';
-  }
-  p = std::to_chars(p, buf + sizeof(buf), frac).ptr;
-  out.append(buf, p);
-}
-
-// Counter and burn-rate values: "%.15g" keeps integer-valued doubles exact.
-void AppendDouble(std::string& out, double v) {
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof(buf), "%.15g", v);
-  out.append(buf, static_cast<size_t>(n));
 }
 
 // "rq <id> <L|T> <pages>p <W|R>".
-void AppendRequestLabel(std::string& out, const RequestRecord& r) {
-  out += "rq ";
-  AppendJsonUInt(out, r.id);
-  out += r.latency_sensitive ? " L " : " T ";
-  AppendJsonUInt(out, r.pages);
-  out += r.is_write ? "p W" : "p R";
-}
-
-// Opens a member of an args object's body: `"key":`, comma-separated.
-void AppendArg(std::string& args, std::string_view key) {
-  if (!args.empty()) {
-    args += ',';
+void WriteRequestLabel(JsonCursor& w, const RequestRecord& r) {
+  w.Lit("rq ");
+  w.Int(r.id);
+  if (r.latency_sensitive) {
+    w.Lit(" L ");
+  } else {
+    w.Lit(" T ");
   }
-  args += '"';
-  args += key;
-  args += "\":";
+  w.Int(r.pages);
+  if (r.is_write) {
+    w.Lit("p W");
+  } else {
+    w.Lit("p R");
+  }
 }
 
-void AppendIntArg(std::string& args, std::string_view key, int64_t v) {
-  AppendArg(args, key);
-  AppendJsonInt(args, v);
+// Ends an event's name and writes what comes before its args: the category
+// ("" = none), the async or flow id and a flow's binding point. Returns the
+// category.
+std::string_view CloseName(JsonCursor& w, const ChromeEvent& e,
+                           std::string_view cat) {
+  w.Put('"');
+  if (!cat.empty()) {
+    w.Lit(",\"cat\":\"");
+    w.Text(cat);
+    w.Put('"');
+  }
+  if (e.has_id()) {
+    w.Lit(",\"id\":\"");
+    w.Int(e.id);
+    w.Put('"');
+  }
+  if (e.ph == 's' || e.ph == 'f') {
+    // Legacy flow finish binds to the enclosing slice.
+    w.Lit(",\"bp\":\"e\"");
+  }
+  return cat;
 }
 
 std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
@@ -489,25 +666,31 @@ std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
   return "tenant" + std::to_string(tenant_id);
 }
 
+std::string JsonEscaped(std::string_view s) {
+  std::string out(kJsonEscapeGrowth * s.size(), '\0');
+  const char* end = WriteJsonEscaped(out.data(), s);
+  out.resize(static_cast<size_t>(end - out.data()));
+  return out;
+}
+
 }  // namespace
 
 ChromeEventRenderer::ChromeEventRenderer(const TraceExportInput& input)
     : input_(input) {
   for (const RequestRecord& r : input.requests) {
     if (quoted_tenants_.count(r.tenant_id) == 0) {
-      std::string quoted;
-      AppendJsonString(quoted, TenantName(input, r.tenant_id));
-      quoted_tenants_.emplace(r.tenant_id, std::move(quoted));
+      quoted_tenants_.emplace(
+          r.tenant_id, '"' + JsonEscaped(TenantName(input, r.tenant_id)) + '"');
     }
   }
   if (input.slo != nullptr) {
     for (const auto& [tenant, report] : input.slo->tenants) {
-      slo_.emplace_back(&tenant, &report);
+      slo_.emplace_back(JsonEscaped(tenant), &report);
     }
   }
   if (input.sampler != nullptr) {
     for (const auto& [name, values] : input.sampler->series()) {
-      series_.emplace_back(&name, &values);
+      series_.emplace_back(JsonEscaped(name), &values);
     }
   }
 }
@@ -517,291 +700,380 @@ const std::string& ChromeEventRenderer::QuotedTenant(uint64_t tenant_id) const {
 }
 
 std::string_view ChromeEventRenderer::Render(const ChromeEvent& e,
-                                             std::string& name,
-                                             std::string& args) const {
+                                             JsonCursor& w) const {
   const RequestRecord* r =
       e.ref < input_.requests.size() ? &input_.requests[e.ref] : nullptr;
+  w.Lit("{\"ph\":\"");
+  w.Put(e.ph);
+  w.Put('"');
+  if (e.ph != 'M') {
+    w.Lit(",\"ts\":");
+    w.Micros(e.ts);
+  }
+  if (e.ph == 'X') {
+    w.Lit(",\"dur\":");
+    w.Micros(e.dur);
+  }
+  w.Lit(",\"pid\":");
+  w.Int(e.pid);
+  w.Lit(",\"tid\":");
+  w.Int(e.tid);
+  w.Lit(",\"name\":\"");
+  std::string_view cat;
   switch (e.kind) {
     case ChromeEventKind::kProcessName:
-      name += "process_name";
-      AppendArg(args, "name");
-      AppendJsonString(args, TrackName(e));
-      return "";
+      w.Lit("process_name");
+      cat = CloseName(w, e, "");
+      w.Lit(",\"args\":{\"name\":\"");
+      WriteTrackName(w, e);
+      w.Lit("\"}");
+      break;
     case ChromeEventKind::kThreadName:
-      name += "thread_name";
-      AppendArg(args, "name");
-      AppendJsonString(args, TrackName(e));
-      return "";
+      w.Lit("thread_name");
+      cat = CloseName(w, e, "");
+      w.Lit(",\"args\":{\"name\":\"");
+      WriteTrackName(w, e);
+      w.Lit("\"}");
+      break;
     case ChromeEventKind::kRequest:
-      AppendRequestLabel(name, *r);
+      WriteRequestLabel(w, *r);
+      cat = CloseName(w, e, "rq");
       if (e.ph == 'b') {  // the end event carries no args
-        AppendArg(args, "tenant");
-        args += QuotedTenant(r->tenant_id);
-        AppendIntArg(args, "nsq", r->nsq);
-        AppendIntArg(args, "ncq", r->ncq);
-        AppendIntArg(args, "pages", r->pages);
+        w.Lit(",\"args\":{\"tenant\":");
+        w.Text(QuotedTenant(r->tenant_id));
+        w.Lit(",\"nsq\":");
+        w.Int(r->nsq);
+        w.Lit(",\"ncq\":");
+        w.Int(r->ncq);
+        w.Lit(",\"pages\":");
+        w.Int(r->pages);
+        w.Put('}');
       }
-      return "rq";
+      break;
     case ChromeEventKind::kStage:
-      name += kStages[e.sub].name;
-      return "rq";
+      w.Text(kStages[e.sub].name);
+      cat = CloseName(w, e, "rq");
+      break;
     case ChromeEventKind::kFlash:
-      name += "flash ";
-      AppendRequestLabel(name, *r);
-      return "flash";
+      w.Lit("flash ");
+      WriteRequestLabel(w, *r);
+      cat = CloseName(w, e, "flash");
+      break;
     case ChromeEventKind::kCqe:
-      name += "cqe ";
-      AppendRequestLabel(name, *r);
-      name += " NCQ";
-      AppendJsonInt(name, r->ncq);
-      return "cqe";
+      w.Lit("cqe ");
+      WriteRequestLabel(w, *r);
+      w.Lit(" NCQ");
+      w.Int(r->ncq);
+      cat = CloseName(w, e, "cqe");
+      break;
     case ChromeEventKind::kSubmit:
-      name += "submit rq";
-      AppendJsonUInt(name, r->id);
-      return "";
+      w.Lit("submit rq");
+      w.Int(r->id);
+      cat = CloseName(w, e, "");
+      break;
     case ChromeEventKind::kDrain:
-      name += "drain rq";
-      AppendJsonUInt(name, r->id);
-      return "";
+      w.Lit("drain rq");
+      w.Int(r->id);
+      cat = CloseName(w, e, "");
+      break;
     case ChromeEventKind::kComplete:
-      name += "complete rq";
-      AppendJsonUInt(name, r->id);
-      return "";
+      w.Lit("complete rq");
+      w.Int(r->id);
+      cat = CloseName(w, e, "");
+      break;
     case ChromeEventKind::kIrqHop:
-      name += "irq-hop";
-      return "irq-hop";
+      w.Lit("irq-hop");
+      cat = CloseName(w, e, "irq-hop");
+      break;
     case ChromeEventKind::kNsqHead:
-      AppendRequestLabel(name, *r);
-      AppendArg(args, "tenant");
-      args += QuotedTenant(r->tenant_id);
-      AppendIntArg(args, "pages", r->pages);
-      return "";
+      WriteRequestLabel(w, *r);
+      cat = CloseName(w, e, "");
+      w.Lit(",\"args\":{\"tenant\":");
+      w.Text(QuotedTenant(r->tenant_id));
+      w.Lit(",\"pages\":");
+      w.Int(r->pages);
+      w.Put('}');
+      break;
     case ChromeEventKind::kFetch:
-      name += "fetch ";
-      AppendRequestLabel(name, *r);
-      AppendIntArg(args, "nsq", r->nsq);
-      return "";
+      w.Lit("fetch ");
+      WriteRequestLabel(w, *r);
+      cat = CloseName(w, e, "");
+      w.Lit(",\"args\":{\"nsq\":");
+      w.Int(r->nsq);
+      w.Put('}');
+      break;
     case ChromeEventKind::kTraceEvent: {
       const TraceEvent& te = input_.events[e.ref];
       const TraceCategoryRow& row = RowOf(te.category);
-      name += row.name;
+      w.Text(row.name);
       if (row.suffix != TraceField::kNone) {
-        AppendField(name, te, row.suffix);
+        WriteField(w, te, row.suffix);
       }
-      for (const TraceCategoryRow::Arg& arg : row.args) {
-        if (arg.key == nullptr) {
-          break;
+      cat = CloseName(w, e, "");
+      for (size_t i = 0; i < std::size(row.args) && !row.args[i].key.empty();
+           ++i) {
+        if (i == 0) {
+          w.Lit(",\"args\":{\"");
+        } else {
+          w.Lit(",\"");
         }
-        AppendArg(args, arg.key);
-        AppendField(args, te, arg.field);
+        w.Text(row.args[i].key);
+        w.Lit("\":");
+        WriteField(w, te, row.args[i].field);
       }
-      return "";
+      if (!row.args[0].key.empty()) {
+        w.Put('}');
+      }
+      break;
     }
-    case ChromeEventKind::kCounter:
-      AppendJsonEscaped(name, *series_[e.sub].first);
-      AppendArg(args, "value");
-      AppendDouble(args, (*series_[e.sub].second)[e.ref]);
-      return "";
+    case ChromeEventKind::kCounter: {
+      const auto& [name, values] = series_[e.sub];
+      w.Text(name);
+      cat = CloseName(w, e, "");
+      w.Lit(",\"args\":{\"value\":");
+      w.Double((*values)[e.ref]);
+      w.Put('}');
+      break;
+    }
     case ChromeEventKind::kSloEpisode: {
       const auto& [tenant, report] = slo_[static_cast<size_t>(e.tid)];
       const SloEpisode& ep = report->episodes[e.ref];
-      name += "SLO violation ";
-      AppendJsonEscaped(name, *tenant);
-      AppendArg(args, "peak_burn");
-      AppendDouble(args, ep.peak_burn);
-      AppendArg(args, "bad");
-      AppendJsonUInt(args, ep.bad);
-      AppendArg(args, "total");
-      AppendJsonUInt(args, ep.total);
-      AppendArg(args, "blame");
-      AppendJsonString(args, ep.blame.empty() ? "unattributed" : ep.blame);
-      AppendArg(args, "mechanism");
-      AppendJsonString(args, ep.mechanism);
-      return "slo";
+      w.Lit("SLO violation ");
+      w.Text(tenant);
+      cat = CloseName(w, e, "slo");
+      w.Lit(",\"args\":{\"peak_burn\":");
+      w.Double(ep.peak_burn);
+      w.Lit(",\"bad\":");
+      w.Int(ep.bad);
+      w.Lit(",\"total\":");
+      w.Int(ep.total);
+      w.Lit(",\"blame\":\"");
+      w.Escaped(ep.blame.empty() ? std::string_view("unattributed")
+                                 : std::string_view(ep.blame));
+      w.Lit("\",\"mechanism\":\"");
+      w.Escaped(ep.mechanism);
+      w.Lit("\"}");
+      break;
     }
     case ChromeEventKind::kSloBurn: {
       const auto& [tenant, report] = slo_[static_cast<size_t>(e.tid)];
       const SloWindow& win = report->windows[e.ref];
-      name += "burn ";
-      AppendJsonEscaped(name, *tenant);
-      AppendArg(args, "fast");
-      AppendDouble(args, win.fast_burn);
-      AppendArg(args, "slow");
-      AppendDouble(args, win.slow_burn);
-      return "";
+      w.Lit("burn ");
+      w.Text(tenant);
+      cat = CloseName(w, e, "");
+      w.Lit(",\"args\":{\"fast\":");
+      w.Double(win.fast_burn);
+      w.Lit(",\"slow\":");
+      w.Double(win.slow_burn);
+      w.Put('}');
+      break;
     }
   }
-  return "";
+  w.Put('}');
+  return cat;
+}
+
+std::string_view ChromeEventRenderer::AppendJson(std::string& out,
+                                                 const ChromeEvent& e) const {
+  JsonCursor w(out);
+  w.Reserve(JsonCursor::kRoom);
+  const std::string_view cat = Render(e, w);
+  w.Finish();
+  return cat;
 }
 
 std::string ChromeEventRenderer::Name(const ChromeEvent& e) const {
-  std::string name;
-  std::string args;
-  Render(e, name, args);
-  return name;
+  std::string json;
+  AppendJson(json, e);
+  // The name is the first string value; it ends at its first unescaped quote.
+  constexpr std::string_view kKey = "\"name\":\"";
+  const size_t begin = json.find(kKey) + kKey.size();
+  size_t end = begin;
+  while (json[end] != '"') {
+    end += json[end] == '\\' ? 2 : 1;
+  }
+  return json.substr(begin, end - begin);
 }
 
 std::string_view ChromeEventRenderer::Category(const ChromeEvent& e) const {
-  std::string name;
-  std::string args;
-  return Render(e, name, args);
+  std::string json;
+  return AppendJson(json, e);
 }
 
-std::string ChromeEventRenderer::TrackName(const ChromeEvent& e) const {
+void ChromeEventRenderer::WriteTrackName(JsonCursor& w,
+                                         const ChromeEvent& e) const {
   if (e.kind == ChromeEventKind::kProcessName) {
     switch (e.pid) {
       case kTracePidHost:
-        return "host (" + input_.stack_name + ")";
+        w.Lit("host (");
+        w.Escaped(input_.stack_name);
+        w.Put(')');
+        return;
       case kTracePidNsq:
-        return "NSQ head occupancy";
+        w.Lit("NSQ head occupancy");
+        return;
       case kTracePidDevice:
-        return "device controller";
+        w.Lit("device controller");
+        return;
       case kTracePidNcq:
-        return "NCQ residency";
+        w.Lit("NCQ residency");
+        return;
       case kTracePidRequests:
-        return "request lifecycles";
+        w.Lit("request lifecycles");
+        return;
       case kTracePidCounters:
-        return "sampled state";
+        w.Lit("sampled state");
+        return;
       case kTracePidControl:
-        return "stack control";
+        w.Lit("stack control");
+        return;
       case kTracePidSlo:
-        return "SLO conformance";
+        w.Lit("SLO conformance");
+        return;
     }
-    return "";
+    return;
   }
   switch (e.pid) {
     case kTracePidHost:
-      return "core " + std::to_string(e.tid);
+      w.Lit("core ");
+      w.Int(e.tid);
+      return;
     case kTracePidNsq: {
       auto it = input_.nsq_labels.find(e.tid);
-      return it != input_.nsq_labels.end() ? it->second
-                                           : "NSQ " + std::to_string(e.tid);
+      if (it != input_.nsq_labels.end()) {
+        w.Escaped(it->second);
+      } else {
+        w.Lit("NSQ ");
+        w.Int(e.tid);
+      }
+      return;
     }
     case kTracePidDevice:
-      return "fetch engine";
+      w.Lit("fetch engine");
+      return;
     case kTracePidControl:
-      return "scheduling";
+      w.Lit("scheduling");
+      return;
     case kTracePidSlo:
-      return "SLO " + *slo_[static_cast<size_t>(e.tid)].first;
+      w.Lit("SLO ");
+      w.Text(slo_[static_cast<size_t>(e.tid)].first);
+      return;
   }
-  return "";
-}
-
-void ChromeEventRenderer::AppendJson(std::string& out,
-                                     const ChromeEvent& e) const {
-  out += "{\"ph\":\"";
-  out += e.ph;
-  out += '"';
-  if (e.ph != 'M') {
-    out += ",\"ts\":";
-    AppendMicros(out, e.ts);
-  }
-  if (e.ph == 'X') {
-    out += ",\"dur\":";
-    AppendMicros(out, e.dur);
-  }
-  out += ",\"pid\":";
-  AppendJsonInt(out, e.pid);
-  out += ",\"tid\":";
-  AppendJsonInt(out, e.tid);
-  out += ",\"name\":\"";
-  args_.clear();
-  const std::string_view cat = Render(e, out, args_);
-  out += '"';
-  if (!cat.empty()) {
-    out += ",\"cat\":\"";
-    out += cat;
-    out += '"';
-  }
-  if (e.has_id()) {
-    out += ",\"id\":\"";
-    AppendJsonUInt(out, e.id);
-    out += '"';
-  }
-  if (e.ph == 's' || e.ph == 'f') {
-    // Legacy flow finish binds to the enclosing slice.
-    out += ",\"bp\":\"e\"";
-  }
-  if (!args_.empty()) {
-    out += ",\"args\":{";
-    out += args_;
-    out += '}';
-  }
-  out += '}';
 }
 
 // --- Serialization ---------------------------------------------------------
 
 namespace {
 
-void AppendRequestRecordJson(JsonWriter& w, const RequestRecord& r) {
-  w.BeginObject();
-  w.Key("id").UInt(r.id);
-  w.Key("tenant").UInt(r.tenant_id);
-  w.Key("pages").UInt(r.pages);
-  w.Key("write").Bool(r.is_write);
-  w.Key("ls").Bool(r.latency_sensitive);
-  w.Key("nsq").Int(r.nsq);
-  w.Key("ncq").Int(r.ncq);
-  w.Key("submit_core").Int(r.submit_core);
-  w.Key("irq_core").Int(r.irq_core);
-  w.Key("complete_core").Int(r.complete_core);
-  w.Key("issue").Int(r.issue);
-  w.Key("submit").Int(r.submit);
-  w.Key("nsq_enqueue").Int(r.nsq_enqueue);
-  w.Key("doorbell").Int(r.doorbell);
-  w.Key("fetch_start").Int(r.fetch_start);
-  w.Key("fetch").Int(r.fetch);
-  w.Key("flash_start").Int(r.flash_start);
-  w.Key("flash_end").Int(r.flash_end);
-  w.Key("cqe_post").Int(r.cqe_post);
-  w.Key("drain").Int(r.drain);
-  w.Key("complete").Int(r.complete);
-  w.EndObject();
+void WriteRequestRecord(JsonCursor& w, const RequestRecord& r) {
+  w.Lit("{\"id\":");
+  w.Int(r.id);
+  w.Lit(",\"tenant\":");
+  w.Int(r.tenant_id);
+  w.Lit(",\"pages\":");
+  w.Int(r.pages);
+  w.Lit(",\"write\":");
+  w.Bool(r.is_write);
+  w.Lit(",\"ls\":");
+  w.Bool(r.latency_sensitive);
+  w.Lit(",\"nsq\":");
+  w.Int(r.nsq);
+  w.Lit(",\"ncq\":");
+  w.Int(r.ncq);
+  w.Lit(",\"submit_core\":");
+  w.Int(r.submit_core);
+  w.Lit(",\"irq_core\":");
+  w.Int(r.irq_core);
+  w.Lit(",\"complete_core\":");
+  w.Int(r.complete_core);
+  w.Lit(",\"issue\":");
+  w.Int(r.issue);
+  w.Lit(",\"submit\":");
+  w.Int(r.submit);
+  w.Lit(",\"nsq_enqueue\":");
+  w.Int(r.nsq_enqueue);
+  w.Lit(",\"doorbell\":");
+  w.Int(r.doorbell);
+  w.Lit(",\"fetch_start\":");
+  w.Int(r.fetch_start);
+  w.Lit(",\"fetch\":");
+  w.Int(r.fetch);
+  w.Lit(",\"flash_start\":");
+  w.Int(r.flash_start);
+  w.Lit(",\"flash_end\":");
+  w.Int(r.flash_end);
+  w.Lit(",\"cqe_post\":");
+  w.Int(r.cqe_post);
+  w.Lit(",\"drain\":");
+  w.Int(r.drain);
+  w.Lit(",\"complete\":");
+  w.Int(r.complete);
+  w.Put('}');
 }
 
 }  // namespace
 
 std::string SerializeChromeTrace(const TraceExportInput& input) {
-  const std::vector<ChromeEvent> events = BuildChromeEvents(input);
+  const std::vector<ChromeEvent> events = EmitChromeEvents(input);
+  // Ordered before the document is allocated, so the sort's scratch is gone
+  // by then and cannot fragment the heap under it.
+  const std::vector<uint32_t> order = TimestampOrder(events);
   const ChromeEventRenderer renderer(input);
-  // One buffer for the whole document, sized from its typical shape (~110
-  // bytes per event, ~330 per raw record, ~20 per sampled value).
-  size_t bytes = events.size() * 128 + input.requests.size() * 384 + 1024;
+  // Reserved from the document's typical shape (~110 bytes per event, ~330
+  // per raw record, ~20 per sampled value); the cursor touches pages only as
+  // it writes them.
+  size_t sampler_bytes = 0;
   if (input.sampler != nullptr) {
-    bytes += input.sampler->times().size() * (input.sampler->series().size() + 1) * 24;
+    sampler_bytes = input.sampler->times().size() *
+                    (input.sampler->series().size() + 1) * 24;
   }
-  JsonWriter w;
-  w.Reserve(bytes);
-  w.BeginObject();
-  w.Key("displayTimeUnit").String("ns");
-  w.Key("otherData").BeginObject();
-  w.Key("stack").String(input.stack_name);
-  w.Key("num_cores").Int(input.num_cores);
-  w.Key("nr_nsq").Int(input.nr_nsq);
-  w.Key("nr_ncq").Int(input.nr_ncq);
-  w.Key("trace_events").UInt(input.events.size());
-  w.Key("request_records").UInt(input.requests.size());
-  w.EndObject();
-  w.Key("traceEvents").BeginArray();
-  std::string event_json;
-  for (const ChromeEvent& e : events) {
-    event_json.clear();
-    renderer.AppendJson(event_json, e);
-    w.Raw(event_json);
+  std::string doc;
+  doc.reserve(events.size() * 128 + input.requests.size() * 384 + 1024 +
+              sampler_bytes);
+  JsonCursor w(doc);
+  w.Reserve(JsonCursor::kRoom);
+  w.Lit("{\"displayTimeUnit\":\"ns\",\"otherData\":{\"stack\":\"");
+  w.Escaped(input.stack_name);
+  w.Lit("\",\"num_cores\":");
+  w.Int(input.num_cores);
+  w.Lit(",\"nr_nsq\":");
+  w.Int(input.nr_nsq);
+  w.Lit(",\"nr_ncq\":");
+  w.Int(input.nr_ncq);
+  w.Lit(",\"trace_events\":");
+  w.Int(input.events.size());
+  w.Lit(",\"request_records\":");
+  w.Int(input.requests.size());
+  w.Lit("},\"traceEvents\":[");
+  for (size_t i = 0; i < order.size(); ++i) {
+    w.Reserve(JsonCursor::kRoom);
+    if (i > 0) {
+      w.Put(',');
+    }
+    renderer.Render(events[order[i]], w);
   }
-  w.EndArray();
-  w.Key("ddRequests").BeginArray();
-  for (const RequestRecord& r : input.requests) {
-    AppendRequestRecordJson(w, r);
+  w.Reserve(JsonCursor::kRoom);
+  w.Lit("],\"ddRequests\":[");
+  for (size_t i = 0; i < input.requests.size(); ++i) {
+    w.Reserve(JsonCursor::kRoom);
+    if (i > 0) {
+      w.Put(',');
+    }
+    WriteRequestRecord(w, input.requests[i]);
   }
-  w.EndArray();
+  w.Reserve(JsonCursor::kRoom);
+  w.Put(']');
   if (input.sampler != nullptr) {
-    w.Key("ddSampler");
-    input.sampler->Snapshot().AppendJson(w);
+    // The snapshot's one JSON form, shared with ScenarioResult::ToJson.
+    JsonWriter sampler;
+    sampler.Reserve(sampler_bytes);
+    input.sampler->Snapshot().AppendJson(sampler);
+    w.Lit(",\"ddSampler\":");
+    w.Text(sampler.str());
   }
-  w.EndObject();
-  return w.Release();
+  w.Put('}');
+  w.Finish();
+  return doc;
 }
 
 // --- JSON validation -------------------------------------------------------

@@ -25,9 +25,12 @@
 // export-enabled run is simulated-time identical to a disabled one.
 //
 // Cost: events are compact references into the export input (they own no
-// strings), ordered in O(events log events); each event's name is rendered
-// straight into one pre-reserved output buffer and its args through a reused
-// scratch string, so per-request events allocate nothing.
+// strings), put in time order by a stable LSD radix sort on (timestamp,
+// emission index) keys - three passes for a run shorter than 2^33 ns - and
+// written in that order straight into the output string by one cursor that
+// reserves a bound per event and then copies literals and to_chars digits
+// without further checks. The number of allocations does not depend on the
+// number of records (tests/hot_path_alloc_test.cc holds it to that).
 #ifndef DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 #define DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 
@@ -144,11 +147,10 @@ struct ChromeEvent {
   Tick ts = 0;      // nanoseconds (serialized as microseconds)
   Tick dur = 0;     // X events only
   uint64_t id = 0;  // async/flow id (has_id())
-  int pid = 0;
   int tid = 0;
   uint32_t ref = 0;
   uint32_t sub = 0;
-  uint32_t seq = 0;  // emission index: equal timestamps keep emission order
+  uint8_t pid = 0;  // a kTracePid* track group; a byte keeps events 40 bytes
   ChromeEventKind kind = ChromeEventKind::kProcessName;
   char ph = 'X';  // b/e/X/i/C/s/f/M
 
@@ -171,10 +173,17 @@ struct TraceExportInput {
   std::map<int, std::string> nsq_labels;      // per-stack track naming
 };
 
-// Builds the event list: metadata events first, then data events ordered by
-// (ts, emission index) - equal timestamps keep emission order, which
-// preserves correct begin/end nesting.
+// The events in emission order: the metadata events ('M') first, then the
+// data events source by source (request records, TraceLog instants, sampler
+// counters, SLO tracks).
+std::vector<ChromeEvent> EmitChromeEvents(const TraceExportInput& input);
+
+// Builds the event list: EmitChromeEvents with the data events in stable
+// timestamp order - equal timestamps keep emission order, which preserves
+// correct begin/end nesting. Timestamps order as signed ticks.
 std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input);
+
+class JsonCursor;  // trace_export.cc: the serializer's output cursor
 
 // Renders events against the input they were built from (which must outlive
 // the renderer). The serializer's single path to names, categories and args.
@@ -186,29 +195,27 @@ class ChromeEventRenderer {
   // "cat" value ("" = no category).
   std::string Name(const ChromeEvent& e) const;
   std::string_view Category(const ChromeEvent& e) const;
-  // Appends the event as one JSON object.
-  void AppendJson(std::string& out, const ChromeEvent& e) const;
+  // Appends the event as one JSON object; returns its category.
+  std::string_view AppendJson(std::string& out, const ChromeEvent& e) const;
 
  private:
-  // The one description of each event kind: appends the event's name,
-  // JSON-escaped, to `name` and the body of its args object to `args`
-  // (nothing = no args), and returns its category.
-  std::string_view Render(const ChromeEvent& e, std::string& name,
-                          std::string& args) const;
-  // The process / thread name a metadata event announces.
-  std::string TrackName(const ChromeEvent& e) const;
+  friend std::string SerializeChromeTrace(const TraceExportInput& input);
+
+  // The one description of each event kind: writes the event as one JSON
+  // object (its name, category, id and args together) and returns its
+  // category. The caller reserves the cursor's fixed room first.
+  std::string_view Render(const ChromeEvent& e, JsonCursor& w) const;
+  // Writes the process / thread name a metadata event announces, escaped.
+  void WriteTrackName(JsonCursor& w, const ChromeEvent& e) const;
   const std::string& QuotedTenant(uint64_t tenant_id) const;
 
   const TraceExportInput& input_;
-  // AppendJson's args scratch: the args object follows the name, category
-  // and id, so Render's args wait here. Reused from event to event.
-  mutable std::string args_;
   // JSON string literals of the tenant names, by tenant id.
   std::map<uint64_t, std::string> quoted_tenants_;
-  // Positional views of the maps events index into.
-  std::vector<std::pair<const std::string*, const SloTenantReport*>> slo_;
-  std::vector<std::pair<const std::string*, const std::vector<double>*>>
-      series_;
+  // Positional views of the maps events index into, each name JSON-escaped
+  // once.
+  std::vector<std::pair<std::string, const SloTenantReport*>> slo_;
+  std::vector<std::pair<std::string, const std::vector<double>*>> series_;
 };
 
 // Full JSON document: {"traceEvents":[...],"displayTimeUnit":"ns",

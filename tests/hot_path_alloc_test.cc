@@ -13,6 +13,11 @@
 // work. The budget is therefore that node per write plus at most half an
 // allocation per read, so one more allocation per read, or per write,
 // fails the test.
+//
+// The second case holds the trace exporter to its header's claim: it
+// allocates per track and per event kind, never per record, so one config
+// exported after a short and a long run makes the same number of
+// allocations.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -21,37 +26,59 @@
 #include <new>
 #include <string>
 
+#include "src/stats/holb.h"
+#include "src/stats/trace_export.h"
 #include "src/workload/scenario.h"
+#include "tests/scenario_capture.h"
 
 namespace {
 // The test is single-threaded; a plain counter is exact.
 uint64_t g_allocs = 0;
 
-void* CountedAlloc(std::size_t n) {
+// nullptr when out of memory.
+void* CountedAlloc(std::size_t n) noexcept {
   ++g_allocs;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) {
-    return p;
-  }
-  throw std::bad_alloc();
+  return std::malloc(n == 0 ? 1 : n);
 }
 
-void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
+void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) noexcept {
   ++g_allocs;
   const std::size_t a = static_cast<std::size_t>(align);
   const std::size_t rounded = ((n == 0 ? 1 : n) + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded)) {
-    return p;
+  return std::aligned_alloc(a, rounded);
+}
+
+void* OrThrow(void* p) {
+  if (p == nullptr) {
+    throw std::bad_alloc();
   }
-  throw std::bad_alloc();
+  return p;
 }
 }  // namespace
 
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
+// Every replaceable form, the nothrow ones included (std::stable_sort's
+// temporary buffer uses them): a form left out would come from the
+// sanitizer's allocator and be released here with free.
+void* operator new(std::size_t n) { return OrThrow(CountedAlloc(n)); }
+void* operator new[](std::size_t n) { return OrThrow(CountedAlloc(n)); }
 void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, a);
+  return OrThrow(CountedAlignedAlloc(n, a));
 }
 void* operator new[](std::size_t n, std::align_val_t a) {
+  return OrThrow(CountedAlignedAlloc(n, a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return CountedAlloc(n);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
   return CountedAlignedAlloc(n, a);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -64,6 +91,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -121,6 +160,51 @@ TEST(HotPathAllocTest, SteadyStateStaysWithinAllocationBudget) {
   EXPECT_LE(beyond_writes_per_read, 0.5)
       << allocs << " heap allocations over " << writes << " writes and "
       << reads << " reads";
+}
+
+// Allocations SerializeChromeTrace makes for vanilla blk-mq with the trace
+// ring, the sampler and an L SLO after `duration` of measurement; sets
+// `*records` to the records exported.
+uint64_t ExportAllocations(Tick duration, size_t* records) {
+  ScenarioConfig cfg = MakeSvmConfig(4);
+  cfg.stack = StackKind::kVanilla;
+  cfg.warmup = kMillisecond;
+  cfg.duration = duration;
+  cfg.trace_capacity = 1 << 15;
+  cfg.sample_interval = kMillisecond;
+  cfg.export_trace = true;
+  SloSpec spec;
+  spec.selector = "L";
+  spec.threshold = 30 * kMicrosecond;
+  spec.window = kMillisecond;
+  cfg.slos.push_back(spec);
+  AddLTenants(cfg, 2);
+  AddTTenants(cfg, 2);
+  CapturedRun run = CaptureRun(cfg);
+  const BlockingIntervals intervals(run.records);
+  HolbOptions opts;
+  opts.tenant_names = run.env->TenantNames();
+  AttributeSloEpisodes(run.slo, HolbAnalyzer(run.records, intervals, opts));
+  const TraceExportInput input = MakeExportInput(run, &run.slo);
+  *records = input.requests.size();
+  const uint64_t allocs_before = g_allocs;
+  const std::string json = SerializeChromeTrace(input);
+  const uint64_t allocs = g_allocs - allocs_before;
+  EXPECT_FALSE(json.empty());
+  return allocs;
+}
+
+TEST(HotPathAllocTest, TraceExportAllocationsDoNotGrowWithRecords) {
+  size_t short_records = 0;
+  size_t long_records = 0;
+  const uint64_t short_allocs =
+      ExportAllocations(10 * kMillisecond, &short_records);
+  const uint64_t long_allocs =
+      ExportAllocations(80 * kMillisecond, &long_records);
+  ASSERT_GT(long_records, 4 * short_records);
+  RecordProperty("export_allocs", std::to_string(long_allocs));
+  EXPECT_EQ(short_allocs, long_allocs)
+      << short_records << " and " << long_records << " records";
 }
 
 }  // namespace

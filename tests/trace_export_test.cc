@@ -7,12 +7,16 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/sim/simulator.h"
 #include "src/stats/holb.h"
+#include "src/stats/slo.h"
+#include "src/stats/state_sampler.h"
 #include "src/stats/trace_export.h"
 #include "src/workload/scenario.h"
 #include "tests/scenario_capture.h"
@@ -164,6 +168,108 @@ TEST(TraceExportTest, MetadataEventsComeFirstThenTimestampOrder) {
       MakeRecord(1, 0, 100, 200, 400),
       MakeRecord(2, 1, 150, 400, 500),
   })));
+}
+
+// Every field of an event, for exact comparisons.
+auto Fields(const ChromeEvent& e) {
+  return std::make_tuple(e.ts, e.dur, e.id, e.pid, e.tid, e.ref, e.sub, e.kind,
+                         e.ph);
+}
+
+// Seeded inputs whose timestamps tie across records, event kinds and
+// sources, and lie below zero and at and above 2^32 and 2^40 ns, so the
+// ordering's radix sort runs every digit. The order must equal a stable sort
+// by signed timestamp of the events in emission order, behind the untouched
+// metadata prefix.
+TEST(TraceExportTest, OrderMatchesStableSortReference) {
+  constexpr Tick k32 = Tick{1} << 32;
+  constexpr Tick k40 = Tick{1} << 40;
+  const Tick kBases[] = {-k40, -1000,      0,   k32 - 2,
+                         k32,  k32 + 2047, k40, k40 + 2};
+  constexpr Tick RequestRecord::*kStamps[] = {
+      &RequestRecord::issue,       &RequestRecord::submit,
+      &RequestRecord::nsq_enqueue, &RequestRecord::doorbell,
+      &RequestRecord::fetch_start, &RequestRecord::fetch,
+      &RequestRecord::flash_start, &RequestRecord::flash_end,
+      &RequestRecord::cqe_post,    &RequestRecord::drain,
+      &RequestRecord::complete};
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    auto base = [&rng, &kBases] { return kBases[rng() % std::size(kBases)]; };
+    auto step = [&rng] { return static_cast<Tick>(rng() % 3); };  // ties
+    std::vector<RequestRecord> records;
+    for (uint64_t id = 1; id <= 200; ++id) {
+      RequestRecord r = MakeRecord(id, static_cast<int>(rng() % 4), 0, 0, 0,
+                                   1 + static_cast<uint32_t>(rng() % 32),
+                                   rng() % 2 == 0);
+      Tick t = base();
+      for (Tick RequestRecord::*stamp : kStamps) {
+        r.*stamp = t;
+        t += step();
+      }
+      r.irq_core = static_cast<int>(rng() % 4);  // some cross-core hops
+      records.push_back(r);
+    }
+    TraceExportInput input = MakeInput(std::move(records));
+    for (uint64_t i = 0; i < 100; ++i) {  // trace-ring instants
+      TraceEvent te;
+      te.at = base() + step();
+      te.category = static_cast<TraceCategory>(rng() % kNumTraceCategories);
+      te.id = i;
+      te.a = static_cast<int64_t>(rng() % 4);
+      te.b = static_cast<int64_t>(rng() % 4);
+      input.events.push_back(te);
+    }
+    // Sampler counters every 2 ns from 2^40 on.
+    Simulator sim;
+    StateSampler sampler(2);
+    sampler.AddProbe("depth", [&sim] {
+      return static_cast<double>(sim.now() % 5 + 1);
+    });
+    sampler.Attach(&sim, k40, k40 + 40);
+    sim.RunUntil(k40 + 40);
+    input.sampler = &sampler;
+    SloReport slo;
+    SloTenantReport& tenant = slo.tenants["L0"];
+    for (int i = 0; i < 30; ++i) {
+      SloWindow window;
+      window.start = base() + step();
+      tenant.windows.push_back(window);
+    }
+    for (int i = 0; i < 10; ++i) {
+      SloEpisode episode;
+      episode.begin = base() + step();
+      episode.end = episode.begin + 5;
+      tenant.episodes.push_back(episode);
+    }
+    input.slo = &slo;
+
+    std::vector<ChromeEvent> expected = EmitChromeEvents(input);
+    const auto data =
+        std::find_if(expected.begin(), expected.end(),
+                     [](const ChromeEvent& e) { return e.ph != 'M'; });
+    std::stable_sort(data, expected.end(),
+                     [](const ChromeEvent& a, const ChromeEvent& b) {
+                       return a.ts < b.ts;
+                     });
+    const std::vector<ChromeEvent> got = BuildChromeEvents(input);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(Fields(got[i]), Fields(expected[i])) << "event " << i;
+    }
+    // The input reached what the test is for.
+    EXPECT_EQ(got[static_cast<size_t>(data - expected.begin())].ts, -k40);
+    EXPECT_GE(got.back().ts, k40);
+    std::set<ChromeEventKind> kinds_in_ties;
+    for (size_t i = 1; i < got.size(); ++i) {
+      if (got[i].ph != 'M' && got[i].ts == got[i - 1].ts &&
+          got[i].kind != got[i - 1].kind) {
+        kinds_in_ties.insert(got[i].kind);
+      }
+    }
+    EXPECT_GE(kinds_in_ties.size(), 8u);
+  }
 }
 
 TEST(TraceExportTest, AsyncBeginEndBalancedPerTrack) {
