@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "src/core/invariant.h"
 
@@ -11,7 +12,8 @@ KvStore::KvStore(AppIoContext* io, const KvStoreConfig& config, Rng rng)
     : io_(io),
       config_(config),
       rng_(rng),
-      cache_(static_cast<size_t>(config.block_cache_pages)) {
+      cache_(static_cast<size_t>(config.block_cache_pages)),
+      wal_log_(config.wal_pages) {
   data_alloc_ = config_.wal_pages;
 }
 
@@ -33,6 +35,7 @@ void KvStore::Load(uint64_t num_keys) {
   // Install the pre-existing database as evenly sized L1 runs.
   const uint64_t epp = entries_per_page();
   const uint64_t keys_per_run = std::max<uint64_t>(epp, num_keys / 8);
+  location_.Reserve(num_keys);
   for (uint64_t start = 0; start < num_keys; start += keys_per_run) {
     const uint64_t end = std::min(num_keys, start + keys_per_run);
     SsTable table;
@@ -41,7 +44,7 @@ void KvStore::Load(uint64_t num_keys) {
     table.keys.reserve(end - start);
     for (uint64_t k = start; k < end; ++k) {
       table.keys.push_back(k);
-      location_[k] = table.id;
+      location_.Set(k, table.id);
     }
     table.num_pages = std::max<uint64_t>(1, (table.keys.size() + epp - 1) / epp);
     table.base_lba = AllocExtent(table.num_pages);
@@ -51,11 +54,11 @@ void KvStore::Load(uint64_t num_keys) {
 
 void KvStore::WarmCache(uint64_t num_keys) {
   for (uint64_t key = 0; key < num_keys; ++key) {
-    auto loc = location_.find(key);
-    if (loc == location_.end() || loc->second == kMemtableLoc) {
+    const uint64_t* loc = location_.Find(key);
+    if (loc == nullptr || *loc == kMemtableLoc) {
       continue;
     }
-    auto table = sstables_.find(loc->second);
+    auto table = sstables_.find(*loc);
     if (table != sstables_.end()) {
       cache_.Insert(BlockOf(table->second, key));
     }
@@ -75,16 +78,12 @@ void KvStore::ReadBlock(uint64_t lba, Callback done) {
 
 void KvStore::Get(uint64_t key, Callback done) {
   io_->Compute(config_.cpu_per_op, [this, key, done = std::move(done)]() mutable {
-    if (memtable_.count(key) != 0) {
-      done();
+    const uint64_t* loc = location_.Find(key);
+    if (loc == nullptr || *loc == kMemtableLoc) {
+      done();  // served from the memtable, or not found: no I/O
       return;
     }
-    auto loc = location_.find(key);
-    if (loc == location_.end() || loc->second == kMemtableLoc) {
-      done();  // not found (or raced with a flush): no I/O
-      return;
-    }
-    auto table_it = sstables_.find(loc->second);
+    auto table_it = sstables_.find(*loc);
     if (table_it == sstables_.end()) {
       done();
       return;
@@ -113,28 +112,30 @@ void KvStore::Put(uint64_t key, Callback done) {
   const uint64_t cid = io_->WriteFua(
       wal_lba, 1, /*meta=*/false,
       [this, key, lsn, wal_lba, done = std::move(done)]() mutable {
-        auto it = wal_log_.find(wal_lba);
-        if (it != wal_log_.end() && it->second.lsn == lsn) {
-          it->second.acked = true;
+        WalRecord& rec = wal_log_[wal_lba];
+        if (rec.written && rec.lsn == lsn) {
+          rec.acked = true;
         }
         io_->Compute(config_.cpu_per_op,
                      [this, key, done = std::move(done)]() {
-                       memtable_[key] = config_.value_bytes;
-                       location_[key] = kMemtableLoc;
+                       AddToMemtable(key);
                        MaybeFlush();
                        done();
                      });
       });
-  wal_log_[wal_lba] = WalRecord{lsn, key, cid, false};
+  wal_log_[wal_lba] = WalRecord{lsn, key, cid, /*acked=*/false, /*written=*/true};
+}
+
+void KvStore::AddToMemtable(uint64_t key) {
+  if (location_.Set(key, kMemtableLoc) != kMemtableLoc) {
+    memtable_.push_back(key);
+  }
 }
 
 bool KvStore::Contains(uint64_t key) const {
-  if (memtable_.count(key) != 0) {
-    return true;
-  }
-  auto loc = location_.find(key);
-  return loc != location_.end() && loc->second != kMemtableLoc &&
-         sstables_.count(loc->second) != 0;
+  const uint64_t* loc = location_.Find(key);
+  return loc != nullptr &&
+         (*loc == kMemtableLoc || sstables_.count(*loc) != 0);
 }
 
 KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
@@ -144,7 +145,7 @@ KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
   // an L0 run whose FLUSH never acked may be partially on media, so its
   // manifest entry is not trusted (its records are re-replayed from the WAL).
   memtable_.clear();
-  location_.clear();
+  location_.Clear();
   for (auto it = sstables_.begin(); it != sstables_.end();) {
     if (it->second.seal_lsn > acked_checkpoint_lsn_) {
       const uint64_t dead = it->first;
@@ -154,7 +155,7 @@ KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
       continue;
     }
     for (uint64_t key : it->second.keys) {
-      location_[key] = it->first;
+      location_.Set(key, it->first);
     }
     ++it;
   }
@@ -163,8 +164,12 @@ KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
   // so torn and stale slots are rejected individually and valid records past
   // an LSN gap still replay — the gap itself is evidence of loss/reordering
   // and is reported.
-  std::map<uint64_t, uint64_t> valid;  // lsn -> key
-  for (const auto& [lba, rec] : wal_log_) {
+  std::vector<std::pair<uint64_t, uint64_t>> valid;  // (lsn, key)
+  for (uint64_t lba = 0; lba < wal_log_.size(); ++lba) {
+    const WalRecord& rec = wal_log_[lba];
+    if (!rec.written) {
+      continue;
+    }
     ++rep.scanned;
     const PersistedPageView v = view(lba);
     if (!v.present) {
@@ -185,8 +190,9 @@ KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
       }
       continue;
     }
-    valid.emplace(rec.lsn, rec.key);
+    valid.emplace_back(rec.lsn, rec.key);
   }
+  std::sort(valid.begin(), valid.end());  // lsns are unique
   uint64_t expect = acked_checkpoint_lsn_;
   for (const auto& [lsn, key] : valid) {
     if (lsn < acked_checkpoint_lsn_) {
@@ -196,8 +202,7 @@ KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
       ++rep.reordered;  // a predecessor record is missing
       expect = lsn;
     }
-    memtable_[key] = config_.value_bytes;
-    location_[key] = kMemtableLoc;
+    AddToMemtable(key);
     ++rep.replayed;
     ++expect;
   }
@@ -226,10 +231,10 @@ void KvStore::ScanBlocks(std::shared_ptr<ScanState> scan) {
 
 void KvStore::Scan(uint64_t key, int n, Callback done) {
   io_->Compute(config_.cpu_per_op, [this, key, n, done = std::move(done)]() mutable {
-    auto loc = location_.find(key);
+    const uint64_t* loc = location_.Find(key);
     uint64_t lba = 0;
-    if (loc != location_.end() && loc->second != kMemtableLoc) {
-      auto table_it = sstables_.find(loc->second);
+    if (loc != nullptr && *loc != kMemtableLoc) {
+      auto table_it = sstables_.find(*loc);
       if (table_it != sstables_.end()) {
         const SsTable& table = table_it->second;
         lba = BlockOf(table, key);
@@ -268,16 +273,14 @@ void KvStore::MaybeFlush() {
   table.id = next_sstable_id_++;
   table.level = 0;
   table.seal_lsn = next_lsn_;  // every record so far is in this run
-  table.keys.reserve(memtable_.size());
-  for (const auto& [key, size] : memtable_) {
-    table.keys.push_back(key);
-  }
+  table.keys = memtable_;
+  std::sort(table.keys.begin(), table.keys.end());
   memtable_.clear();
   const uint64_t epp = entries_per_page();
   table.num_pages = std::max<uint64_t>(1, (table.keys.size() + epp - 1) / epp);
   table.base_lba = AllocExtent(table.num_pages);
   for (uint64_t key : table.keys) {
-    location_[key] = table.id;
+    location_.Set(key, table.id);
   }
   const uint64_t base = table.base_lba;
   const uint64_t pages = table.num_pages;
@@ -323,10 +326,10 @@ void KvStore::MaybeCompact() {
   merged.seal_lsn = std::max(a.seal_lsn, b.seal_lsn);
   for (const SsTable* src : {&a, &b}) {
     for (uint64_t key : src->keys) {
-      auto loc = location_.find(key);
-      if (loc != location_.end() && loc->second == src->id) {
+      uint64_t* loc = location_.Find(key);
+      if (loc != nullptr && *loc == src->id) {
         merged.keys.push_back(key);
-        loc->second = merged.id;
+        *loc = merged.id;
       }
     }
   }

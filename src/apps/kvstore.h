@@ -10,6 +10,14 @@
 // rare extra reads). This reproduces the paper's observation that YCSB
 // read-mostly workloads are CPU/cache-bound while update-heavy workloads
 // exercise the storage stack.
+//
+// Per-key state is flat: one KeyIndex maps every live key to the run that
+// holds it, or to kMemtableLoc, which is the memtable's only membership
+// record; the memtable itself is an unsorted vector of its unique keys,
+// sorted when it flushes (the order std::map gave). The index is never
+// iterated, so its hash order cannot reach the simulation: every walk over
+// keys goes through a run's sorted key vector, the memtable's sorted keys,
+// or the WAL slots in ascending LBA.
 #ifndef DAREDEVIL_SRC_APPS_KVSTORE_H_
 #define DAREDEVIL_SRC_APPS_KVSTORE_H_
 
@@ -20,6 +28,7 @@
 #include <vector>
 
 #include "src/apps/app_io.h"
+#include "src/apps/key_index.h"
 #include "src/apps/lru_cache.h"
 #include "src/sim/rng.h"
 
@@ -93,6 +102,8 @@ class KvStore {
 
  private:
   static constexpr uint64_t kMemtableLoc = ~0ULL;
+  // Run ids start at 1, so 0 marks a vacant location_ slot.
+  static constexpr uint64_t kNoRun = 0;
 
   struct SsTable {
     uint64_t id = 0;
@@ -114,6 +125,7 @@ class KvStore {
     uint64_t key = 0;
     uint64_t cid = 0;
     bool acked = false;  // the FUA completion reached the application
+    bool written = false;  // the slot has held a record since start-up
   };
 
   uint64_t BlockOf(const SsTable& table, uint64_t key) const {
@@ -123,8 +135,9 @@ class KvStore {
   void ReadBlock(uint64_t lba, Callback done);
   struct ScanState;
   void ScanBlocks(std::shared_ptr<ScanState> scan);
+  // Records `key` as memtable-resident (once, however often it is written).
+  void AddToMemtable(uint64_t key);
   void MaybeFlush();
-  void FinishFlush(std::vector<uint64_t> keys, uint64_t base, uint64_t pages);
   void MaybeCompact();
   // Drives a background sequential job of `pages` pages; read-then-write jobs
   // pass both spans. Calls done once every chunk completed.
@@ -136,8 +149,8 @@ class KvStore {
   Rng rng_;
   LruCache cache_;
 
-  std::map<uint64_t, uint32_t> memtable_;
-  std::map<uint64_t, uint64_t> location_;  // key -> sstable id
+  std::vector<uint64_t> memtable_;  // unique keys, unsorted
+  KeyIndex<uint64_t, kNoRun> location_;  // key -> sstable id or kMemtableLoc
   std::map<uint64_t, SsTable> sstables_;
   std::vector<uint64_t> l0_order_;  // oldest first
   uint64_t next_sstable_id_ = 1;
@@ -145,7 +158,7 @@ class KvStore {
   uint64_t wal_head_ = 0;
   uint64_t next_lsn_ = 0;
   uint64_t acked_checkpoint_lsn_ = 0;
-  std::map<uint64_t, WalRecord> wal_log_;  // wal slot (lba) -> latest intent
+  std::vector<WalRecord> wal_log_;  // wal slot (lba) -> latest intent
   uint64_t data_alloc_ = 0;
   bool flush_in_progress_ = false;
   bool compaction_in_progress_ = false;

@@ -1,26 +1,38 @@
 // Fixed-capacity LRU set of page ids, used for the KV store's block cache and
 // the file system's page cache.
+//
+// Ids live in a slot table: each slot holds one id and intrusive prev/next
+// links of the recency list (head = most recently used), and a flat
+// KeyIndex maps id -> slot. The table grows to at most `capacity` slots;
+// after that a miss reuses the least recently used id's slot, so inserts,
+// hits and evictions allocate nothing. The index is never iterated (its
+// slot order is hash order); recency order lives only in the links, so runs
+// stay deterministic.
 #ifndef DAREDEVIL_SRC_APPS_LRU_CACHE_H_
 #define DAREDEVIL_SRC_APPS_LRU_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
+#include <vector>
+
+#include "src/apps/key_index.h"
 
 namespace daredevil {
 
 class LruCache {
  public:
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
+  explicit LruCache(size_t capacity) : capacity_(capacity) {
+    DD_CHECK(capacity < kNil) << "LruCache: slot links are 32-bit";
+  }
 
   // Returns true (and promotes to MRU) when the id is cached.
   bool Touch(uint64_t id) {
-    auto it = index_.find(id);
-    if (it == index_.end()) {
+    const uint32_t* slot = index_.Find(id);
+    if (slot == nullptr) {
       ++misses_;
       return false;
     }
-    order_.splice(order_.begin(), order_, it->second);
+    MoveToFront(*slot);
     ++hits_;
     return true;
   }
@@ -29,33 +41,42 @@ class LruCache {
     if (capacity_ == 0) {
       return;
     }
-    auto it = index_.find(id);
-    if (it != index_.end()) {
-      order_.splice(order_.begin(), order_, it->second);
+    if (const uint32_t* slot = index_.Find(id)) {
+      MoveToFront(*slot);
       return;
     }
-    order_.push_front(id);
-    index_[id] = order_.begin();
-    if (index_.size() > capacity_) {
-      index_.erase(order_.back());
-      order_.pop_back();
+    uint32_t slot = free_;
+    if (slot != kNil) {
+      free_ = slots_[slot].next;
+    } else if (slots_.size() < capacity_) {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {  // full: evict the least recently used id
+      slot = tail_;
+      Unlink(slot);
+      index_.Erase(slots_[slot].id);
     }
+    slots_[slot].id = id;
+    PushFront(slot);
+    index_.Set(id, slot);
   }
 
   void Erase(uint64_t id) {
-    auto it = index_.find(id);
-    if (it == index_.end()) {
+    const uint32_t slot = index_.Erase(id);
+    if (slot == kNil) {
       return;
     }
-    order_.erase(it->second);
-    index_.erase(it);
+    Unlink(slot);
+    slots_[slot].next = free_;
+    free_ = slot;
   }
 
   // Drops every cached id (a crashed machine's page cache is volatile);
   // hit/miss accounting is preserved.
   void Clear() {
-    order_.clear();
-    index_.clear();
+    index_.Clear();
+    slots_.clear();
+    head_ = tail_ = free_ = kNil;
   }
 
   size_t size() const { return index_.size(); }
@@ -64,11 +85,38 @@ class LruCache {
   uint64_t misses() const { return misses_; }
 
  private:
+  static constexpr uint32_t kNil = ~uint32_t{0};
+
+  struct Slot {
+    uint64_t id = 0;
+    uint32_t prev = kNil;  // toward the head (more recently used)
+    uint32_t next = kNil;  // toward the tail; the free list's link
+  };
+
+  void Unlink(uint32_t s) {
+    const Slot& n = slots_[s];
+    (n.prev == kNil ? head_ : slots_[n.prev].next) = n.next;
+    (n.next == kNil ? tail_ : slots_[n.next].prev) = n.prev;
+  }
+  void PushFront(uint32_t s) {
+    slots_[s].prev = kNil;
+    slots_[s].next = head_;
+    (head_ == kNil ? tail_ : slots_[head_].prev) = s;
+    head_ = s;
+  }
+  void MoveToFront(uint32_t s) {
+    if (s != head_) {
+      Unlink(s);
+      PushFront(s);
+    }
+  }
+
   size_t capacity_;
-  std::list<uint64_t> order_;
-  // Ordered: hash-map iteration order is seed-dependent DES poison, and an
-  // ordered index keeps any future "dump cache contents" path deterministic.
-  std::map<uint64_t, std::list<uint64_t>::iterator> index_;
+  std::vector<Slot> slots_;
+  KeyIndex<uint32_t, kNil> index_;  // id -> slot
+  uint32_t head_ = kNil;
+  uint32_t tail_ = kNil;
+  uint32_t free_ = kNil;  // erased slots, linked through `next`
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

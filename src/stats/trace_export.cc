@@ -543,22 +543,19 @@ class JsonCursor {
     p_ += std::snprintf(p_, 32, "%.15g", v);
   }
   // Chrome trace timestamps are microseconds; ticks are nanoseconds. Fixed
-  // "<us>.<ns%1000>" formatting keeps the export byte-deterministic (no
-  // floating-point rounding in play): printf's "%lld.%03lld" of
-  // (ns / 1000, ns % 1000), digit for digit.
+  // sign-and-magnitude "[-]<us>.<ns%1000>" formatting keeps the export
+  // byte-deterministic (no floating-point rounding in play): for ns >= 0,
+  // printf's "%lld.%03lld" of (ns / 1000, ns % 1000), digit for digit;
+  // -1500 ns renders "-1.500" and -500 ns "-0.500".
   void Micros(Tick ns) {
-    Int(ns / 1000);
-    Put('.');
-    Tick frac = ns % 1000;
-    if (frac < 0) {  // printf puts the sign inside the 3-digit field
+    uint64_t mag = static_cast<uint64_t>(ns);
+    if (ns < 0) {
       Put('-');
-      frac = -frac;
-      if (frac < 10) {
-        Put('0');
-      }
-      Int(frac);
-      return;
+      mag = 0 - mag;  // |ns|, INT64_MIN included
     }
+    Int(mag / 1000);
+    Put('.');
+    const uint64_t frac = mag % 1000;
     Claim(3);
     p_[0] = static_cast<char>('0' + frac / 100);
     p_[1] = static_cast<char>('0' + frac / 10 % 10);

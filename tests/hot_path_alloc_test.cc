@@ -18,6 +18,10 @@
 // allocates per track and per event kind, never per record, so one config
 // exported after a short and a long run makes the same number of
 // allocations.
+//
+// The third case holds the KV store's set-up to flat per-key state: a
+// client's bulk load and cache warm-up allocate per table doubling, never
+// per key.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,6 +30,9 @@
 #include <new>
 #include <string>
 
+#include "src/apps/app_io.h"
+#include "src/apps/kvstore.h"
+#include "src/sim/rng.h"
 #include "src/stats/holb.h"
 #include "src/stats/trace_export.h"
 #include "src/workload/scenario.h"
@@ -192,6 +199,37 @@ uint64_t ExportAllocations(Tick duration, size_t* records) {
   const uint64_t allocs = g_allocs - allocs_before;
   EXPECT_FALSE(json.empty());
   return allocs;
+}
+
+// Allocations one KV client's set-up makes, as perfbench's kv-ycsb and
+// bench_fig12_ycsb build each client: Load(`keys`), then WarmCache over four
+// block caches' worth of keys.
+uint64_t KvSetupAllocations(uint64_t keys) {
+  ScenarioEnv env(MakeSvmConfig(2));
+  Tenant tenant;
+  tenant.id = TenantId{1};
+  tenant.core = 0;
+  env.stack().OnTenantStart(&tenant);
+  AppIoContext io(&env.machine(), &env.stack(), &tenant, /*nsid=*/0);
+  const KvStoreConfig kv_cfg;
+  KvStore store(&io, kv_cfg, Rng(1));
+  const uint64_t allocs_before = g_allocs;
+  store.Load(keys);
+  store.WarmCache(4 * kv_cfg.block_cache_pages);
+  return g_allocs - allocs_before;
+}
+
+// Per-key state lives in flat tables, so ten times the keys adds only their
+// doubling steps: the block cache's slot vector and index each double about
+// ceil(log2(10)) = 4 times more, and the location index is sized once per
+// Load. Node containers made one allocation per key (about 7k and 66k).
+TEST(HotPathAllocTest, KvSetupAllocationsGrowOnlyByTableDoublings) {
+  const uint64_t small = KvSetupAllocations(5000);
+  const uint64_t large = KvSetupAllocations(50000);
+  RecordProperty("kv_setup_allocs_5k", std::to_string(small));
+  RecordProperty("kv_setup_allocs_50k", std::to_string(large));
+  EXPECT_LE(small, 64u);
+  EXPECT_LE(large, small + 2 * 4);
 }
 
 TEST(HotPathAllocTest, TraceExportAllocationsDoNotGrowWithRecords) {

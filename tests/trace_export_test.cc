@@ -426,6 +426,26 @@ TEST(TraceExportTest, SerializationIsDeterministicAndParses) {
   EXPECT_NE(a.find("\"displayTimeUnit\""), std::string::npos);
 }
 
+// The radix order sorts negative ticks first on purpose, so they must render
+// as JSON numbers: sign, then the magnitude's "<us>.<ns%1000>".
+TEST(TraceExportTest, NegativeTicksRenderSignAndMagnitude) {
+  TraceExportInput input = MakeInput({});
+  for (const Tick at : {Tick{-1500}, Tick{-500}, Tick{-7}, Tick{0}, Tick{1500}}) {
+    TraceEvent te;
+    te.at = at;
+    te.category = TraceCategory::kMigrate;  // renders an instant
+    te.id = 70;
+    input.events.push_back(te);
+  }
+  const std::string json = SerializeChromeTrace(input);
+  std::string err;
+  EXPECT_TRUE(JsonLooksValid(json, &err)) << err;
+  for (const char* ts : {"\"ts\":-1.500,", "\"ts\":-0.500,", "\"ts\":-0.007,",
+                         "\"ts\":0.000,", "\"ts\":1.500,"}) {
+    EXPECT_NE(json.find(ts), std::string::npos) << ts;
+  }
+}
+
 TEST(TraceExportTest, TimelineLogDropsOldestWhenFull) {
   RequestTimelineLog log(/*capacity=*/2);
   Request rq;
