@@ -70,7 +70,6 @@ int main() {
     // conformance verdict: who met "99% of L-requests under 5ms", and who
     // blocked whom when the objective was missed.
     AddLatencySlo(cfg, 5 * kMillisecond, ScaledMs(5));
-    cfg.analyze_holb = true;
     cfg.trace_capacity = TraceCapacityOr(1 << 20);
     cfg.sample_interval = kMillisecond;
     cfg.export_trace = !trace_path.empty();

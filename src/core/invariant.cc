@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <utility>
 
 namespace daredevil {
@@ -19,30 +20,6 @@ FailMsg::~FailMsg() {
 }
 
 }  // namespace invariant_internal
-
-namespace {
-
-// Stage order of Figure 1's I/O service routine, as stamped on Request.
-struct Stage {
-  const char* name;
-  Tick Request::* field;
-};
-
-constexpr Stage kStages[] = {
-    {"issue", &Request::issue_time},
-    {"submit", &Request::submit_time},
-    {"nsq_enqueue", &Request::nsq_enqueue_time},
-    {"doorbell", &Request::doorbell_time},
-    {"fetch_start", &Request::fetch_start_time},
-    {"fetch", &Request::fetch_time},
-    {"flash_start", &Request::flash_start_time},
-    {"flash_end", &Request::flash_end_time},
-    {"cqe_post", &Request::cqe_post_time},
-    {"drain", &Request::drain_time},
-    {"complete", &Request::complete_time},
-};
-
-}  // namespace
 
 bool LifecycleChecker::Violation(std::string msg) {
   ++violations_;
@@ -72,21 +49,21 @@ bool LifecycleChecker::CheckStageChain(const Request& rq, Tick now) {
   // Unreached stages are 0 and skipped; every stamped stage must be at or
   // after the latest earlier stamp, and none may lie in the future.
   Tick high_water = 0;
-  const char* high_name = "start";
-  for (const Stage& stage : kStages) {
-    const Tick t = rq.*stage.field;
+  std::string_view high_name = "start";
+  for (const TimelineStamp& stamp : kTimelineStamps) {
+    const Tick t = rq.t.*stamp.field;
     if (t == 0) {
       continue;
     }
     if (t < high_water) {
       std::ostringstream os;
-      os << "stage regression on request id=" << rq.id << ": " << stage.name
+      os << "stage regression on request id=" << rq.id << ": " << stamp.name
          << "=" << t << " < " << high_name << "=" << high_water
          << " (checked at tick " << now << ")";
       return Violation(os.str());
     }
     high_water = t;
-    high_name = stage.name;
+    high_name = stamp.name;
   }
   if (high_water > now) {
     std::ostringstream os;

@@ -12,7 +12,7 @@
 //
 // Usage:
 //   DD_CHECK(nsq >= 0) << "rq=" << rq->id << " tick=" << now;
-//   DD_CHECK_LE(rq->submit_time, rq->nsq_enqueue_time);
+//   DD_CHECK_LE(rq->t.submit, rq->t.nsq_enqueue);
 //   DD_FAIL() << "unreachable arbitration state";
 //
 // The LifecycleChecker is the stateful half: storage stacks feed it every
@@ -106,9 +106,8 @@ inline constexpr bool DdInvariantsEnabled() { return DAREDEVIL_INVARIANTS != 0; 
 // Validated invariants:
 //   * no re-submission of an in-flight request id (OnSubmit)
 //   * no double completion / completion of a never-submitted id (OnComplete)
-//   * the monotone stage chain issue <= submit <= nsq_enqueue <= doorbell
-//     <= fetch_start <= fetch <= flash_start <= flash_end <= cqe_post
-//     <= drain (<= delivery tick) over the stamps the request carries
+//   * the monotone stage chain over the stamps the request carries, in
+//     kTimelineStamps order (src/core/types.h), none after the check tick
 //   * routed_nsq matches the NSQ the CQE reports, and the CQE was drained
 //     from the NCQ statically bound to that NSQ
 //   * NSQ doorbell tails never regress (OnDoorbell)

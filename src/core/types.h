@@ -25,7 +25,9 @@
 
 #include <compare>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
+#include <string_view>
 
 #include "src/sim/clock.h"
 
@@ -186,6 +188,57 @@ inline const char* IoStatusName(IoStatus s) {
   }
   return "?";
 }
+
+// The stage stamps of one I/O along Figure 1's I/O service routine. Every
+// record that carries them (Request, NvmeCommand, NvmeCompletion and the
+// exporter's RequestRecord) holds one Timeline, so a copy between them is
+// one assignment. The host stamps issue, submit, nsq_enqueue and complete;
+// the device stamps the rest and carries the host's stamps through untouched.
+// All are 0 until reached. A completed request that traversed the device has
+// the full monotonic chain, in kTimelineStamps order.
+struct Timeline {
+  Tick issue = 0;        // tenant initiated the I/O (userspace)
+  Tick submit = 0;       // entered the block layer
+  Tick nsq_enqueue = 0;  // placed in its NSQ (after routing + lock)
+  Tick doorbell = 0;     // doorbell rung: visible to the controller
+  Tick fetch_start = 0;  // controller began fetching the command
+  Tick fetch = 0;        // fetch/decompose finished
+  Tick flash_start = 0;  // first page started on a flash chip
+  Tick flash_end = 0;    // last page finished flash service
+  Tick cqe_post = 0;     // completion posted to the bound NCQ
+  Tick drain = 0;        // driver reaped the CQE (ISR drain or poll)
+  Tick complete = 0;     // completion delivered back to userspace
+
+  // True when the device-side stamps are present (split parents complete
+  // via their children and never see the device directly).
+  bool HasDeviceStamps() const {
+    return fetch_start > 0 && flash_end > 0 && drain > 0 && complete > 0;
+  }
+};
+
+// One stamp of the chain: its name (the lifecycle checker's messages and the
+// trace export's ddRequests keys) and its field.
+struct TimelineStamp {
+  std::string_view name;
+  Tick Timeline::*field;
+};
+
+// The chain in stage order: the one list of the stamps.
+inline constexpr TimelineStamp kTimelineStamps[] = {
+    {"issue", &Timeline::issue},
+    {"submit", &Timeline::submit},
+    {"nsq_enqueue", &Timeline::nsq_enqueue},
+    {"doorbell", &Timeline::doorbell},
+    {"fetch_start", &Timeline::fetch_start},
+    {"fetch", &Timeline::fetch},
+    {"flash_start", &Timeline::flash_start},
+    {"flash_end", &Timeline::flash_end},
+    {"cqe_post", &Timeline::cqe_post},
+    {"drain", &Timeline::drain},
+    {"complete", &Timeline::complete},
+};
+static_assert(std::size(kTimelineStamps) * sizeof(Tick) == sizeof(Timeline),
+              "every Timeline stamp needs a kTimelineStamps row");
 
 // Post-crash durability view of one page: what the device's persisted-state
 // snapshot holds after a crash collapse (src/nvme/device.h, DESIGN.md §13).

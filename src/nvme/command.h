@@ -30,32 +30,21 @@ struct NvmeCommand {
   IoStatus status = IoStatus::kOk;
   void* cookie = nullptr;  // host-side request pointer, returned on completion
 
-  // Stage timeline accumulated as the command moves through the device; the
-  // completion carries it back so the host can attribute latency per stage.
-  Tick enqueue_time = 0;      // host placed it in the NSQ
-  Tick doorbell_time = 0;     // doorbell made it visible to the controller
-  Tick fetch_start_time = 0;  // controller began the fetch/decompose
-  Tick fetch_time = 0;        // controller finished fetching/decomposing it
-  Tick flash_start_time = 0;  // first page operation started on a chip
-  Tick flash_end_time = 0;    // last page operation finished
+  // The request's stage timeline: the host's stamps ride through untouched
+  // (like the cookie) and the device adds its own as the command moves
+  // through it; the completion carries it back.
+  Timeline t;
 };
 
-// A completion queue entry. Carries the device-side stage timeline back to
-// the host (a real controller logs these via its telemetry pages; here they
+// A completion queue entry. Carries the stage timeline back to the host (a
+// real controller logs the device stamps via its telemetry pages; here they
 // ride in the CQE).
 struct NvmeCompletion {
   uint64_t cid = 0;
   int sqid = -1;
   IoStatus status = IoStatus::kOk;  // NVMe CQE status field
   void* cookie = nullptr;
-  Tick enqueue_time = 0;
-  Tick doorbell_time = 0;
-  Tick fetch_start_time = 0;
-  Tick fetch_time = 0;
-  Tick flash_start_time = 0;
-  Tick flash_end_time = 0;
-  Tick posted_time = 0;    // controller placed it in the NCQ
-  Tick drained_time = 0;   // host driver reaped it (ISR drain or poll)
+  Timeline t;  // the command's, plus cqe_post and drain
 };
 
 }  // namespace daredevil

@@ -136,7 +136,6 @@ std::vector<int> Device::NsqsOfNcq(int ncq_id) const {
 
 bool Device::Enqueue(int sqid, NvmeCommand cmd) {
   cmd.sqid = sqid;
-  cmd.enqueue_time = sim_->now();
   if (!nsqs_[sqid]->Enqueue(cmd)) {
     return false;
   }
@@ -235,7 +234,7 @@ void Device::ControllerStep() {
 void Device::FetchFrom(int sqid) {
   NvmeCommand cmd = nsqs_[sqid]->PopVisible();
   SyncArmed(sqid);
-  cmd.fetch_start_time = sim_->now();
+  cmd.t.fetch_start = sim_->now();
   if (trace_ != nullptr) {
     trace_->Record(sim_->now(), TraceCategory::kFetchStart, cmd.cid, cmd.sqid,
                    cmd.pages);
@@ -267,7 +266,7 @@ void Device::FinishFetch() {
   NvmeCommand cmd = fetching_;
   fetch_busy_ = false;
   ++commands_fetched_;
-  cmd.fetch_time = sim_->now();
+  cmd.t.fetch = sim_->now();
   if (trace_ != nullptr) {
     trace_->Record(sim_->now(), TraceCategory::kFetch, cmd.cid, cmd.sqid,
                    cmd.pages);
@@ -364,7 +363,7 @@ void Device::FinishFetch() {
       volatile_writes_.Assign(run_lo, base + cmd.pages, run);
     }
   }
-  cmd.flash_start_time = flash_start;
+  cmd.t.flash_start = flash_start;
   if (trace_ != nullptr) {
     // The time-advance flash model computes service times up front, so the
     // event timestamp (the chip-op start) can lie ahead of record order.
@@ -404,7 +403,7 @@ void Device::OnPageDone(uint32_t slot) {
   --inflight_pages_;
   DD_CHECK_LE(0, inflight_pages_)
       << "device buffer accounting underflow (cid " << ic.cmd.cid << ")";
-  ic.last_page_done = sim_->now();
+  ic.cmd.t.flash_end = sim_->now();
   if (ic.pages_remaining == 0) {
     const InflightCommand done = ic;
     inflight_free_.push_back(slot);
@@ -488,13 +487,8 @@ void Device::PostCompletion(const InflightCommand& ic) {
     }
   }
   cqe.cookie = ic.cmd.cookie;
-  cqe.enqueue_time = ic.cmd.enqueue_time;
-  cqe.doorbell_time = ic.cmd.doorbell_time;
-  cqe.fetch_start_time = ic.cmd.fetch_start_time;
-  cqe.fetch_time = ic.cmd.fetch_time;
-  cqe.flash_start_time = ic.cmd.flash_start_time;
-  cqe.flash_end_time = ic.last_page_done;
-  cqe.posted_time = sim_->now();
+  cqe.t = ic.cmd.t;
+  cqe.t.cqe_post = sim_->now();
   cq.Push(cqe);
   if (trace_ != nullptr) {
     trace_->Record(sim_->now(), TraceCategory::kComplete, cqe.cid, ncq_id, 0);
@@ -699,7 +693,7 @@ void Device::DrainCompletions(int ncq_id, size_t max,
   out->reserve(out->size() + n);
   for (size_t i = 0; i < n; ++i) {
     out->push_back(cq.Pop());
-    out->back().drained_time = sim_->now();
+    out->back().t.drain = sim_->now();
   }
   cq.AddInFlight(-static_cast<int>(n));
 }

@@ -218,7 +218,6 @@ class Device {
   struct InflightCommand {
     NvmeCommand cmd;
     uint32_t pages_remaining = 0;
-    Tick last_page_done = 0;
     // Host aborted the command mid-service. Its pages keep occupying the
     // flash pipeline (page events cannot be cancelled) but no CQE is posted.
     bool aborted = false;

@@ -56,7 +56,7 @@ class SubmissionQueue {
     DD_CHECK_LE(visible_, entries_.size())
         << "NSQ " << id_ << " doorbell tail ahead of ring occupancy";
     for (size_t i = visible_; i < entries_.size(); ++i) {
-      entries_[i].doorbell_time = now;
+      entries_[i].t.doorbell = now;
     }
     visible_ = entries_.size();
   }

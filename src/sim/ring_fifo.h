@@ -1,6 +1,8 @@
 // Growable FIFO ring, the simulator's one queue type on the per-I/O path
 // (CPU run queues, cross-core posts, NVMe queue rings, the device's
-// completion-post staging, the block-layer I/O schedulers' queues).
+// completion-post staging, the block-layer I/O schedulers' queues) and the
+// store of the capped observer logs (TraceLog, RequestTimelineLog), which
+// drop their oldest entry at capacity.
 //
 // A power-of-two array of slots addressed head + i (mod capacity). push_back
 // doubles the array when it is full and nothing ever shrinks it, so once a
@@ -25,9 +27,7 @@ class RingFifo {
   RingFifo(const RingFifo&) = delete;
   RingFifo& operator=(const RingFifo&) = delete;
   ~RingFifo() {
-    while (size_ > 0) {
-      pop_front();
-    }
+    clear();
     Deallocate(slots_, capacity_);
   }
 
@@ -49,6 +49,13 @@ class RingFifo {
     std::destroy_at(&slots_[head_]);
     head_ = Index(1);
     --size_;
+  }
+
+  // Destroys every element; the array is kept.
+  void clear() {
+    while (size_ > 0) {
+      pop_front();
+    }
   }
 
   // Removes the i-th element, shifting the ones behind it forward: the

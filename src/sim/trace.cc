@@ -12,33 +12,23 @@ const char* TraceCategoryName(TraceCategory c) {
   return kTraceCategoryNames[static_cast<size_t>(i)];
 }
 
-TraceLog::TraceLog(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {
-  events_.reserve(capacity_);
-}
+TraceLog::TraceLog(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
 
 void TraceLog::Record(Tick at, TraceCategory category, uint64_t id, int64_t a,
                       int64_t b) {
   ++total_;
   ++counts_[static_cast<int>(category)];
-  TraceEvent event{at, category, id, a, b};
-  if (events_.size() < capacity_) {
-    events_.push_back(event);
-    return;
+  if (events_.size() == capacity_) {
+    events_.pop_front();
   }
-  full_ = true;
-  ++dropped_;
-  events_[head_] = event;
-  head_ = (head_ + 1) % capacity_;
+  events_.push_back(TraceEvent{at, category, id, a, b});
 }
 
 std::vector<TraceEvent> TraceLog::Events() const {
-  if (!full_) {
-    return events_;
-  }
   std::vector<TraceEvent> out;
   out.reserve(events_.size());
   for (size_t i = 0; i < events_.size(); ++i) {
-    out.push_back(events_[(head_ + i) % events_.size()]);
+    out.push_back(events_[i]);
   }
   return out;
 }
@@ -58,10 +48,7 @@ std::string TraceLog::ToCsv() const {
 
 void TraceLog::Clear() {
   events_.clear();
-  head_ = 0;
-  full_ = false;
   total_ = 0;
-  dropped_ = 0;
   for (auto& c : counts_) {
     c = 0;
   }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/sim/clock.h"
+#include "src/sim/ring_fifo.h"
 
 namespace daredevil {
 
@@ -125,7 +126,7 @@ class TraceLog {
   size_t size() const { return events_.size(); }
   size_t capacity() const { return capacity_; }
   uint64_t total_recorded() const { return total_; }
-  uint64_t dropped() const { return dropped_; }
+  uint64_t dropped() const { return total_ - events_.size(); }
   uint64_t CountOf(TraceCategory category) const {
     return counts_[static_cast<int>(category)];
   }
@@ -140,11 +141,8 @@ class TraceLog {
 
  private:
   size_t capacity_;
-  std::vector<TraceEvent> events_;  // ring
-  size_t head_ = 0;                 // next write slot when full
-  bool full_ = false;
+  RingFifo<TraceEvent> events_;  // the newest capacity_ events
   uint64_t total_ = 0;
-  uint64_t dropped_ = 0;
   uint64_t counts_[kNumTraceCategories] = {0};
 };
 

@@ -66,24 +66,11 @@ struct Request {
 
   int submit_core = 0;   // core the syscall ran on
 
-  // --- Lifecycle stage timeline (Figure 1's I/O service routine) --------
-  // Host-side timestamps are stamped by the workload layer and the storage
-  // stack; device-side ones travel back with the NVMe completion and are
-  // copied here on delivery. All are 0 until reached; a completed request
-  // that traversed the device has the full monotonic chain
-  //   issue <= submit <= nsq_enqueue <= doorbell <= fetch_start <= fetch
-  //         <= flash_start <= flash_end <= cqe_post <= drain <= complete.
-  Tick issue_time = 0;        // tenant initiated the I/O (userspace)
-  Tick submit_time = 0;       // entered the block layer
-  Tick nsq_enqueue_time = 0;  // placed in its NSQ (after routing + lock)
-  Tick doorbell_time = 0;     // doorbell rung: visible to the controller
-  Tick fetch_start_time = 0;  // controller began fetching the command
-  Tick fetch_time = 0;        // fetch/decompose finished
-  Tick flash_start_time = 0;  // first page started on a flash chip
-  Tick flash_end_time = 0;    // last page finished flash service
-  Tick cqe_post_time = 0;     // completion posted to the bound NCQ
-  Tick drain_time = 0;        // driver reaped the CQE (ISR drain or poll)
-  Tick complete_time = 0;     // completion delivered back to userspace
+  // Lifecycle stage timeline (src/core/types.h). The workload layer and the
+  // storage stack stamp the host side; the NVMe command carries it through
+  // the device, which adds its stamps, and the completion's copy replaces
+  // this one on delivery.
+  Timeline t;
 
   int routed_nsq = -1;     // recorded for invariant checks
 
@@ -104,17 +91,8 @@ struct Request {
   bool IsOutlier() const { return is_sync || is_meta; }
   uint64_t bytes() const { return static_cast<uint64_t>(pages) * kPageBytes; }
 
-  // True when the request carries the complete device-side timeline (split
-  // parents complete via their children and never see the device directly).
-  bool HasDeviceTimeline() const {
-    return fetch_start_time > 0 && flash_end_time > 0 && drain_time > 0 &&
-           complete_time > 0;
-  }
-
   void ResetTimeline() {
-    issue_time = submit_time = nsq_enqueue_time = doorbell_time = 0;
-    fetch_start_time = fetch_time = flash_start_time = flash_end_time = 0;
-    cqe_post_time = drain_time = complete_time = 0;
+    t = Timeline{};
     status = IoStatus::kOk;
     fault_retries = 0;
     attempt_cid = 0;
@@ -122,14 +100,14 @@ struct Request {
 
   // Re-arms the request for a retry attempt after a timeout abort or an error
   // CQE: the previous attempt's stage stamps are cleared (the retry traverses
-  // the whole submission path again) but issue_time survives, so end-to-end
+  // the whole submission path again) but t.issue survives, so end-to-end
   // latency — and the kSubmit stage, which absorbs the backoff — covers every
   // attempt. fault_retries carries the attempt count across the reset.
   void PrepareRetry() {
-    const Tick issue = issue_time;
+    const Tick issue = t.issue;
     const uint16_t retries = fault_retries;
     ResetTimeline();
-    issue_time = issue;
+    t.issue = issue;
     fault_retries = retries;
     routed_nsq = -1;
   }

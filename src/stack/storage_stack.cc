@@ -147,7 +147,7 @@ void StorageStack::SubmitAsync(Request* rq) {
                             static_cast<Tick>(rq->pages) * costs_.per_page_kernel +
                             RoutingCost(*rq);
   machine_->Post(rq->submit_core, WorkLevel::kKernel, work, [this, rq]() {
-    rq->submit_time = machine_->now();
+    rq->t.submit = machine_->now();
     if (trace_ != nullptr) {
       trace_->Record(machine_->now(), TraceCategory::kSubmit, rq->id,
                      rq->submit_core, rq->pages);
@@ -228,7 +228,7 @@ void StorageStack::SubmitSplit(Request* rq) {
     child->is_meta = rq->is_meta;
     child->is_fua = rq->is_fua;
     child->submit_core = rq->submit_core;
-    child->issue_time = rq->issue_time;
+    child->t.issue = rq->t.issue;
     child->on_complete = [this, job_ptr](Request* done_child) {
       Request* parent = job_ptr->parent;
       parent->routed_nsq = done_child->routed_nsq;
@@ -239,7 +239,7 @@ void StorageStack::SubmitSplit(Request* rq) {
         }
       }
       if (--job_ptr->remaining == 0) {
-        parent->complete_time = machine_->now();
+        parent->t.complete = machine_->now();
         // Defer the job teardown one event: this closure is owned by one of
         // the job's children, so destroying the job here would destroy the
         // currently-executing function object.
@@ -263,6 +263,10 @@ void StorageStack::SubmitSplit(Request* rq) {
 }
 
 void StorageStack::EnqueueLocked(Request* rq, int nsq) {
+  // Stamped before the command copies the timeline: delivery replaces the
+  // request's timeline with the completion's. A ring-full requeue re-stamps
+  // it on the retry.
+  rq->t.nsq_enqueue = machine_->now();
   NvmeCommand cmd;
   // Retried attempts carry a fresh cid (bit 63 set): the aborted attempt's
   // cid may still live in the device as a tombstone awaiting its CQE.
@@ -274,6 +278,7 @@ void StorageStack::EnqueueLocked(Request* rq, int nsq) {
   cmd.is_flush = rq->is_flush;
   cmd.fua = rq->is_fua;
   cmd.cookie = rq;
+  cmd.t = rq->t;
 
   if (!device_->Enqueue(nsq, cmd)) {
     // Ring full: back off and retry (blk-mq's BLK_STS_RESOURCE requeue).
@@ -285,7 +290,6 @@ void StorageStack::EnqueueLocked(Request* rq, int nsq) {
     });
     return;
   }
-  rq->nsq_enqueue_time = machine_->now();
   ++requests_submitted_;
   if (watchdog_enabled_) {
     ArmWatchdog(rq);
@@ -403,16 +407,10 @@ void StorageStack::DeliverCompletion(const NvmeCompletion& cqe, int ncq_id,
                                      int irq_core) {
   auto* rq = static_cast<Request*>(cqe.cookie);
   DD_CHECK(rq != nullptr) << "CQE cid=" << cqe.cid << " carries no request";
-  // Copy the device-side stage timeline and completion status onto the
-  // request (the host-side stamps were written on the submission path).
+  // Copy the stage timeline (the host stamps rode through the device
+  // unchanged) and the completion status onto the request.
   rq->status = cqe.status;
-  rq->doorbell_time = cqe.doorbell_time;
-  rq->fetch_start_time = cqe.fetch_start_time;
-  rq->fetch_time = cqe.fetch_time;
-  rq->flash_start_time = cqe.flash_start_time;
-  rq->flash_end_time = cqe.flash_end_time;
-  rq->cqe_post_time = cqe.posted_time;
-  rq->drain_time = cqe.drained_time;
+  rq->t = cqe.t;
   // Lifecycle validation at completion: monotone stage chain, no double
   // completion, and the CQE must come back on the NSQ the request was routed
   // to (via that NSQ's statically bound NCQ).
@@ -464,7 +462,7 @@ void StorageStack::DeliverCompletion(const NvmeCompletion& cqe, int ncq_id,
   machine_->Post(
       tenant_core, WorkLevel::kUser, costs_.complete_delivery,
       [this, rq, ncq_id, irq_core]() {
-        rq->complete_time = machine_->now();
+        rq->t.complete = machine_->now();
         if (timeline_ != nullptr) {
           // Last chance to copy the stage stamps: the workload layer recycles
           // the request object inside on_complete.
@@ -622,7 +620,7 @@ void StorageStack::FailRequest(Request* rq, IoStatus status) {
   machine_->Post(
       tenant_core, WorkLevel::kUser, costs_.complete_delivery,
       [this, rq]() {
-        rq->complete_time = machine_->now();
+        rq->t.complete = machine_->now();
         if (rq->on_complete) {
           rq->on_complete(rq);
         }

@@ -96,7 +96,7 @@ uint64_t TenantIo::Issue(const Shape& shape, Callback done) {
   rq->is_flush = shape.is_flush;
   rq->is_fua = shape.is_fua;
   rq->ResetTimeline();  // pooled request: clear the previous run's stamps
-  rq->issue_time = machine_->now();
+  rq->t.issue = machine_->now();
   rq->routed_nsq = -1;
   rq->submit_core = tenant_->core;
   slot->done = std::move(done);
@@ -124,7 +124,7 @@ void TenantIo::Deliver(Slot* slot) {
   if (completed_cell_ != nullptr) {
     ++*completed_cell_;
   }
-  const Tick latency = rq.complete_time - rq.issue_time;
+  const Tick latency = rq.t.complete - rq.t.issue;
   const Tick now = machine_->now();
   if (now >= measure_start_ && now < measure_end_) {
     latency_.Record(latency);

@@ -55,8 +55,8 @@ BlockingIntervals::BlockingIntervals(const std::vector<RequestRecord>& records)
   auto fetch_order = [&records](uint32_t a, uint32_t b) {
     const RequestRecord& ra = records[a];
     const RequestRecord& rb = records[b];
-    if (ra.fetch_start != rb.fetch_start) {
-      return ra.fetch_start < rb.fetch_start;
+    if (ra.t.fetch_start != rb.t.fetch_start) {
+      return ra.t.fetch_start < rb.t.fetch_start;
     }
     if (ra.id != rb.id) {
       return ra.id < rb.id;
@@ -70,7 +70,7 @@ BlockingIntervals::BlockingIntervals(const std::vector<RequestRecord>& records)
   std::sort(order.begin(), order.end(), fetch_order);
   fetches_.reserve(n);
   for (uint32_t i : order) {
-    fetches_.push_back({records[i].fetch_start, records[i].fetch, i});
+    fetches_.push_back({records[i].t.fetch_start, records[i].t.fetch, i});
   }
 
   // Heads: the same order, grouped by NSQ (a stable pass keeps it per NSQ).
@@ -85,9 +85,9 @@ BlockingIntervals::BlockingIntervals(const std::vector<RequestRecord>& records)
       nsqs_.push_back({r.nsq, static_cast<uint32_t>(heads_.size()), 0});
     }
     const Tick prev_departure = nsqs_.back().count > 0 ? heads_.back().end : 0;
-    const Tick visible = r.doorbell > 0 ? r.doorbell : r.nsq_enqueue;
+    const Tick visible = r.t.doorbell > 0 ? r.t.doorbell : r.t.nsq_enqueue;
     const Tick head_start = std::max(visible, prev_departure);
-    heads_.push_back({head_start, r.fetch_start, i});
+    heads_.push_back({head_start, r.t.fetch_start, i});
     ++nsqs_.back().count;
     nsq_slot_[i] = static_cast<uint32_t>(nsqs_.size() - 1);
     head_start_[i] = head_start;
@@ -138,8 +138,8 @@ HolbAnalyzer::HolbAnalyzer(const std::vector<RequestRecord>& records,
               if (ra.tenant_id != rb.tenant_id) {
                 return ra.tenant_id < rb.tenant_id;
               }
-              if (ra.complete != rb.complete) {
-                return ra.complete < rb.complete;
+              if (ra.t.complete != rb.t.complete) {
+                return ra.t.complete < rb.t.complete;
               }
               return a < b;
             });
@@ -180,8 +180,10 @@ Tick HolbAnalyzer::ChargeOverlaps(const Interval* v, size_t n, Tick begin,
 
 void HolbAnalyzer::ChargeVictim(size_t v, Pass& pass) const {
   const RequestRecord& victim = records_[v];
-  const Tick wait_begin = victim.nsq_enqueue;
-  const Tick wait_end = victim.fetch_start;
+  // The victim's wait is its NSQ-wait stage.
+  const StageSpan& wait = kStageSpans[static_cast<int>(Stage::kNsqWait)];
+  const Tick wait_begin = victim.t.*wait.begin;
+  const Tick wait_end = victim.t.*wait.end;
   ++pass.report.victims;
   if (wait_end <= wait_begin) {
     return;
@@ -266,12 +268,13 @@ HolbReport HolbAnalyzer::TenantWindow(uint64_t tenant_id, Tick begin,
       [this, tenant_id](uint32_t i, Tick at) {
         const RequestRecord& r = records_[i];
         return r.tenant_id != tenant_id ? r.tenant_id < tenant_id
-                                        : r.complete < at;
+                                        : r.t.complete < at;
       });
   Pass pass = StartPass();
   for (auto it = first; it != by_tenant_completion_.end(); ++it) {
     const RequestRecord& victim = records_[*it];
-    if (victim.tenant_id != tenant_id || (end >= 0 && victim.complete >= end)) {
+    if (victim.tenant_id != tenant_id ||
+        (end >= 0 && victim.t.complete >= end)) {
       break;
     }
     ChargeVictim(*it, pass);

@@ -186,40 +186,14 @@ std::string HistogramToJson(const Histogram& h) {
 
 // --- StageBreakdown -------------------------------------------------------
 
-const char* StageName(Stage s) {
-  switch (s) {
-    case Stage::kSubmit:
-      return "submit";
-    case Stage::kNsqWait:
-      return "nsq_wait";
-    case Stage::kFetch:
-      return "fetch";
-    case Stage::kFlash:
-      return "flash";
-    case Stage::kCompletionWait:
-      return "completion_wait";
-    case Stage::kDelivery:
-      return "delivery";
-  }
-  return "?";
-}
-
 void StageBreakdown::Record(const Request& rq) {
-  if (!rq.HasDeviceTimeline()) {
+  if (!rq.t.HasDeviceStamps()) {
     return;
   }
-  stages_[static_cast<int>(Stage::kSubmit)].Record(rq.nsq_enqueue_time -
-                                                   rq.issue_time);
-  stages_[static_cast<int>(Stage::kNsqWait)].Record(rq.fetch_start_time -
-                                                    rq.nsq_enqueue_time);
-  stages_[static_cast<int>(Stage::kFetch)].Record(rq.fetch_time -
-                                                  rq.fetch_start_time);
-  stages_[static_cast<int>(Stage::kFlash)].Record(rq.flash_end_time -
-                                                  rq.fetch_time);
-  stages_[static_cast<int>(Stage::kCompletionWait)].Record(rq.drain_time -
-                                                           rq.flash_end_time);
-  stages_[static_cast<int>(Stage::kDelivery)].Record(rq.complete_time -
-                                                     rq.drain_time);
+  for (const StageSpan& span : kStageSpans) {
+    stages_[static_cast<int>(span.stage)].Record(rq.t.*span.end -
+                                                 rq.t.*span.begin);
+  }
 }
 
 void StageBreakdown::Merge(const StageBreakdown& other) {
@@ -244,9 +218,9 @@ double StageBreakdown::TotalMeanNs() const {
 
 void StageBreakdown::AppendJson(JsonWriter& w) const {
   w.BeginObject();
-  for (int i = 0; i < kNumStages; ++i) {
-    w.Key(StageName(static_cast<Stage>(i)));
-    AppendHistogramJson(w, stages_[i]);
+  for (const StageSpan& span : kStageSpans) {
+    w.Key(span.json_name);
+    AppendHistogramJson(w, stage(span.stage));
   }
   w.EndObject();
 }

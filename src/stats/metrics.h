@@ -18,6 +18,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/types.h"
+#include "src/sim/clock.h"
 #include "src/stats/histogram.h"
 
 namespace daredevil {
@@ -72,8 +74,8 @@ std::string HistogramToJson(const Histogram& h);
 
 // --- Stage breakdown ------------------------------------------------------
 
-// The request lifecycle stages, in order. Stage boundaries are chosen so the
-// per-request stage durations sum exactly to complete_time - issue_time.
+// The request lifecycle stages, in order. Stage boundaries (kStageSpans) are
+// chosen so the per-request stage durations sum exactly to complete - issue.
 enum class Stage : int {
   kSubmit = 0,      // issue -> NSQ enqueue: user prep, syscall, block-layer
                     // submit work, routing, NSQ lock wait
@@ -88,7 +90,51 @@ enum class Stage : int {
 };
 inline constexpr int kNumStages = 6;
 
-const char* StageName(Stage s);
+// One stage as a span of the request timeline (src/core/types.h): from its
+// begin stamp to its end stamp, with its StageBreakdown JSON key and its
+// slice name in the trace export.
+struct StageSpan {
+  Stage stage;
+  std::string_view json_name;   // string literals: NUL-terminated
+  std::string_view trace_name;
+  Tick Timeline::*begin;
+  Tick Timeline::*end;
+};
+
+// The one table of stage boundaries, in enum order. Each stage ends where
+// the next begins, so the spans tile [issue, complete].
+inline constexpr StageSpan kStageSpans[kNumStages] = {
+    {Stage::kSubmit, "submit", "submit", &Timeline::issue,
+     &Timeline::nsq_enqueue},
+    {Stage::kNsqWait, "nsq_wait", "nsq-wait", &Timeline::nsq_enqueue,
+     &Timeline::fetch_start},
+    {Stage::kFetch, "fetch", "fetch", &Timeline::fetch_start,
+     &Timeline::fetch},
+    {Stage::kFlash, "flash", "flash", &Timeline::fetch, &Timeline::flash_end},
+    {Stage::kCompletionWait, "completion_wait", "completion-wait",
+     &Timeline::flash_end, &Timeline::drain},
+    {Stage::kDelivery, "delivery", "delivery", &Timeline::drain,
+     &Timeline::complete},
+};
+
+namespace metrics_internal {
+constexpr bool StageSpansTile() {
+  for (int i = 0; i < kNumStages; ++i) {
+    if (kStageSpans[i].stage != static_cast<Stage>(i) ||
+        (i > 0 && kStageSpans[i].begin != kStageSpans[i - 1].end)) {
+      return false;
+    }
+  }
+  return kStageSpans[0].begin == &Timeline::issue &&
+         kStageSpans[kNumStages - 1].end == &Timeline::complete;
+}
+}  // namespace metrics_internal
+static_assert(metrics_internal::StageSpansTile(),
+              "kStageSpans must follow enum order and tile issue..complete");
+
+inline const char* StageName(Stage s) {
+  return kStageSpans[static_cast<int>(s)].json_name.data();
+}
 
 class StageBreakdown {
  public:

@@ -43,15 +43,19 @@ SloTenantState::SloTenantState(std::string tenant, uint64_t tenant_id,
       tenant_id_(tenant_id),
       spec_(NormalizeSpec(spec)),
       origin_(origin),
-      horizon_(horizon),
-      latencies_(origin, spec_.window) {}
+      horizon_(horizon) {}
 
 void SloTenantState::Record(Tick at, Tick latency, bool ok) {
   if (at < origin_ || at >= horizon_) {
     ++ignored_;
     return;
   }
-  latencies_.Record(at, latency);
+  const auto idx = static_cast<size_t>((at - origin_) / spec_.window);
+  if (idx >= total_per_window_.size()) {
+    total_per_window_.resize(idx + 1, 0);
+    bad_per_window_.resize(idx + 1, 0);
+  }
+  ++total_per_window_[idx];
   all_latencies_.Record(latency);
   const bool good = ok && latency <= spec_.threshold;
   if (good) {
@@ -59,10 +63,6 @@ void SloTenantState::Record(Tick at, Tick latency, bool ok) {
     return;
   }
   ++bad_;
-  const auto idx = static_cast<size_t>((at - origin_) / spec_.window);
-  if (idx >= bad_per_window_.size()) {
-    bad_per_window_.resize(idx + 1, 0);
-  }
   ++bad_per_window_[idx];
 }
 
@@ -124,20 +124,17 @@ SloReport SloTracker::Finalize() const {
     // Window math: the fast burn rate is per window, the slow rate the same
     // ratio over the trailing slow_windows windows (prefix sums keep this
     // O(windows)).
-    const size_t n = state->latencies_.num_windows();
+    const size_t n = state->total_per_window_.size();
     std::vector<uint64_t> total_prefix(n + 1, 0);
     std::vector<uint64_t> bad_prefix(n + 1, 0);
     for (size_t i = 0; i < n; ++i) {
-      const uint64_t wtotal = state->latencies_.WindowCount(i);
-      const uint64_t wbad =
-          i < state->bad_per_window_.size() ? state->bad_per_window_[i] : 0;
-      total_prefix[i + 1] = total_prefix[i] + wtotal;
-      bad_prefix[i + 1] = bad_prefix[i] + wbad;
+      total_prefix[i + 1] = total_prefix[i] + state->total_per_window_[i];
+      bad_prefix[i + 1] = bad_prefix[i] + state->bad_per_window_[i];
     }
     r.windows.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       SloWindow w;
-      w.start = state->latencies_.WindowStart(i);
+      w.start = state->origin_ + static_cast<Tick>(i) * r.spec.window;
       const uint64_t wtotal = total_prefix[i + 1] - total_prefix[i];
       w.bad = bad_prefix[i + 1] - bad_prefix[i];
       w.good = wtotal - w.bad;

@@ -38,7 +38,6 @@
 
 #include "src/sim/clock.h"
 #include "src/stats/histogram.h"
-#include "src/stats/time_series.h"
 
 namespace daredevil {
 
@@ -171,9 +170,9 @@ class SloTenantState {
   SloSpec spec_;
   Tick origin_;
   Tick horizon_;
-  // Windowed latency distribution (totals + per-window histograms) on the
-  // shared TimeSeries substrate; bad counts ride alongside per window.
-  TimeSeries latencies_;
+  // Deliveries and bad deliveries per window; window i starts at
+  // origin_ + i * spec_.window. Both grow together.
+  std::vector<uint64_t> total_per_window_;
   std::vector<uint64_t> bad_per_window_;
   Histogram all_latencies_;
   uint64_t good_ = 0;

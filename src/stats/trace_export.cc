@@ -24,7 +24,7 @@ RequestTimelineLog::RequestTimelineLog(size_t capacity)
     : capacity_(capacity > 0 ? capacity : 1) {}
 
 void RequestTimelineLog::Append(const Request& rq, int irq_core, int ncq) {
-  if (!rq.HasDeviceTimeline()) {
+  if (!rq.t.HasDeviceStamps()) {
     return;  // split parents complete via their children
   }
   RequestRecord rec;
@@ -39,37 +39,20 @@ void RequestTimelineLog::Append(const Request& rq, int irq_core, int ncq) {
   rec.submit_core = rq.submit_core;
   rec.irq_core = irq_core;
   rec.complete_core = rq.tenant != nullptr ? rq.tenant->core : irq_core;
-  rec.issue = rq.issue_time;
-  rec.submit = rq.submit_time;
-  rec.nsq_enqueue = rq.nsq_enqueue_time;
-  rec.doorbell = rq.doorbell_time;
-  rec.fetch_start = rq.fetch_start_time;
-  rec.fetch = rq.fetch_time;
-  rec.flash_start = rq.flash_start_time;
-  rec.flash_end = rq.flash_end_time;
-  rec.cqe_post = rq.cqe_post_time;
-  rec.drain = rq.drain_time;
-  rec.complete = rq.complete_time;
+  rec.t = rq.t;
 
   ++total_;
-  if (records_.size() < capacity_) {
-    records_.push_back(rec);
-    return;
+  if (records_.size() == capacity_) {
+    records_.pop_front();
   }
-  full_ = true;
-  ++dropped_;
-  records_[head_] = rec;
-  head_ = (head_ + 1) % capacity_;
+  records_.push_back(rec);
 }
 
 std::vector<RequestRecord> RequestTimelineLog::Records() const {
-  if (!full_) {
-    return records_;
-  }
   std::vector<RequestRecord> out;
   out.reserve(records_.size());
   for (size_t i = 0; i < records_.size(); ++i) {
-    out.push_back(records_[(head_ + i) % records_.size()]);
+    out.push_back(records_[i]);
   }
   return out;
 }
@@ -77,22 +60,6 @@ std::vector<RequestRecord> RequestTimelineLog::Records() const {
 // --- Event building --------------------------------------------------------
 
 namespace {
-
-// Lifecycle stages of a request's nested async slices (ChromeEventKind::
-// kStage, `sub` indexes this table).
-struct Stage {
-  std::string_view name;
-  Tick RequestRecord::*begin;
-  Tick RequestRecord::*end;
-};
-constexpr Stage kStages[] = {
-    {"submit", &RequestRecord::issue, &RequestRecord::nsq_enqueue},
-    {"nsq-wait", &RequestRecord::nsq_enqueue, &RequestRecord::fetch_start},
-    {"fetch", &RequestRecord::fetch_start, &RequestRecord::fetch},
-    {"flash", &RequestRecord::fetch, &RequestRecord::flash_end},
-    {"completion-wait", &RequestRecord::flash_end, &RequestRecord::drain},
-    {"delivery", &RequestRecord::drain, &RequestRecord::complete},
-};
 
 // A TraceLog event field: the name suffix, an arg value or the instant's tid.
 enum class TraceField : uint8_t { kNone, kId, kA, kB };
@@ -286,40 +253,41 @@ void BuildRequestEvents(const TraceExportInput& input,
   for (size_t i = 0; i < input.requests.size(); ++i) {
     const RequestRecord& r = input.requests[i];
     const auto ref = static_cast<uint32_t>(i);
-    ChromeEvent& outer =
-        sink.Add(ChromeEventKind::kRequest, 'b', r.issue, kTracePidRequests, 0, ref);
+    const Timeline& t = r.t;
+    ChromeEvent& outer = sink.Add(ChromeEventKind::kRequest, 'b', t.issue,
+                                  kTracePidRequests, 0, ref);
     outer.id = r.id;
-    for (uint32_t s = 0; s < std::size(kStages); ++s) {
-      const Tick begin = r.*(kStages[s].begin);
-      const Tick end = r.*(kStages[s].end);
+    for (uint32_t s = 0; s < std::size(kStageSpans); ++s) {
+      const Tick begin = t.*kStageSpans[s].begin;
+      const Tick end = t.*kStageSpans[s].end;
       if (end < begin) {
         continue;  // defensive: a torn timeline must not unbalance b/e
       }
       sink.AddAsync(ChromeEventKind::kStage, begin, end, kTracePidRequests,
                     ref, r.id, s);
     }
-    sink.Add(ChromeEventKind::kRequest, 'e', r.complete, kTracePidRequests, 0,
+    sink.Add(ChromeEventKind::kRequest, 'e', t.complete, kTracePidRequests, 0,
              ref)
         .id = r.id;
 
     // Flash service (overlaps across chips -> async under the device pid).
-    sink.AddAsync(ChromeEventKind::kFlash, r.flash_start, r.flash_end,
+    sink.AddAsync(ChromeEventKind::kFlash, t.flash_start, t.flash_end,
                   kTracePidDevice, ref, r.id);
     // NCQ residency: completion posted -> drained by the driver.
-    sink.AddAsync(ChromeEventKind::kCqe, r.cqe_post, r.drain, kTracePidNcq,
+    sink.AddAsync(ChromeEventKind::kCqe, t.cqe_post, t.drain, kTracePidNcq,
                   ref, r.id);
     // Host-core instants + the cross-core IRQ hop flow arrow.
-    sink.Add(ChromeEventKind::kSubmit, 'i', r.submit, kTracePidHost,
+    sink.Add(ChromeEventKind::kSubmit, 'i', t.submit, kTracePidHost,
              r.submit_core, ref);
-    sink.Add(ChromeEventKind::kDrain, 'i', r.drain, kTracePidHost, r.irq_core,
+    sink.Add(ChromeEventKind::kDrain, 'i', t.drain, kTracePidHost, r.irq_core,
              ref);
-    sink.Add(ChromeEventKind::kComplete, 'i', r.complete, kTracePidHost,
+    sink.Add(ChromeEventKind::kComplete, 'i', t.complete, kTracePidHost,
              r.complete_core, ref);
     if (r.complete_core != r.irq_core) {
-      sink.Add(ChromeEventKind::kIrqHop, 's', r.drain, kTracePidHost,
+      sink.Add(ChromeEventKind::kIrqHop, 's', t.drain, kTracePidHost,
                r.irq_core, ref)
           .id = r.id;
-      sink.Add(ChromeEventKind::kIrqHop, 'f', r.complete, kTracePidHost,
+      sink.Add(ChromeEventKind::kIrqHop, 'f', t.complete, kTracePidHost,
                r.complete_core, ref)
           .id = r.id;
     }
@@ -748,7 +716,7 @@ std::string_view ChromeEventRenderer::Render(const ChromeEvent& e,
       }
       break;
     case ChromeEventKind::kStage:
-      w.Text(kStages[e.sub].name);
+      w.Text(kStageSpans[e.sub].trace_name);
       cat = CloseName(w, e, "rq");
       break;
     case ChromeEventKind::kFlash:
@@ -983,28 +951,12 @@ void WriteRequestRecord(JsonCursor& w, const RequestRecord& r) {
   w.Int(r.irq_core);
   w.Lit(",\"complete_core\":");
   w.Int(r.complete_core);
-  w.Lit(",\"issue\":");
-  w.Int(r.issue);
-  w.Lit(",\"submit\":");
-  w.Int(r.submit);
-  w.Lit(",\"nsq_enqueue\":");
-  w.Int(r.nsq_enqueue);
-  w.Lit(",\"doorbell\":");
-  w.Int(r.doorbell);
-  w.Lit(",\"fetch_start\":");
-  w.Int(r.fetch_start);
-  w.Lit(",\"fetch\":");
-  w.Int(r.fetch);
-  w.Lit(",\"flash_start\":");
-  w.Int(r.flash_start);
-  w.Lit(",\"flash_end\":");
-  w.Int(r.flash_end);
-  w.Lit(",\"cqe_post\":");
-  w.Int(r.cqe_post);
-  w.Lit(",\"drain\":");
-  w.Int(r.drain);
-  w.Lit(",\"complete\":");
-  w.Int(r.complete);
+  for (const TimelineStamp& stamp : kTimelineStamps) {
+    w.Lit(",\"");
+    w.Text(stamp.name);
+    w.Lit("\":");
+    w.Int(r.t.*stamp.field);
+  }
   w.Put('}');
 }
 

@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/ring_fifo.h"
 #include "src/sim/trace.h"
 #include "src/stack/request.h"
 
@@ -52,10 +53,10 @@ struct SloTenantReport;  // src/stats/slo.h
 
 // --- Per-request lifecycle capture ---------------------------------------
 
-// Compact snapshot of one completed request's stage timeline, captured on
-// delivery (requests are pooled and reused by the workload layer, so the
-// stamps must be copied out before recycling). This is the exporter's and
-// the HOL-blocking analyzer's ground truth.
+// Compact snapshot of one completed request, captured on delivery: the
+// workload layer recycles pooled requests, so the stage timeline is copied
+// out before that. This is the exporter's and the HOL-blocking analyzer's
+// ground truth.
 struct RequestRecord {
   uint64_t id = 0;
   uint64_t tenant_id = 0;
@@ -67,19 +68,7 @@ struct RequestRecord {
   int submit_core = 0;
   int irq_core = 0;       // core that drained the CQE
   int complete_core = 0;  // tenant core the completion was delivered on
-
-  // The monotonic stage chain (see Request in src/stack/request.h).
-  Tick issue = 0;
-  Tick submit = 0;
-  Tick nsq_enqueue = 0;
-  Tick doorbell = 0;
-  Tick fetch_start = 0;
-  Tick fetch = 0;
-  Tick flash_start = 0;
-  Tick flash_end = 0;
-  Tick cqe_post = 0;
-  Tick drain = 0;
-  Tick complete = 0;
+  Timeline t;             // the monotonic stage chain (src/core/types.h)
 };
 
 // Bounded append-only log of completed-request records (oldest dropped once
@@ -92,19 +81,16 @@ class RequestTimelineLog {
   // (split parents, which complete via their children) are skipped.
   void Append(const Request& rq, int irq_core, int ncq);
 
-  // Records in completion order (chronological by `complete`).
+  // Records in completion order (chronological by `t.complete`).
   std::vector<RequestRecord> Records() const;
   size_t size() const { return records_.size(); }
   uint64_t total_recorded() const { return total_; }
-  uint64_t dropped() const { return dropped_; }
+  uint64_t dropped() const { return total_ - records_.size(); }
 
  private:
   size_t capacity_;
-  std::vector<RequestRecord> records_;  // ring
-  size_t head_ = 0;
-  bool full_ = false;
+  RingFifo<RequestRecord> records_;  // the newest capacity_ records
   uint64_t total_ = 0;
-  uint64_t dropped_ = 0;
 };
 
 // --- Chrome Trace Event Format export -------------------------------------

@@ -82,7 +82,7 @@ void GuestVm::ForwardToHost(GuestRequest* rq) {
   // Pooled HostIo reuse: wipe the previous request's stage stamps or the
   // lifecycle verifier sees a stale (non-monotone) timeline.
   host.ResetTimeline();
-  host.issue_time = rq->issue_time;
+  host.t.issue = rq->issue_time;
   host.routed_nsq = -1;
   // The backing tenant "runs" on the kicking vCPU's core for this request.
   vq.tenant_.core = HostCoreOfVcpu(rq->vcpu);

@@ -260,7 +260,7 @@ ScenarioEnv::ScenarioEnv(const ScenarioConfig& config)
     stack_->SetFaultRecovery(config.fault_recovery);
     stack_->SetFaultPlan(&faults_);
   }
-  if (config.export_trace || config.analyze_holb || !config.slos.empty()) {
+  if (config.export_trace || !config.slos.empty()) {
     // SLO episode attribution replays the HOL analysis over the captured
     // timelines, so configuring specs implies the capture.
     timeline_ = std::make_unique<RequestTimelineLog>(kTimelineCapacity);

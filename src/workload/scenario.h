@@ -61,12 +61,10 @@ struct ScenarioConfig {
   // >0: attach a StateSampler recording queue depths / chip occupancy /
   // run-queue lengths / pending doorbell batches at this period.
   Tick sample_interval = 0;
-  // Capture per-request stage timelines and build the Chrome-trace JSON into
+  // Capture per-request stage timelines, run the HOL-blocking attribution
+  // over them into ScenarioResult::holb and build the Chrome-trace JSON into
   // ScenarioResult::trace_json.
   bool export_trace = false;
-  // Run the HOL-blocking attribution pass over the captured timelines into
-  // ScenarioResult::holb (implied by export_trace).
-  bool analyze_holb = false;
   // Per-tenant latency objectives (src/stats/slo.h). Non-empty: an SloTracker
   // observes every matched tenant's deliveries over the measurement window
   // and ScenarioResult::slo carries the finalized conformance report, with
@@ -143,12 +141,12 @@ struct ScenarioResult {
   // when trace_dropped > 0 - a partial ring silently truncates timelines.
   uint64_t trace_total = 0;
   uint64_t trace_dropped = 0;
-  // RequestTimelineLog ring accounting (export_trace / analyze_holb runs).
+  // RequestTimelineLog ring accounting (export_trace / slos runs).
   uint64_t timeline_total = 0;
   uint64_t timeline_dropped = 0;
 
   SamplerSnapshot sampler;  // empty unless sample_interval > 0
-  HolbReport holb;          // empty unless export_trace / analyze_holb / slos
+  HolbReport holb;          // empty unless export_trace / slos
   // Per-tenant SLO conformance (empty unless config.slos matched a tenant).
   // Serialized as the "slo" JSON section, outside the fingerprinted
   // projection like every other observer output.
@@ -236,7 +234,7 @@ class ScenarioEnv {
   Tick measure_end() const { return config_.warmup + config_.duration; }
   // Null unless config.trace_capacity > 0.
   TraceLog* trace_log() { return trace_.get(); }
-  // Null unless config.export_trace / config.analyze_holb / config.slos.
+  // Null unless config.export_trace / config.slos.
   RequestTimelineLog* timeline_log() { return timeline_.get(); }
   // Null unless config.sample_interval > 0; scheduled by Start().
   StateSampler* sampler() { return sampler_.get(); }

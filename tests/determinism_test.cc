@@ -366,7 +366,6 @@ TEST(DeterminismGate, ObservabilityDoesNotPerturbSimulatedTime) {
   const ScenarioConfig plain = GateConfig(StackKind::kVanilla, /*seed=*/42);
   ScenarioConfig traced = plain;
   traced.export_trace = true;
-  traced.analyze_holb = true;
   traced.sample_interval = kMillisecond;
   const ScenarioResult a = RunScenario(plain);
   const ScenarioResult b = RunScenario(traced);

@@ -468,8 +468,8 @@ TEST(LifecycleAbortTest, AbortRemovesInFlightId) {
   LifecycleChecker checker;
   Request rq;
   rq.id = 7;
-  rq.issue_time = 100;
-  rq.submit_time = 120;
+  rq.t.issue = 100;
+  rq.t.submit = 120;
   ASSERT_TRUE(checker.OnSubmit(rq, 120));
   EXPECT_EQ(checker.in_flight(), 1u);
   EXPECT_TRUE(checker.OnAbort(rq, 500));
@@ -484,8 +484,8 @@ TEST(LifecycleAbortTest, DoubleAbortIsViolation) {
   LifecycleChecker checker;
   Request rq;
   rq.id = 7;
-  rq.issue_time = 100;
-  rq.submit_time = 120;
+  rq.t.issue = 100;
+  rq.t.submit = 120;
   ASSERT_TRUE(checker.OnSubmit(rq, 120));
   ASSERT_TRUE(checker.OnAbort(rq, 500));
   EXPECT_FALSE(checker.OnAbort(rq, 501));

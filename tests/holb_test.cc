@@ -23,15 +23,15 @@ RequestRecord MakeRecord(uint64_t id, uint64_t tenant, int nsq, Tick enqueue,
   r.latency_sensitive = latency_sensitive;
   r.nsq = nsq;
   r.ncq = nsq;
-  r.nsq_enqueue = enqueue;
-  r.doorbell = enqueue;  // visible immediately (no doorbell batching)
-  r.fetch_start = fetch_start;
-  r.fetch = fetch;
-  r.flash_start = fetch;
-  r.flash_end = fetch + 50;
-  r.cqe_post = fetch + 60;
-  r.drain = fetch + 70;
-  r.complete = fetch + 80;
+  r.t.nsq_enqueue = enqueue;
+  r.t.doorbell = enqueue;  // visible immediately (no doorbell batching)
+  r.t.fetch_start = fetch_start;
+  r.t.fetch = fetch;
+  r.t.flash_start = fetch;
+  r.t.flash_end = fetch + 50;
+  r.t.cqe_post = fetch + 60;
+  r.t.drain = fetch + 70;
+  r.t.complete = fetch + 80;
   return r;
 }
 
@@ -173,7 +173,7 @@ TEST(HolbTest, BulkShareCollapsesUnderDaredevil) {
     cfg.used_nqs = 4;
     cfg.warmup = 2 * kMillisecond;
     cfg.duration = 30 * kMillisecond;
-    cfg.analyze_holb = true;
+    cfg.export_trace = true;
     AddLTenants(cfg, 4);
     AddTTenants(cfg, 8);
     const ScenarioResult r = RunScenario(cfg);

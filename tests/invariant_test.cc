@@ -17,17 +17,17 @@ Request GoodRequest(uint64_t id = 7) {
   Request rq;
   rq.id = id;
   rq.routed_nsq = 3;
-  rq.issue_time = 100;
-  rq.submit_time = 120;
-  rq.nsq_enqueue_time = 140;
-  rq.doorbell_time = 150;
-  rq.fetch_start_time = 200;
-  rq.fetch_time = 260;
-  rq.flash_start_time = 300;
-  rq.flash_end_time = 700;
-  rq.cqe_post_time = 750;
-  rq.drain_time = 800;
-  rq.complete_time = 900;
+  rq.t.issue = 100;
+  rq.t.submit = 120;
+  rq.t.nsq_enqueue = 140;
+  rq.t.doorbell = 150;
+  rq.t.fetch_start = 200;
+  rq.t.fetch = 260;
+  rq.t.flash_start = 300;
+  rq.t.flash_end = 700;
+  rq.t.cqe_post = 750;
+  rq.t.drain = 800;
+  rq.t.complete = 900;
   return rq;
 }
 
@@ -45,7 +45,7 @@ TEST(LifecycleCheckerTest, AcceptsConsistentLifecycle) {
 TEST(LifecycleCheckerTest, RejectsStageRegression) {
   LifecycleChecker checker;
   Request rq = GoodRequest();
-  rq.flash_start_time = rq.fetch_time - 10;  // device started before fetching
+  rq.t.flash_start = rq.t.fetch - 10;  // device started before fetching
   EXPECT_FALSE(checker.CheckStageChain(rq, 1000));
   EXPECT_EQ(checker.violations(), 1u);
   EXPECT_NE(checker.last_violation().find("stage regression"),
@@ -59,16 +59,16 @@ TEST(LifecycleCheckerTest, SkipsUnreachedStages) {
   LifecycleChecker checker;
   Request rq;
   rq.id = 9;
-  rq.issue_time = 100;
-  rq.submit_time = 110;
-  rq.complete_time = 500;
+  rq.t.issue = 100;
+  rq.t.submit = 110;
+  rq.t.complete = 500;
   EXPECT_TRUE(checker.CheckStageChain(rq, 500));
 }
 
 TEST(LifecycleCheckerTest, RejectsFutureStamp) {
   LifecycleChecker checker;
   Request rq = GoodRequest();
-  EXPECT_FALSE(checker.CheckStageChain(rq, rq.complete_time - 1));
+  EXPECT_FALSE(checker.CheckStageChain(rq, rq.t.complete - 1));
   EXPECT_NE(checker.last_violation().find("future stage stamp"),
             std::string::npos);
 }

@@ -75,7 +75,7 @@ TEST_F(MechanismsTest, SplitDecomposesLargeRequests) {
   // 4 chunks traversed the device.
   EXPECT_EQ(device_->commands_completed(), 4u);
   EXPECT_EQ(stack_->requests_submitted(), 4u);
-  EXPECT_GT(rq->complete_time, rq->issue_time);
+  EXPECT_GT(rq->t.complete, rq->t.issue);
 }
 
 TEST_F(MechanismsTest, SplitHandlesRemainderChunk) {
@@ -233,7 +233,7 @@ TEST_F(MechanismsTest, PolledCompletionDeliversWithinInterval) {
   // Polling re-arms forever: bound the run instead of draining.
   sim_.RunUntil(5 * kMillisecond);
   ASSERT_EQ(completed_.size(), 1u);
-  EXPECT_GT(rq->complete_time, rq->issue_time);
+  EXPECT_GT(rq->t.complete, rq->t.issue);
 }
 
 TEST_F(MechanismsTest, PollingBurnsCpuWhenIdle) {

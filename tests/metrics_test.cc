@@ -3,171 +3,16 @@
 // machine-readable ScenarioResult serialization.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/stats/metrics.h"
+#include "src/stats/trace_export.h"
 #include "src/workload/scenario.h"
 
 namespace daredevil {
 namespace {
-
-// ---------------------------------------------------------------------------
-// A tiny recursive-descent JSON validator, so the serialization tests check
-// real well-formedness instead of substring presence.
-// ---------------------------------------------------------------------------
-
-class JsonValidator {
- public:
-  explicit JsonValidator(std::string_view text) : text_(text) {}
-
-  bool Valid() {
-    SkipWs();
-    if (!Value()) {
-      return false;
-    }
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipWs();
-    if (Peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!String()) {
-        return false;
-      }
-      SkipWs();
-      if (Peek() != ':') {
-        return false;
-      }
-      ++pos_;
-      SkipWs();
-      if (!Value()) {
-        return false;
-      }
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      if (!Value()) {
-        return false;
-      }
-      SkipWs();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') {
-      return false;
-    }
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return false;
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool Number() {
-    const size_t start = pos_;
-    if (Peek() == '-') {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool Literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) {
-      return false;
-    }
-    pos_ += lit.size();
-    return true;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // JsonWriter
@@ -191,7 +36,7 @@ TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
   w.Key("raw").Raw("{\"pre\":1}");
   w.EndObject();
 
-  EXPECT_TRUE(JsonValidator(w.str()).Valid()) << w.str();
+  EXPECT_TRUE(JsonLooksValid(w.str())) << w.str();
   EXPECT_NE(w.str().find("\"n\":-42"), std::string::npos);
   EXPECT_NE(w.str().find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(w.str().find("\\n"), std::string::npos);
@@ -212,7 +57,7 @@ TEST(JsonWriterTest, ExactEscapesAndIntegerDigits) {
   EXPECT_EQ(w.str(),
             "[\"a\\\"b\\\\c\\nd\\te\\rf\\u0001\\u0008\\u000b\\u001f\x7f\xc3\xa9\","
             "-9223372036854775808,0,18446744073709551615]");
-  EXPECT_TRUE(JsonValidator(w.str()).Valid()) << w.str();
+  EXPECT_TRUE(JsonLooksValid(w.str())) << w.str();
 }
 
 TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
@@ -222,7 +67,7 @@ TEST(JsonWriterTest, NonFiniteDoublesBecomeNull) {
   w.Key("nan").Double(std::numeric_limits<double>::quiet_NaN());
   w.EndObject();
   EXPECT_EQ(w.str(), "{\"inf\":null,\"nan\":null}");
-  EXPECT_TRUE(JsonValidator(w.str()).Valid());
+  EXPECT_TRUE(JsonLooksValid(w.str()));
 }
 
 TEST(JsonWriterTest, HistogramJsonIsValid) {
@@ -231,7 +76,7 @@ TEST(JsonWriterTest, HistogramJsonIsValid) {
     h.Record(i * 100);
   }
   const std::string json = HistogramToJson(h);
-  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
+  EXPECT_TRUE(JsonLooksValid(json)) << json;
   EXPECT_NE(json.find("\"count\":1000"), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
@@ -242,17 +87,17 @@ TEST(JsonWriterTest, HistogramJsonIsValid) {
 
 Request TimelineRequest() {
   Request rq;
-  rq.issue_time = 100;
-  rq.submit_time = 110;
-  rq.nsq_enqueue_time = 120;
-  rq.doorbell_time = 130;
-  rq.fetch_start_time = 140;
-  rq.fetch_time = 150;
-  rq.flash_start_time = 160;
-  rq.flash_end_time = 200;
-  rq.cqe_post_time = 210;
-  rq.drain_time = 220;
-  rq.complete_time = 230;
+  rq.t.issue = 100;
+  rq.t.submit = 110;
+  rq.t.nsq_enqueue = 120;
+  rq.t.doorbell = 130;
+  rq.t.fetch_start = 140;
+  rq.t.fetch = 150;
+  rq.t.flash_start = 160;
+  rq.t.flash_end = 200;
+  rq.t.cqe_post = 210;
+  rq.t.drain = 220;
+  rq.t.complete = 230;
   return rq;
 }
 
@@ -268,14 +113,14 @@ TEST(StageBreakdownTest, StagesTelescopeToEndToEnd) {
   EXPECT_EQ(b.stage(Stage::kCompletionWait).Mean(), 20.0);   // 200 -> 220
   EXPECT_EQ(b.stage(Stage::kDelivery).Mean(), 10.0);         // 220 -> 230
   EXPECT_DOUBLE_EQ(b.TotalMeanNs(),
-                   static_cast<double>(rq.complete_time - rq.issue_time));
+                   static_cast<double>(rq.t.complete - rq.t.issue));
 }
 
 TEST(StageBreakdownTest, SkipsRequestsWithoutDeviceTimeline) {
   StageBreakdown b;
   Request parent;  // e.g. a split parent: completes via children, no device
-  parent.issue_time = 100;
-  parent.complete_time = 500;
+  parent.t.issue = 100;
+  parent.t.complete = 500;
   b.Record(parent);
   EXPECT_EQ(b.count(), 0u);
 }
@@ -298,7 +143,7 @@ TEST(StageBreakdownTest, JsonHasAllStages) {
   b.Record(TimelineRequest());
   JsonWriter w;
   b.AppendJson(w);
-  EXPECT_TRUE(JsonValidator(w.str()).Valid()) << w.str();
+  EXPECT_TRUE(JsonLooksValid(w.str())) << w.str();
   for (int s = 0; s < kNumStages; ++s) {
     const std::string key =
         std::string("\"") + StageName(static_cast<Stage>(s)) + "\"";
@@ -308,13 +153,13 @@ TEST(StageBreakdownTest, JsonHasAllStages) {
 
 TEST(StageBreakdownTest, ResetTimelineClearsEverything) {
   Request rq = TimelineRequest();
-  ASSERT_TRUE(rq.HasDeviceTimeline());
+  ASSERT_TRUE(rq.t.HasDeviceStamps());
   rq.ResetTimeline();
-  EXPECT_FALSE(rq.HasDeviceTimeline());
-  EXPECT_EQ(rq.issue_time, 0);
-  EXPECT_EQ(rq.doorbell_time, 0);
-  EXPECT_EQ(rq.flash_end_time, 0);
-  EXPECT_EQ(rq.complete_time, 0);
+  EXPECT_FALSE(rq.t.HasDeviceStamps());
+  EXPECT_EQ(rq.t.issue, 0);
+  EXPECT_EQ(rq.t.doorbell, 0);
+  EXPECT_EQ(rq.t.flash_end, 0);
+  EXPECT_EQ(rq.t.complete, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +204,7 @@ TEST(MetricsRegistryTest, ToJsonIsValid) {
   reg.RegisterGauge("g", []() { return 2.5; });
   reg.Hist("h")->Record(1000);
   const std::string json = reg.ToJson();
-  EXPECT_TRUE(JsonValidator(json).Valid()) << json;
+  EXPECT_TRUE(JsonLooksValid(json)) << json;
   EXPECT_NE(json.find("\"c\":5"), std::string::npos);
   EXPECT_NE(json.find("\"g\":2.5"), std::string::npos);
   EXPECT_NE(json.find("\"h\":{"), std::string::npos);
@@ -378,7 +223,7 @@ TEST(ScenarioResultTest, MissingGroupIsSafe) {
   EXPECT_EQ(r.Iops("nope"), 0.0);
   EXPECT_EQ(r.ThroughputBps("nope"), 0.0);
   EXPECT_EQ(r.Metric("nope"), 0.0);
-  EXPECT_TRUE(JsonValidator(r.ToJson()).Valid()) << r.ToJson();
+  EXPECT_TRUE(JsonLooksValid(r.ToJson())) << r.ToJson();
 }
 
 TEST(ScenarioResultTest, ZeroDurationIsSafe) {
@@ -387,7 +232,7 @@ TEST(ScenarioResultTest, ZeroDurationIsSafe) {
   r.groups["G"].bytes = 4096;
   EXPECT_EQ(r.Iops("G"), 0.0);  // measure_duration == 0
   EXPECT_EQ(r.ThroughputBps("G"), 0.0);
-  EXPECT_TRUE(JsonValidator(r.ToJson()).Valid()) << r.ToJson();
+  EXPECT_TRUE(JsonLooksValid(r.ToJson())) << r.ToJson();
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +269,7 @@ TEST_P(ScenarioTelemetry, StageSumsMatchEndToEndLatency) {
   EXPECT_EQ(r.Metric("workload.L.issued") + r.Metric("workload.T.issued"),
             static_cast<double>(r.total_issued));
 
-  EXPECT_TRUE(JsonValidator(r.ToJson()).Valid());
+  EXPECT_TRUE(JsonLooksValid(r.ToJson()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, ScenarioTelemetry,
@@ -472,27 +317,27 @@ TEST_P(ScenarioTelemetry, TimelineIsMonotonicPerRequest) {
     rq->pages = 1 + static_cast<uint32_t>(rng.NextBelow(32));
     rq->is_write = rng.NextBelow(2) == 0;
     rq->submit_core = 0;
-    rq->issue_time = env.sim().now();
+    rq->t.issue = env.sim().now();
     rq->on_complete = [&completed](Request* r) {
       ++completed;
-      EXPECT_LE(r->issue_time, r->submit_time);
-      EXPECT_LE(r->submit_time, r->nsq_enqueue_time);
-      EXPECT_LE(r->nsq_enqueue_time, r->doorbell_time);
-      EXPECT_LE(r->doorbell_time, r->fetch_start_time);
-      EXPECT_LE(r->fetch_start_time, r->fetch_time);
-      EXPECT_LE(r->fetch_time, r->flash_start_time);
-      EXPECT_LE(r->flash_start_time, r->flash_end_time);
-      EXPECT_LE(r->flash_end_time, r->cqe_post_time);
-      EXPECT_LE(r->cqe_post_time, r->drain_time);
-      EXPECT_LE(r->drain_time, r->complete_time);
+      EXPECT_LE(r->t.issue, r->t.submit);
+      EXPECT_LE(r->t.submit, r->t.nsq_enqueue);
+      EXPECT_LE(r->t.nsq_enqueue, r->t.doorbell);
+      EXPECT_LE(r->t.doorbell, r->t.fetch_start);
+      EXPECT_LE(r->t.fetch_start, r->t.fetch);
+      EXPECT_LE(r->t.fetch, r->t.flash_start);
+      EXPECT_LE(r->t.flash_start, r->t.flash_end);
+      EXPECT_LE(r->t.flash_end, r->t.cqe_post);
+      EXPECT_LE(r->t.cqe_post, r->t.drain);
+      EXPECT_LE(r->t.drain, r->t.complete);
       // The telescoping stage sum reproduces the e2e latency exactly.
-      const Tick sum = (r->nsq_enqueue_time - r->issue_time) +
-                       (r->fetch_start_time - r->nsq_enqueue_time) +
-                       (r->fetch_time - r->fetch_start_time) +
-                       (r->flash_end_time - r->fetch_time) +
-                       (r->drain_time - r->flash_end_time) +
-                       (r->complete_time - r->drain_time);
-      EXPECT_EQ(sum, r->complete_time - r->issue_time);
+      const Tick sum = (r->t.nsq_enqueue - r->t.issue) +
+                       (r->t.fetch_start - r->t.nsq_enqueue) +
+                       (r->t.fetch - r->t.fetch_start) +
+                       (r->t.flash_end - r->t.fetch) +
+                       (r->t.drain - r->t.flash_end) +
+                       (r->t.complete - r->t.drain);
+      EXPECT_EQ(sum, r->t.complete - r->t.issue);
     };
     requests.push_back(std::move(rq));
   }
@@ -500,7 +345,7 @@ TEST_P(ScenarioTelemetry, TimelineIsMonotonicPerRequest) {
   for (int i = 0; i < kRequests; ++i) {
     Request* rq = requests[static_cast<size_t>(i)].get();
     env.sim().At(static_cast<Tick>(i / 8) * 2 * kMicrosecond, [&env, rq]() {
-      rq->issue_time = env.sim().now();
+      rq->t.issue = env.sim().now();
       env.stack().SubmitAsync(rq);
     });
   }

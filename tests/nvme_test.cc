@@ -369,13 +369,13 @@ TEST_F(DeviceTest, StalledDeviceFetchesNewSmallCommandAtNextPageDone) {
   const NvmeCompletion& a = cqes[1];
   const NvmeCompletion& b = cqes[2];
   const NvmeCompletion& c = cqes[3];
-  EXPECT_EQ(c.fetch_start_time, retires.front().first);
-  EXPECT_LT(c.fetch_start_time, b.fetch_start_time);
+  EXPECT_EQ(c.t.fetch_start, retires.front().first);
+  EXPECT_LT(c.t.fetch_start, b.t.fetch_start);
   // Two stall episodes: behind A until C slips in, then behind C until B
   // fits. The stall clock must read exactly their length at every kick.
   auto stalled_by = [&](Tick t) {
-    return Overlap(t, a.fetch_time, c.fetch_start_time) +
-           Overlap(t, c.fetch_time, b.fetch_start_time);
+    return Overlap(t, a.t.fetch, c.t.fetch_start) +
+           Overlap(t, c.t.fetch, b.t.fetch_start);
   };
   for (const auto& [at, stall_ns] : retires) {
     EXPECT_EQ(stall_ns, stalled_by(at)) << "page retired at tick " << at;
@@ -410,7 +410,7 @@ TEST_F(DeviceTest, AbortingStalledBulkyHeadLetsNextKickFetchCommandBehindIt) {
   const auto retires = StepRecordingPageRetires(sim_, device);
   ASSERT_FALSE(retires.empty());
   ASSERT_EQ(cqes.count(4), 1u);
-  EXPECT_EQ(cqes[4].fetch_start_time, retires.front().first);
+  EXPECT_EQ(cqes[4].t.fetch_start, retires.front().first);
   EXPECT_EQ(cqes.count(2), 0u);
   EXPECT_EQ(device.commands_fetched(), 2u);
 }

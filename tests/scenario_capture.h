@@ -22,8 +22,7 @@ struct CapturedRun {
   SloReport slo;  // finalized; episodes not yet attributed
 };
 
-// `config` must attach the timeline capture (export_trace, analyze_holb or
-// an SLO spec).
+// `config` must attach the timeline capture (export_trace or an SLO spec).
 inline CapturedRun CaptureRun(const ScenarioConfig& config) {
   CapturedRun run;
   run.env = std::make_unique<ScenarioEnv>(config);

@@ -158,15 +158,15 @@ RequestRecord MakeRecord(uint64_t id, uint64_t tenant, int nsq, Tick enqueue,
   r.latency_sensitive = latency_sensitive;
   r.nsq = nsq;
   r.ncq = nsq;
-  r.nsq_enqueue = enqueue;
-  r.doorbell = enqueue;
-  r.fetch_start = fetch_start;
-  r.fetch = fetch;
-  r.flash_start = fetch;
-  r.flash_end = fetch + 50;
-  r.cqe_post = fetch + 60;
-  r.drain = fetch + 70;
-  r.complete = fetch + 80;
+  r.t.nsq_enqueue = enqueue;
+  r.t.doorbell = enqueue;
+  r.t.fetch_start = fetch_start;
+  r.t.fetch = fetch;
+  r.t.flash_start = fetch;
+  r.t.flash_end = fetch + 50;
+  r.t.cqe_post = fetch + 60;
+  r.t.drain = fetch + 70;
+  r.t.complete = fetch + 80;
   return r;
 }
 
@@ -275,8 +275,9 @@ HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
                                               : "small(<" + threshold + "p)";
   };
   auto by_fetch_start = [](const RequestRecord* a, const RequestRecord* b) {
-    return a->fetch_start != b->fetch_start ? a->fetch_start < b->fetch_start
-                                            : a->id < b->id;
+    return a->t.fetch_start != b->t.fetch_start
+               ? a->t.fetch_start < b->t.fetch_start
+               : a->id < b->id;
   };
 
   std::map<int, std::vector<Owned>> heads_by_nsq;
@@ -289,11 +290,11 @@ HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
     std::sort(rqs.begin(), rqs.end(), by_fetch_start);
     Tick prev_departure = 0;
     for (const RequestRecord* r : rqs) {
-      const Tick visible = r->doorbell > 0 ? r->doorbell : r->nsq_enqueue;
+      const Tick visible = r->t.doorbell > 0 ? r->t.doorbell : r->t.nsq_enqueue;
       const Tick head_start = std::max(visible, prev_departure);
-      heads_by_nsq[nsq].push_back({head_start, r->fetch_start, r});
+      heads_by_nsq[nsq].push_back({head_start, r->t.fetch_start, r});
       own_head_start[r] = head_start;
-      prev_departure = r->fetch_start;
+      prev_departure = r->t.fetch_start;
     }
   }
   std::vector<const RequestRecord*> engine;
@@ -303,7 +304,7 @@ HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
   std::sort(engine.begin(), engine.end(), by_fetch_start);
   std::vector<Owned> fetches;
   for (const RequestRecord* r : engine) {
-    fetches.push_back({r->fetch_start, r->fetch, r});
+    fetches.push_back({r->t.fetch_start, r->t.fetch, r});
   }
 
   HolbReport report;
@@ -340,13 +341,13 @@ HolbReport ReferenceHolb(const std::vector<RequestRecord>& records,
   for (const RequestRecord& victim : records) {
     if ((opts.victims_latency_sensitive_only && !victim.latency_sensitive) ||
         (window.tenant_id != 0 && victim.tenant_id != window.tenant_id) ||
-        victim.complete < window.begin ||
-        (window.end >= 0 && victim.complete >= window.end)) {
+        victim.t.complete < window.begin ||
+        (window.end >= 0 && victim.t.complete >= window.end)) {
       continue;
     }
     ++report.victims;
-    const Tick wait_begin = victim.nsq_enqueue;
-    const Tick wait_end = victim.fetch_start;
+    const Tick wait_begin = victim.t.nsq_enqueue;
+    const Tick wait_end = victim.t.fetch_start;
     if (wait_end <= wait_begin) {
       continue;
     }
@@ -527,27 +528,27 @@ TEST(SloAttributionTest, IndexMatchesAFreshPassPerEpisodeOnRandomRecords) {
       r.pages = rng.NextBool(0.3) ? 32 : 1;
       r.latency_sensitive = r.tenant_id <= 2;
       r.nsq = static_cast<int>(rng.NextBelow(fetch_free.size()));
-      r.issue = static_cast<Tick>(rng.NextBelow(20000));
-      r.submit = r.issue;
-      r.nsq_enqueue = r.issue + static_cast<Tick>(rng.NextBelow(50));
-      r.doorbell = rng.NextBool(0.3)
+      r.t.issue = static_cast<Tick>(rng.NextBelow(20000));
+      r.t.submit = r.t.issue;
+      r.t.nsq_enqueue = r.t.issue + static_cast<Tick>(rng.NextBelow(50));
+      r.t.doorbell = rng.NextBool(0.3)
                        ? 0
-                       : r.nsq_enqueue + static_cast<Tick>(rng.NextBelow(20));
+                       : r.t.nsq_enqueue + static_cast<Tick>(rng.NextBelow(20));
       Tick& nsq_free = fetch_free[static_cast<size_t>(r.nsq)];
       // Zero-length waits when the queue and the engine are idle.
-      r.fetch_start = std::max({r.nsq_enqueue, nsq_free, engine_free});
+      r.t.fetch_start = std::max({r.t.nsq_enqueue, nsq_free, engine_free});
       if (rng.NextBool(0.5)) {
-        r.fetch_start += static_cast<Tick>(rng.NextBelow(300));
+        r.t.fetch_start += static_cast<Tick>(rng.NextBelow(300));
       }
-      r.fetch = r.fetch_start +
+      r.t.fetch = r.t.fetch_start +
                 static_cast<Tick>(rng.NextBelow(r.pages * 20 + 1));
-      nsq_free = r.fetch_start;
-      engine_free = r.fetch;
-      r.flash_start = r.fetch;
-      r.flash_end = r.fetch + 50;
-      r.cqe_post = r.flash_end;
-      r.drain = r.cqe_post + 5;
-      r.complete = r.drain + 5;
+      nsq_free = r.t.fetch_start;
+      engine_free = r.t.fetch;
+      r.t.flash_start = r.t.fetch;
+      r.t.flash_end = r.t.fetch + 50;
+      r.t.cqe_post = r.t.flash_end;
+      r.t.drain = r.t.cqe_post + 5;
+      r.t.complete = r.t.drain + 5;
       records.push_back(r);
     }
     // Episodes of the two L tenants (and one unnamed tracked tenant) at
@@ -559,7 +560,7 @@ TEST(SloAttributionTest, IndexMatchesAFreshPassPerEpisodeOnRandomRecords) {
       std::vector<Tick> completions;
       for (const RequestRecord& r : records) {
         if (r.tenant_id == tenant_id) {
-          completions.push_back(r.complete);
+          completions.push_back(r.t.complete);
         }
       }
       auto bound = [&](Tick random) {

@@ -60,7 +60,7 @@ class StackTest : public ::testing::Test {
     rq->tenant = &tenant_;
     rq->pages = pages;
     rq->submit_core = tenant_.core;
-    rq->issue_time = sim_.now();
+    rq->t.issue = sim_.now();
     rq->on_complete = [this](Request* r) { completed_.push_back(r); };
     requests_.push_back(std::move(rq));
     return requests_.back().get();
@@ -82,7 +82,7 @@ TEST_F(StackTest, SubmitCompletesRoundTrip) {
   sim_.RunUntilIdle();
   ASSERT_EQ(completed_.size(), 1u);
   EXPECT_EQ(completed_[0], rq);
-  EXPECT_GT(rq->complete_time, rq->issue_time);
+  EXPECT_GT(rq->t.complete, rq->t.issue);
   EXPECT_EQ(rq->routed_nsq, 0);
   EXPECT_EQ(stack_->requests_submitted(), 1u);
   EXPECT_EQ(stack_->requests_completed(), 1u);
@@ -92,9 +92,9 @@ TEST_F(StackTest, TimestampsMonotone) {
   Request* rq = NewRequest();
   stack_->SubmitAsync(rq);
   sim_.RunUntilIdle();
-  EXPECT_LE(rq->issue_time, rq->submit_time);
-  EXPECT_LE(rq->submit_time, rq->nsq_enqueue_time);
-  EXPECT_LT(rq->nsq_enqueue_time, rq->complete_time);
+  EXPECT_LE(rq->t.issue, rq->t.submit);
+  EXPECT_LE(rq->t.submit, rq->t.nsq_enqueue);
+  EXPECT_LT(rq->t.nsq_enqueue, rq->t.complete);
 }
 
 TEST_F(StackTest, KernelWorkChargedOnSubmitCore) {

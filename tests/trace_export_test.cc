@@ -39,17 +39,17 @@ RequestRecord MakeRecord(uint64_t id, int nsq, Tick enqueue, Tick fetch_start,
   r.submit_core = nsq;
   r.irq_core = nsq;
   r.complete_core = nsq;
-  r.issue = enqueue > 10 ? enqueue - 10 : 0;
-  r.submit = enqueue > 5 ? enqueue - 5 : 0;
-  r.nsq_enqueue = enqueue;
-  r.doorbell = enqueue;
-  r.fetch_start = fetch_start;
-  r.fetch = fetch;
-  r.flash_start = fetch;
-  r.flash_end = fetch + 100;
-  r.cqe_post = fetch + 110;
-  r.drain = fetch + 130;
-  r.complete = fetch + 150;
+  r.t.issue = enqueue > 10 ? enqueue - 10 : 0;
+  r.t.submit = enqueue > 5 ? enqueue - 5 : 0;
+  r.t.nsq_enqueue = enqueue;
+  r.t.doorbell = enqueue;
+  r.t.fetch_start = fetch_start;
+  r.t.fetch = fetch;
+  r.t.flash_start = fetch;
+  r.t.flash_end = fetch + 100;
+  r.t.cqe_post = fetch + 110;
+  r.t.drain = fetch + 130;
+  r.t.complete = fetch + 150;
   return r;
 }
 
@@ -186,13 +186,6 @@ TEST(TraceExportTest, OrderMatchesStableSortReference) {
   constexpr Tick k40 = Tick{1} << 40;
   const Tick kBases[] = {-k40, -1000,      0,   k32 - 2,
                          k32,  k32 + 2047, k40, k40 + 2};
-  constexpr Tick RequestRecord::*kStamps[] = {
-      &RequestRecord::issue,       &RequestRecord::submit,
-      &RequestRecord::nsq_enqueue, &RequestRecord::doorbell,
-      &RequestRecord::fetch_start, &RequestRecord::fetch,
-      &RequestRecord::flash_start, &RequestRecord::flash_end,
-      &RequestRecord::cqe_post,    &RequestRecord::drain,
-      &RequestRecord::complete};
   for (const uint64_t seed : {1, 2, 3}) {
     SCOPED_TRACE(seed);
     std::mt19937_64 rng(seed);
@@ -203,10 +196,10 @@ TEST(TraceExportTest, OrderMatchesStableSortReference) {
       RequestRecord r = MakeRecord(id, static_cast<int>(rng() % 4), 0, 0, 0,
                                    1 + static_cast<uint32_t>(rng() % 32),
                                    rng() % 2 == 0);
-      Tick t = base();
-      for (Tick RequestRecord::*stamp : kStamps) {
-        r.*stamp = t;
-        t += step();
+      Tick at = base();
+      for (const TimelineStamp& stamp : kTimelineStamps) {
+        r.t.*stamp.field = at;
+        at += step();
       }
       r.irq_core = static_cast<int>(rng() % 4);  // some cross-core hops
       records.push_back(r);
@@ -455,14 +448,14 @@ TEST(TraceExportTest, TimelineLogDropsOldestWhenFull) {
   for (uint64_t i = 1; i <= 3; ++i) {
     rq.id = i;
     rq.routed_nsq = 0;
-    rq.nsq_enqueue_time = 10 * i;
-    rq.fetch_start_time = 10 * i + 1;
-    rq.fetch_time = 10 * i + 2;
-    rq.flash_start_time = 10 * i + 3;
-    rq.flash_end_time = 10 * i + 4;
-    rq.cqe_post_time = 10 * i + 5;
-    rq.drain_time = 10 * i + 6;
-    rq.complete_time = 10 * i + 7;
+    rq.t.nsq_enqueue = 10 * i;
+    rq.t.fetch_start = 10 * i + 1;
+    rq.t.fetch = 10 * i + 2;
+    rq.t.flash_start = 10 * i + 3;
+    rq.t.flash_end = 10 * i + 4;
+    rq.t.cqe_post = 10 * i + 5;
+    rq.t.drain = 10 * i + 6;
+    rq.t.complete = 10 * i + 7;
     log.Append(rq, /*irq_core=*/0, /*ncq=*/0);
   }
   EXPECT_EQ(log.total_recorded(), 3u);

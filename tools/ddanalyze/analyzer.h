@@ -77,7 +77,7 @@
 //                   as "purity-unresolved.<layer>".
 //   fingerprint-taint (taint)
 //                 — observability-only ScenarioConfig fields (export_trace,
-//                   sample_interval, analyze_holb, slos, trace_capacity)
+//                   sample_interval, slos, trace_capacity)
 //                   must not flow into code that writes
 //                   fingerprinted state. Region-scoped taint: if/while/for
 //                   conditions taint their controlled blocks, other reads

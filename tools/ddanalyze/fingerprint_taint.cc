@@ -2,8 +2,8 @@
 // knobs must not flow into code that writes fingerprinted simulation state.
 //
 // SimulationFingerprint hashes ToJson(include_observability=false), so the
-// contract is that flipping export_trace / sample_interval / analyze_holb /
-// slos / trace_capacity cannot move a single simulated byte. The
+// contract is that flipping export_trace / sample_interval / slos /
+// trace_capacity cannot move a single simulated byte. The
 // determinism gates re-prove that dynamically per scenario; this pass
 // closes the bug class statically: a *read* of one of those fields
 // taints a region — the controlled block (else branch included) when the
@@ -40,8 +40,7 @@ namespace {
 // here: it sizes the fingerprinted timeseries.dropped_early gauge.
 const std::set<std::string>& ObservabilityFields() {
   static const std::set<std::string> kFields = {
-      "export_trace", "sample_interval", "analyze_holb", "slos",
-      "trace_capacity",
+      "export_trace", "sample_interval", "slos", "trace_capacity",
   };
   return kFields;
 }
