@@ -68,8 +68,6 @@ int main() {
   }
   for (int weight : {2, 4, 8}) {
     ScenarioConfig cfg = Cell(StackKind::kDareFull);
-    cfg.device.arbitration = ArbitrationPolicy::kWeightedRoundRobin;
-    cfg.dd.use_wrr_weights = true;
     cfg.dd.wrr_high_weight = weight;
     const ScenarioResult r = RunScenario(cfg);
     json.Add("wrr/w=" + std::to_string(weight), r);

@@ -206,7 +206,13 @@ int main(int argc, char** argv) {
   env.sim().RunUntil(env.measure_end());
   const ScenarioResult r = env.Finish();
   if (!opts.trace_csv.empty()) {
-    trace_out << env.trace_log()->ToCsv();
+    env.trace_log()->WriteCsv(trace_out);
+    trace_out.close();
+    if (!trace_out) {
+      std::fprintf(stderr, "cannot write --trace-csv %s\n",
+                   opts.trace_csv.c_str());
+      return 2;
+    }
     std::printf("wrote %zu trace events (%llu recorded, %llu dropped) to %s\n\n",
                 env.trace_log()->size(),
                 static_cast<unsigned long long>(env.trace_log()->total_recorded()),

@@ -33,10 +33,9 @@ struct DaredevilConfig {
 
   // Extensions beyond the paper's prototype (off by default; see
   // bench_ablation_mechanisms):
-  // When the device is in WRR arbitration mode, give high-priority-group
-  // NSQs this fetch weight (T NSQs keep weight 1).
-  bool use_wrr_weights = false;
-  int wrr_high_weight = 4;
+  // Weighted-round-robin fetch weight of the high-priority-group NSQs (T
+  // NSQs keep weight 1); 1 = no weighting.
+  int wrr_high_weight = 1;
   // Poll high-priority NCQs at this interval instead of taking IRQs (0 = IRQ).
   TickDuration poll_interval{0};
 

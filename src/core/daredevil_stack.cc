@@ -42,7 +42,7 @@ void DaredevilStack::ApplyDispatchPolicies() {
   }
   // Optional extensions (see DaredevilConfig): WRR fetch weights for the
   // high-priority group and polled completion for its NCQs.
-  if (config_.use_wrr_weights) {
+  if (config_.wrr_high_weight > 1) {
     for (int nsq = 0; nsq < device().nr_nsq(); ++nsq) {
       if (nqreg_->GroupOfNsq(nsq) == NqPrio::kHigh) {
         device().nsq(nsq).set_weight(config_.wrr_high_weight);

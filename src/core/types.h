@@ -216,8 +216,8 @@ struct Timeline {
   }
 };
 
-// One stamp of the chain: its name (the lifecycle checker's messages and the
-// trace export's ddRequests keys) and its field.
+// One stamp of the chain: its name (the lifecycle checker's messages) and
+// its field.
 struct TimelineStamp {
   std::string_view name;
   Tick Timeline::*field;

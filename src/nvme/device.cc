@@ -168,14 +168,8 @@ void Device::KickController() {
 
 int Device::SelectNsq() {
   const int n = nr_nsq();
-  // Continue the current burst when possible. Under WRR the burst scales
-  // with the queue's weight.
-  int burst_limit = config_.arb_burst;
-  if (config_.arbitration == ArbitrationPolicy::kWeightedRoundRobin &&
-      current_sq_ >= 0) {
-    burst_limit *= nsqs_[current_sq_]->weight();
-  }
-  if (current_sq_ >= 0 && burst_used_ < burst_limit && Armed(current_sq_) &&
+  // Continue the current burst when possible.
+  if (current_sq_ >= 0 && burst_left_ > 0 && Armed(current_sq_) &&
       inflight_pages_ + head_pages_[static_cast<size_t>(current_sq_)] <=
           config_.max_inflight_pages) {
     return current_sq_;
@@ -202,7 +196,8 @@ int Device::SelectNsq() {
       const int head_pages = head_pages_[static_cast<size_t>(sqid)];
       if (inflight_pages_ + head_pages <= config_.max_inflight_pages) {
         current_sq_ = sqid;
-        burst_used_ = 0;
+        // Weighted round robin; with every weight 1 it is plain RR.
+        burst_left_ = config_.arb_burst * nsqs_[sqid]->weight();
         rr_next_ = (sqid + 1) % n;
         return sqid;
       }
@@ -239,7 +234,7 @@ void Device::FetchFrom(int sqid) {
     trace_->Record(sim_->now(), TraceCategory::kFetchStart, cmd.cid, cmd.sqid,
                    cmd.pages);
   }
-  ++burst_used_;
+  --burst_left_;
   fetch_busy_ = true;
   TickDuration cost =
       config_.cmd_fetch + static_cast<Tick>(cmd.pages) * config_.per_page_decompose;

@@ -40,15 +40,7 @@ namespace daredevil {
 
 class MetricsRegistry;
 
-// NVMe controller queue-arbitration policy (the spec's round-robin default
-// or weighted round robin with per-queue weights).
-enum class ArbitrationPolicy {
-  kRoundRobin,
-  kWeightedRoundRobin,
-};
-
 struct DeviceConfig {
-  ArbitrationPolicy arbitration = ArbitrationPolicy::kRoundRobin;
   int nr_nsq = 64;
   int nr_ncq = 64;
   int queue_depth = 1024;
@@ -60,7 +52,9 @@ struct DeviceConfig {
   TickDuration per_page_decompose{100};  // per-4KB decompose cost
   TickDuration completion_post{200};     // cost to build + post a CQE
   TickDuration flush_exec{10 * kMicrosecond};  // FLUSH execution (cache drain)
-  int arb_burst = 4;               // commands fetched per NSQ per RR visit
+  // Commands fetched per NSQ per round-robin visit, times the queue's
+  // weight (SubmissionQueue::weight, 1 unless a stack sets one).
+  int arb_burst = 4;
   int max_inflight_pages = 256;    // device-internal buffer (pages)
 
   // Coalescing presets. Drivers apply `driver_*` to every NCQ at attach time
@@ -312,7 +306,7 @@ class Device {
   std::vector<int> head_pages_;
   int rr_next_ = 0;      // next NSQ for round-robin scan
   int current_sq_ = -1;  // NSQ currently holding the burst
-  int burst_used_ = 0;
+  int burst_left_ = 0;   // fetches left in it: arb_burst x its weight
   int inflight_pages_ = 0;
   // The in-flight table: commands in flash service (or FLUSH execution),
   // addressed by slot. FinishFetch takes a slot and the command's page-done

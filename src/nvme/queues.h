@@ -24,8 +24,8 @@ class SubmissionQueue {
 
   QueueId id() const { return id_; }
   int depth() const { return depth_; }
-  // Weighted-round-robin arbitration weight (>=1). Under WRR the controller
-  // fetches weight x arb_burst commands per visit.
+  // Weighted-round-robin arbitration weight (>=1): the controller fetches
+  // weight x arb_burst commands per visit.
   int weight() const { return weight_; }
   void set_weight(int w) { weight_ = w >= 1 ? w : 1; }
   size_t size() const { return entries_.size(); }

@@ -1,6 +1,7 @@
 #include "src/sim/trace.h"
 
 #include <cstdio>
+#include <ostream>
 
 namespace daredevil {
 
@@ -33,17 +34,18 @@ std::vector<TraceEvent> TraceLog::Events() const {
   return out;
 }
 
-std::string TraceLog::ToCsv() const {
-  std::string out = "time_ns,category,id,a,b\n";
+void TraceLog::WriteCsv(std::ostream& out) const {
+  out << "time_ns,category,id,a,b\n";
   char row[128];
-  for (const TraceEvent& e : Events()) {
-    std::snprintf(row, sizeof(row), "%lld,%s,%llu,%lld,%lld\n",
-                  static_cast<long long>(e.at), TraceCategoryName(e.category),
-                  static_cast<unsigned long long>(e.id),
-                  static_cast<long long>(e.a), static_cast<long long>(e.b));
-    out += row;
+  for (size_t i = 0; i < events_.size(); ++i) {
+    const TraceEvent& e = events_[i];
+    const int n = std::snprintf(
+        row, sizeof(row), "%lld,%s,%llu,%lld,%lld\n",
+        static_cast<long long>(e.at), TraceCategoryName(e.category),
+        static_cast<unsigned long long>(e.id), static_cast<long long>(e.a),
+        static_cast<long long>(e.b));
+    out.write(row, n);
   }
-  return out;
 }
 
 void TraceLog::Clear() {

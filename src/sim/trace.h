@@ -8,7 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <iosfwd>
 #include <vector>
 
 #include "src/sim/clock.h"
@@ -131,11 +131,15 @@ class TraceLog {
     return counts_[static_cast<int>(category)];
   }
 
-  // Events in chronological order.
+  // The i-th retained event, oldest first (i < size()): a read of the ring
+  // in place.
+  const TraceEvent& event(size_t i) const { return events_[i]; }
+  // Events in chronological order (a copy).
   std::vector<TraceEvent> Events() const;
 
-  // "time_ns,category,id,a,b" rows with a header line.
-  std::string ToCsv() const;
+  // Writes "time_ns,category,id,a,b" rows after a header line, straight from
+  // the ring.
+  void WriteCsv(std::ostream& out) const;
 
   void Clear();
 

@@ -86,33 +86,4 @@ SamplerSnapshot StateSampler::Snapshot() const {
   return snap;
 }
 
-void StateSampler::RegisterMetrics(MetricsRegistry* registry) const {
-  const StateSampler* s = this;
-  for (const auto& [name, fn] : probes_) {
-    (void)fn;
-    const std::string probe = name;
-    registry->RegisterGauge("sampler." + probe + ".mean", [s, probe]() {
-      const auto it = s->series_.find(probe);
-      if (it == s->series_.end() || it->second.empty()) {
-        return 0.0;
-      }
-      double sum = 0.0;
-      for (double v : it->second) {
-        sum += v;
-      }
-      return sum / static_cast<double>(it->second.size());
-    });
-    registry->RegisterGauge("sampler." + probe + ".max", [s, probe]() {
-      const auto it = s->series_.find(probe);
-      double max = 0.0;
-      if (it != s->series_.end()) {
-        for (double v : it->second) {
-          max = v > max ? v : max;
-        }
-      }
-      return max;
-    });
-  }
-}
-
 }  // namespace daredevil

@@ -29,8 +29,7 @@
 
 namespace daredevil {
 
-class JsonWriter;       // src/stats/metrics.h
-class MetricsRegistry;  // src/stats/metrics.h
+class JsonWriter;  // src/stats/metrics.h
 
 // Plain-data snapshot of a finished sampler (copyable into ScenarioResult).
 struct SamplerSnapshot {
@@ -73,12 +72,6 @@ class StateSampler {
   }
 
   SamplerSnapshot Snapshot() const;
-
-  // Registers per-probe summary gauges ("sampler.<name>.mean" / ".max") so
-  // the sampled state shows up in the metrics snapshot. These live under the
-  // reserved "sampler." namespace, which the determinism fingerprint skips
-  // (observability must not change the fingerprinted result).
-  void RegisterMetrics(MetricsRegistry* registry) const;
 
  private:
   void SampleOnce(Simulator* sim, Tick end);

@@ -73,7 +73,7 @@ int64_t FieldOf(const TraceEvent& te, TraceField field) {
 // ::kTraceEvent): its track, its name and its args.
 struct TraceCategoryRow {
   TraceCategory category;
-  int pid = 0;  // 0: no instant; the record slices cover the category
+  int pid = 0;  // 0: no instant; the records' events cover the category
   TraceField tid = TraceField::kNone;  // kNone: tid 0
   std::string_view name = {};
   TraceField suffix = TraceField::kNone;  // appended to the name
@@ -81,15 +81,11 @@ struct TraceCategoryRow {
     std::string_view key = {};  // empty ends the list
     TraceField field = TraceField::kNone;
   } args[3] = {};
-  // Redundant with record-derived instants when records exist (and the
-  // trace ring may have dropped its oldest events, so records win).
-  bool dropped_with_records = false;
 };
 
 // One row per category, in enum order.
 constexpr TraceCategoryRow kTraceCategoryRows[] = {
-    {TraceCategory::kSubmit, kTracePidHost, TraceField::kA, "submit rq",
-     TraceField::kId, {}, true},
+    {TraceCategory::kSubmit},
     {TraceCategory::kRoute},
     {TraceCategory::kDoorbell, kTracePidNsq, TraceField::kA, "doorbell",
      TraceField::kNone, {{"batch", TraceField::kB}}},
@@ -100,8 +96,7 @@ constexpr TraceCategoryRow kTraceCategoryRows[] = {
     {TraceCategory::kComplete},
     {TraceCategory::kIrq, kTracePidHost, TraceField::kB, "irq NCQ",
      TraceField::kA},
-    {TraceCategory::kDeliver, kTracePidHost, TraceField::kA, "deliver rq",
-     TraceField::kId, {}, true},
+    {TraceCategory::kDeliver},
     {TraceCategory::kSchedule},  // recorded by nothing
     // Migrations and fault-path events land on the control track: they are
     // rare, global in scope, and reading them against the NSQ/core tracks is
@@ -309,11 +304,10 @@ void BuildRequestEvents(const TraceExportInput& input,
 }
 
 void BuildTraceEventInstants(const TraceExportInput& input, EventSink& sink) {
-  const bool have_records = !input.requests.empty();
   for (size_t i = 0; i < input.events.size(); ++i) {
     const TraceEvent& te = input.events[i];
     const TraceCategoryRow& row = RowOf(te.category);
-    if (row.pid == 0 || (row.dropped_with_records && have_records)) {
+    if (row.pid == 0) {
       continue;
     }
     const int tid =
@@ -462,17 +456,17 @@ std::vector<ChromeEvent> BuildChromeEvents(const TraceExportInput& input) {
 // --- Rendering ---------------------------------------------------------------
 
 // Writes the trace straight into a std::string. Before each item (an event,
-// a ddRequests row, the document's frame) the caller reserves kRoom bytes;
-// the fixed-size writes after it (literals, integers, ticks, doubles, single
-// characters) then copy without checks. A string of any length reserves its
+// the document's frame) the caller reserves kRoom bytes; the fixed-size
+// writes after it (literals, integers, ticks, doubles, single characters)
+// then copy without checks. A string of any length reserves its
 // own bound plus kRoom, so the fixed writes after it stay covered. The
 // string's size runs at most one growth step ahead of the bytes written, so
 // only pages about to be written are touched; Finish trims it. Invariant
 // builds check every write against the reserved end.
 class JsonCursor {
  public:
-  // The longest fixed-size run between two reservations: a ddRequests row
-  // takes at most 566 bytes (21 keys, 11 ticks), an event under 300.
+  // The longest fixed-size run between two reservations: an event, under
+  // 300 bytes.
   static constexpr size_t kRoom = 1024;
 
   explicit JsonCursor(std::string& out)
@@ -497,13 +491,6 @@ class JsonCursor {
   void Int(Integer v) {
     Claim(20);
     p_ = std::to_chars(p_, end_, v).ptr;
-  }
-  void Bool(bool v) {
-    if (v) {
-      Lit("true");
-    } else {
-      Lit("false");
-    }
   }
   // "%.15g" keeps integer-valued doubles exact.
   void Double(double v) {
@@ -928,57 +915,16 @@ void ChromeEventRenderer::WriteTrackName(JsonCursor& w,
 
 // --- Serialization ---------------------------------------------------------
 
-namespace {
-
-void WriteRequestRecord(JsonCursor& w, const RequestRecord& r) {
-  w.Lit("{\"id\":");
-  w.Int(r.id);
-  w.Lit(",\"tenant\":");
-  w.Int(r.tenant_id);
-  w.Lit(",\"pages\":");
-  w.Int(r.pages);
-  w.Lit(",\"write\":");
-  w.Bool(r.is_write);
-  w.Lit(",\"ls\":");
-  w.Bool(r.latency_sensitive);
-  w.Lit(",\"nsq\":");
-  w.Int(r.nsq);
-  w.Lit(",\"ncq\":");
-  w.Int(r.ncq);
-  w.Lit(",\"submit_core\":");
-  w.Int(r.submit_core);
-  w.Lit(",\"irq_core\":");
-  w.Int(r.irq_core);
-  w.Lit(",\"complete_core\":");
-  w.Int(r.complete_core);
-  for (const TimelineStamp& stamp : kTimelineStamps) {
-    w.Lit(",\"");
-    w.Text(stamp.name);
-    w.Lit("\":");
-    w.Int(r.t.*stamp.field);
-  }
-  w.Put('}');
-}
-
-}  // namespace
-
 std::string SerializeChromeTrace(const TraceExportInput& input) {
   const std::vector<ChromeEvent> events = EmitChromeEvents(input);
   // Ordered before the document is allocated, so the sort's scratch is gone
   // by then and cannot fragment the heap under it.
   const std::vector<uint32_t> order = TimestampOrder(events);
   const ChromeEventRenderer renderer(input);
-  // Reserved from the document's typical shape (~110 bytes per event, ~330
-  // per raw record, ~20 per sampled value); the cursor touches pages only as
-  // it writes them.
-  size_t sampler_bytes = 0;
-  if (input.sampler != nullptr) {
-    sampler_bytes = input.sampler->times().size() *
-                    (input.sampler->series().size() + 1) * 24;
-  }
+  // Reserved from the document's typical shape (~110 bytes per event); the
+  // cursor touches pages only as it writes them.
   std::string doc;
-  doc.reserve(events.size() * 128 + input.requests.size() * 384 + 1024 +
-              sampler_bytes);
+  doc.reserve(events.size() * 128 + 1024);
   JsonCursor w(doc);
   w.Reserve(JsonCursor::kRoom);
   w.Lit("{\"displayTimeUnit\":\"ns\",\"otherData\":{\"stack\":\"");
@@ -1002,25 +948,7 @@ std::string SerializeChromeTrace(const TraceExportInput& input) {
     renderer.Render(events[order[i]], w);
   }
   w.Reserve(JsonCursor::kRoom);
-  w.Lit("],\"ddRequests\":[");
-  for (size_t i = 0; i < input.requests.size(); ++i) {
-    w.Reserve(JsonCursor::kRoom);
-    if (i > 0) {
-      w.Put(',');
-    }
-    WriteRequestRecord(w, input.requests[i]);
-  }
-  w.Reserve(JsonCursor::kRoom);
-  w.Put(']');
-  if (input.sampler != nullptr) {
-    // The snapshot's one JSON form, shared with ScenarioResult::ToJson.
-    JsonWriter sampler;
-    sampler.Reserve(sampler_bytes);
-    input.sampler->Snapshot().AppendJson(sampler);
-    w.Lit(",\"ddSampler\":");
-    w.Text(sampler.str());
-  }
-  w.Put('}');
+  w.Lit("]}");
   w.Finish();
   return doc;
 }

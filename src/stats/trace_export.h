@@ -204,9 +204,10 @@ class ChromeEventRenderer {
   std::vector<std::pair<std::string, const std::vector<double>*>> series_;
 };
 
-// Full JSON document: {"traceEvents":[...],"displayTimeUnit":"ns",
-// "otherData":{...},"ddRequests":[...],"ddSampler":{...}}. The ddRequests /
-// ddSampler side-channels carry the raw records for tools/ddtrace.py.
+// Full JSON document: {"displayTimeUnit":"ns","otherData":{...},
+// "traceEvents":[...]}. The events are the trace's only copy of the records
+// and sampler series; the raw records feed the HOL report
+// (ScenarioResult::holb) and the series its "observability.sampler" section.
 // Deterministic: identical inputs serialize to identical bytes.
 std::string SerializeChromeTrace(const TraceExportInput& input);
 

@@ -86,7 +86,8 @@ uint64_t FnvString(uint64_t h, std::string_view s) {
 
 uint64_t HashTraceStream(const TraceLog& trace) {
   uint64_t h = kFnvOffset;
-  for (const TraceEvent& e : trace.Events()) {
+  for (size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace.event(i);
     h = FnvMix(h, static_cast<uint64_t>(e.at));
     h = FnvMix(h, static_cast<uint64_t>(e.category));
     h = FnvMix(h, e.id);
@@ -131,25 +132,14 @@ std::string ScenarioResult::ToJson(bool include_observability) const {
   w.EndObject();
   w.Key("metrics").BeginObject();
   for (const auto& [name, value] : metrics) {
-    // "sampler.*" gauges exist only because a StateSampler was attached;
-    // keep them out of the fingerprinted projection.
-    if (!include_observability && name.rfind("sampler.", 0) == 0) {
-      continue;
-    }
     w.Key(name).Double(value);
   }
   w.EndObject();
   if (include_observability && faults_attached) {
-    // Deliberately outside the fingerprinted projection (satellite of the
-    // determinism gate): the stack.faults.* gauges in "metrics" already pin
-    // these values down for same-seed reproducibility, and keeping the
-    // section out of ToJson(false) keeps the fingerprint schema stable.
+    // What "metrics" does not hold: the fault totals are its
+    // device.faults.* / stack.faults.* gauges. Outside the fingerprinted
+    // projection, which keeps the fingerprint schema stable.
     w.Key("errors").BeginObject();
-    w.Key("injections").UInt(fault_injections());
-    w.Key("retries").UInt(fault_retries());
-    w.Key("aborts").UInt(fault_aborts());
-    w.Key("timeouts").UInt(fault_timeouts());
-    w.Key("failed_requests").UInt(failed_requests());
     w.Key("errored_completions").UInt(total_errored);
     w.Key("tenants").BeginObject();
     for (const auto& [name, te] : tenant_errors) {
@@ -308,7 +298,6 @@ void ScenarioEnv::Start() {
   device_.RegisterMetrics(registry_.get());
   stack_->RegisterMetrics(registry_.get());
   if (sampler_ != nullptr) {
-    sampler_->RegisterMetrics(registry_.get());
     sampler_->Attach(&shard_.sim(), measure_start(), measure_end());
   }
   if (config_.series_window > 0) {

@@ -155,10 +155,11 @@ struct ScenarioResult {
   std::string trace_json;
 
   // --- Error accounting (populated only when config.faults was non-empty) -
-  // Serialized as the "errors" JSON section, which is intentionally OUTSIDE
-  // the fingerprinted projection: the fingerprint already digests the
-  // stack.faults.* / device.faults.* metric gauges, and those gauges exist
-  // only in fault runs, so fault-free fingerprints stay byte-identical.
+  // The per-tenant counts and total_errored are serialized as the "errors"
+  // JSON section, OUTSIDE the fingerprinted projection. The fault totals are
+  // not repeated there: they are the stack.faults.* / device.faults.* gauges
+  // in "metrics", which the fingerprint digests and which exist only in
+  // fault runs, so fault-free fingerprints stay byte-identical.
   bool faults_attached = false;
   struct TenantErrors {
     uint64_t retries = 0;
@@ -197,10 +198,11 @@ struct ScenarioResult {
 
   // Machine-readable serialization: per-group end-to-end percentiles and
   // stage breakdowns plus the metrics snapshot (schema in EXPERIMENTS.md).
-  // include_observability=false omits everything that only exists because an
-  // observer was attached (trace/timeline ring stats, the sampler series and
-  // its "sampler." summary gauges, the HOL report) - that projection is what
-  // the determinism fingerprint digests.
+  // include_observability=false omits whole sections: "errors", and what
+  // exists only because an observer was attached ("observability" - ring
+  // stats, sampler series, HOL report - and "slo"). No key inside "metrics"
+  // is filtered: it holds only values the simulation owns. That projection
+  // is what the determinism fingerprint digests.
   std::string ToJson(bool include_observability = true) const;
 
   // Determinism gate: a stable 64-bit digest of the simulated outcome - the

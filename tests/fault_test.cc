@@ -23,6 +23,7 @@
 #include "src/stack/request.h"
 #include "src/workload/fio_job.h"
 #include "src/workload/scenario.h"
+#include "tests/json_keys.h"
 
 namespace daredevil {
 namespace {
@@ -849,7 +850,13 @@ TEST(FaultRecoveryTest, ScenarioResultCarriesErrorAccounting) {
   EXPECT_GT(with_faults.fault_injections(), 0u);
   EXPECT_GT(with_faults.fault_retries(), 0u);
   EXPECT_FALSE(with_faults.tenant_errors.empty());
-  EXPECT_NE(with_faults.ToJson().find("\"errors\""), std::string::npos);
+  // The section holds only what "metrics" does not: the fault totals are
+  // its device.faults.* / stack.faults.* gauges.
+  const std::string json = with_faults.ToJson();
+  const size_t errors = json.find("\"errors\":{");
+  ASSERT_NE(errors, std::string::npos);
+  EXPECT_EQ(ObjectKeys(json, json.find('{', errors)),
+            (std::vector<std::string>{"errored_completions", "tenants"}));
   // The fingerprinted projection must NOT contain the errors section.
   EXPECT_EQ(with_faults.ToJson(/*include_observability=*/false).find("\"errors\""),
             std::string::npos);

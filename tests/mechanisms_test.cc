@@ -118,7 +118,6 @@ TEST_F(MechanismsTest, ManyConcurrentSplitsConserve) {
 
 TEST_F(MechanismsTest, WrrWeightsControlFetchShare) {
   DeviceConfig config;
-  config.arbitration = ArbitrationPolicy::kWeightedRoundRobin;
   config.nr_nsq = 2;
   config.nr_ncq = 2;
   config.arb_burst = 1;
@@ -155,17 +154,15 @@ TEST_F(MechanismsTest, WrrWeightsControlFetchShare) {
   EXPECT_GE(q0, 5);
 }
 
-TEST_F(MechanismsTest, RoundRobinIgnoresWeights) {
+TEST_F(MechanismsTest, EqualWeightsAlternate) {
   DeviceConfig config;
-  config.arbitration = ArbitrationPolicy::kRoundRobin;
   config.nr_nsq = 2;
   config.nr_ncq = 2;
   config.arb_burst = 1;
   config.max_inflight_pages = 1;
   config.namespace_pages = {1 << 16};
   config.flash.erase_after_programs = 0;
-  Device device(&sim_, config);
-  device.nsq(0).set_weight(8);  // must have no effect under plain RR
+  Device device(&sim_, config);  // every weight stays 1
   std::vector<uint64_t> order;
   device.SetIrqHandler([&](int ncq) {
     for (const auto& cqe : device.DrainCompletions(ncq, 16)) {
@@ -195,9 +192,14 @@ TEST_F(MechanismsTest, DaredevilAppliesWrrWeights) {
   ScenarioConfig cfg = MakeSvmConfig(2);
   cfg.device.nr_nsq = 8;
   cfg.device.nr_ncq = 8;
-  cfg.device.arbitration = ArbitrationPolicy::kWeightedRoundRobin;
   cfg.stack = StackKind::kDareFull;
-  cfg.dd.use_wrr_weights = true;
+  {
+    // The default config weights nothing.
+    ScenarioEnv env(cfg);
+    for (int q = 0; q < env.device().nr_nsq(); ++q) {
+      EXPECT_EQ(env.device().nsq(q).weight(), 1) << "default, nsq " << q;
+    }
+  }
   cfg.dd.wrr_high_weight = 4;
   ScenarioEnv env(cfg);
   auto* dd = dynamic_cast<DaredevilStack*>(&env.stack());

@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -19,6 +20,7 @@
 #include "src/stats/state_sampler.h"
 #include "src/stats/trace_export.h"
 #include "src/workload/scenario.h"
+#include "tests/json_keys.h"
 #include "tests/scenario_capture.h"
 
 namespace daredevil {
@@ -94,6 +96,11 @@ TEST(JsonLooksValidTest, RejectsMalformedDocuments) {
 }
 
 // --- Structural checks, shared by the synthetic and the real-run cases ------
+
+// A trace document's top-level keys: the events are its only copy of the
+// request records and sampler series.
+const std::vector<std::string> kTraceDocumentKeys = {
+    "displayTimeUnit", "otherData", "traceEvents"};
 
 // Metadata events come first, then data events in timestamp order.
 void ExpectMetadataFirstThenTimestampOrder(const std::vector<ChromeEvent>& events) {
@@ -312,9 +319,10 @@ TEST(TraceExportTest, IrqHopEmitsFlowArrows) {
   EXPECT_LE(starts[0]->ts, finishes[0]->ts);
 }
 
-// One TraceLog event of every category, first without request records (the
-// events-only path) and then with one: which categories become instants, on
-// which (pid, tid) track, and with which name and args.
+// One TraceLog event of every category, first without request records and
+// then with one: which categories become instants, on which (pid, tid)
+// track, and with which name and args. Submit and deliver render nothing:
+// the records draw those instants.
 TEST(TraceExportTest, TraceCategoriesRenderAsInstants) {
   struct Expected {
     TraceCategory category;
@@ -324,7 +332,7 @@ TEST(TraceExportTest, TraceCategoriesRenderAsInstants) {
   };
   // Every event carries id 70, a = 2 and b = 3.
   const Expected kExpected[] = {
-      {TraceCategory::kSubmit, kTracePidHost, 2, R"("name":"submit rq70")"},
+      {TraceCategory::kSubmit, 0, 0, ""},
       {TraceCategory::kRoute, 0, 0, ""},
       {TraceCategory::kDoorbell, kTracePidNsq, 2,
        R"("name":"doorbell","args":{"batch":3})"},
@@ -334,7 +342,7 @@ TEST(TraceExportTest, TraceCategoriesRenderAsInstants) {
       {TraceCategory::kFlashEnd, 0, 0, ""},
       {TraceCategory::kComplete, 0, 0, ""},
       {TraceCategory::kIrq, kTracePidHost, 3, R"("name":"irq NCQ2")"},
-      {TraceCategory::kDeliver, kTracePidHost, 2, R"("name":"deliver rq70")"},
+      {TraceCategory::kDeliver, 0, 0, ""},
       {TraceCategory::kSchedule, 0, 0, ""},
       {TraceCategory::kMigrate, kTracePidControl, 0,
        R"("name":"migrate tenant70","args":{"a":2,"b":3})"},
@@ -381,11 +389,7 @@ TEST(TraceExportTest, TraceCategoriesRenderAsInstants) {
     for (const Expected& x : kExpected) {
       SCOPED_TRACE(TraceCategoryName(x.category));
       const auto c = static_cast<uint32_t>(x.category);
-      // Record-derived instants replace submit / deliver when records exist.
-      const bool dropped = !in.requests.empty() &&
-                           (x.category == TraceCategory::kSubmit ||
-                            x.category == TraceCategory::kDeliver);
-      if (x.pid == 0 || dropped) {
+      if (x.pid == 0) {
         EXPECT_EQ(got.count(c), 0u);
         continue;
       }
@@ -414,9 +418,7 @@ TEST(TraceExportTest, SerializationIsDeterministicAndParses) {
   EXPECT_EQ(a, b) << "same input must serialize to identical bytes";
   std::string err;
   EXPECT_TRUE(JsonLooksValid(a, &err)) << err;
-  EXPECT_NE(a.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(a.find("\"ddRequests\""), std::string::npos);
-  EXPECT_NE(a.find("\"displayTimeUnit\""), std::string::npos);
+  EXPECT_EQ(ObjectKeys(a), kTraceDocumentKeys);
 }
 
 // The radix order sorts negative ticks first on purpose, so they must render
@@ -480,16 +482,25 @@ TEST(TraceExportTest, ScenarioExportIsPerfettoShaped) {
   std::string err;
   EXPECT_TRUE(JsonLooksValid(r.trace_json, &err)) << err;
   EXPECT_GT(r.timeline_total, 0u);
-  EXPECT_NE(r.trace_json.find("\"ddSampler\""), std::string::npos);
   EXPECT_NE(r.trace_json.find("\"process_name\""), std::string::npos);
+  // The sampler series are written once in the trace, as counter tracks,
+  // and once in the report, as "observability.sampler"; the metrics
+  // snapshot holds none of them.
+  EXPECT_EQ(ObjectKeys(r.trace_json), kTraceDocumentKeys);
+  EXPECT_NE(r.trace_json.find("{\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(r.trace_json.find("\"name\":\"nsq.occupancy\",\"args\":{\"value\":"),
+            std::string::npos);
+  ASSERT_FALSE(r.sampler.empty());
+  for (const auto& [name, value] : r.metrics) {
+    EXPECT_NE(name.rfind("sampler.", 0), 0u) << name;
+  }
 }
 
-// A real run with every observer attached: vanilla blk-mq with the trace
-// ring, the sampler and a tight L SLO, optionally under the dense fault
-// schedule.
-ScenarioConfig RealRunConfig(bool faults) {
+// A real run with every observer attached: `kind` with the trace ring, the
+// sampler and a tight L SLO, optionally under the dense fault schedule.
+ScenarioConfig RealRunConfig(StackKind kind, bool faults) {
   ScenarioConfig cfg = MakeSvmConfig(4);
-  cfg.stack = StackKind::kVanilla;
+  cfg.stack = kind;
   cfg.warmup = kMillisecond;
   cfg.duration = 10 * kMillisecond;
   cfg.trace_capacity = 1 << 15;
@@ -511,9 +522,14 @@ ScenarioConfig RealRunConfig(bool faults) {
 }
 
 TEST(TraceExportTest, RealRunEventsAreStructurallySound) {
-  for (const bool faults : {false, true}) {
-    SCOPED_TRACE(faults ? "dense faults" : "fault-free");
-    const ScenarioConfig cfg = RealRunConfig(faults);
+  const std::pair<StackKind, bool> kRuns[] = {
+      {StackKind::kVanilla, false},  {StackKind::kVanilla, true},
+      {StackKind::kDareFull, false}, {StackKind::kDareFull, true},
+      {StackKind::kBlkSwitch, false}, {StackKind::kBlkSwitch, true}};
+  for (const auto& [kind, faults] : kRuns) {
+    SCOPED_TRACE(std::string(StackKindName(kind)) +
+                 (faults ? ", dense faults" : ", fault-free"));
+    const ScenarioConfig cfg = RealRunConfig(kind, faults);
     CapturedRun run = CaptureRun(cfg);
     ASSERT_FALSE(run.records.empty());
     const BlockingIntervals intervals(run.records);
@@ -529,6 +545,12 @@ TEST(TraceExportTest, RealRunEventsAreStructurallySound) {
     ExpectMetadataFirstThenTimestampOrder(events);
     ExpectAsyncBalanced(events, ChromeEventRenderer(input));
     ExpectSlicesDisjoint(events);
+    // A real run starts at tick 0: no data event lies before it.
+    for (const ChromeEvent& e : events) {
+      if (e.ph != 'M') {
+        ASSERT_GE(e.ts, 0) << ChromeEventRenderer(input).Name(e);
+      }
+    }
     // Every track kind made it in: NSQ heads, SLO episodes, counters and
     // (under faults) the fault instants on the control track.
     std::set<int> pids;
@@ -542,15 +564,20 @@ TEST(TraceExportTest, RealRunEventsAreStructurallySound) {
     if (faults) {
       EXPECT_EQ(pids.count(kTracePidControl), 1u);
     }
-    // The twin is faithful: it serializes to RunScenario's very bytes.
-    EXPECT_EQ(SerializeChromeTrace(input), RunScenario(cfg).trace_json);
+    // The twin is faithful: it serializes to RunScenario's very bytes, a
+    // valid document of exactly the three Chrome-trace keys.
+    const std::string json = SerializeChromeTrace(input);
+    EXPECT_EQ(json, RunScenario(cfg).trace_json);
+    std::string err;
+    EXPECT_TRUE(JsonLooksValid(json, &err)) << err;
+    EXPECT_EQ(ObjectKeys(json), kTraceDocumentKeys);
   }
 }
 
 TEST(TraceExportTest, ControlCharactersInNamesStayValidJson) {
   // Tenant names reach the trace as args ("tenant"), as track names and in
   // SLO slice names; all of them must be escaped like ToJson escapes them.
-  ScenarioConfig cfg = RealRunConfig(/*faults=*/false);
+  ScenarioConfig cfg = RealRunConfig(StackKind::kVanilla, /*faults=*/false);
   cfg.jobs[0].name = "L\t0";
   const ScenarioResult r = RunScenario(cfg);
   ASSERT_NE(r.slo.Find("L\t0"), nullptr);

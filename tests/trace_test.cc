@@ -3,6 +3,7 @@
 
 #include <array>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "src/sim/trace.h"
@@ -43,7 +44,9 @@ TEST(TraceLogTest, RingDropsOldestWhenFull) {
 TEST(TraceLogTest, CsvFormat) {
   TraceLog log(8);
   log.Record(100, TraceCategory::kFetch, 42, 3, 8);
-  const std::string csv = log.ToCsv();
+  std::ostringstream out;
+  log.WriteCsv(out);
+  const std::string csv = out.str();
   EXPECT_NE(csv.find("time_ns,category,id,a,b\n"), std::string::npos);
   EXPECT_NE(csv.find("100,fetch,42,3,8\n"), std::string::npos);
 }
@@ -64,7 +67,8 @@ TEST(TraceLogTest, CategoryNamesStable) {
   EXPECT_STREQ(TraceCategoryName(TraceCategory::kFetchStart), "fetch-start");
   EXPECT_STREQ(TraceCategoryName(TraceCategory::kFlashStart), "flash-start");
   EXPECT_STREQ(TraceCategoryName(TraceCategory::kFlashEnd), "flash-end");
-  // Every category has a distinct, non-placeholder name (ToCsv relies on it).
+  // Every category has a distinct, non-placeholder name (WriteCsv relies on
+  // it).
   std::set<std::string> names;
   for (int c = 0; c < kNumTraceCategories; ++c) {
     const char* name = TraceCategoryName(static_cast<TraceCategory>(c));
