@@ -12,6 +12,9 @@ using namespace daredevil;
 
 namespace {
 
+constexpr int kClientThreads = 4;
+constexpr uint64_t kKeysPerClient = 200000 / kClientThreads;
+
 struct CellResult {
   Histogram latency[kNumYcsbOps];
   uint64_t counts[kNumYcsbOps] = {0};
@@ -19,8 +22,8 @@ struct CellResult {
   uint64_t cache_misses = 0;
 };
 
-CellResult RunCell(char workload, StackKind kind) {
-  constexpr int kClientThreads = 4;
+// `zipf` is every client's key generator (they share one shape).
+CellResult RunCell(char workload, StackKind kind, const ZipfianGenerator& zipf) {
   ScenarioConfig cfg = MakeSvmConfig(/*cores=*/4);
   cfg.stack = kind;
   cfg.warmup = ScaledMs(40);
@@ -50,17 +53,16 @@ CellResult RunCell(char workload, StackKind kind) {
     client->io = std::make_unique<AppIoContext>(&env.machine(), &env.stack(),
                                                 &client->tenant, /*nsid=*/0);
     client->store = std::make_unique<KvStore>(client->io.get(), kv_cfg, rng.Fork());
-    client->store->Load(/*num_keys=*/200000 / kClientThreads);
+    client->store->Load(kKeysPerClient);
     // YCSB runs against a warmed database: the zipfian-hottest blocks are
     // cached, so reads/scans are mostly CPU/cache-bound (§7.4's analysis).
     client->store->WarmCache(4 * kv_cfg.block_cache_pages);
     YcsbConfig ycsb_cfg;
     ycsb_cfg.workload = workload;
-    ycsb_cfg.record_count = 200000 / kClientThreads;
-    client->ycsb = std::make_unique<YcsbWorkload>(client->store.get(), ycsb_cfg,
-                                                  rng.Fork(), &env.sim(),
-                                                  env.measure_start(),
-                                                  env.measure_end());
+    ycsb_cfg.record_count = kKeysPerClient;
+    client->ycsb = std::make_unique<YcsbWorkload>(
+        client->store.get(), ycsb_cfg, zipf, rng.Fork(), &env.sim(),
+        env.measure_start(), env.measure_end());
     client->ycsb->Start();
     clients.push_back(std::move(client));
   }
@@ -100,12 +102,13 @@ int main() {
               "background streaming T-tenants on 4 cores");
 
   BenchJsonSink json("fig12_ycsb");
+  const ZipfianGenerator zipf(kKeysPerClient, YcsbConfig{}.zipf_theta);
   for (char workload : {'A', 'B', 'E', 'F'}) {
     std::printf("--- YCSB-%c ---\n", workload);
     TablePrinter table({"stack", "op", "p99.9", "avg", "ops"});
     for (StackKind kind :
          {StackKind::kVanilla, StackKind::kBlkSwitch, StackKind::kDareFull}) {
-      const CellResult cell = RunCell(workload, kind);
+      const CellResult cell = RunCell(workload, kind, zipf);
       if (json.enabled()) {
         JsonWriter w;
         w.BeginObject();

@@ -14,6 +14,9 @@ KvStore::KvStore(AppIoContext* io, const KvStoreConfig& config, Rng rng)
       rng_(rng),
       cache_(static_cast<size_t>(config.block_cache_pages)),
       wal_log_(config.wal_pages) {
+  DD_CHECK(config_.value_bytes >= 1 && config_.value_bytes <= kPageBytes)
+      << "KvStoreConfig: value_bytes=" << config_.value_bytes
+      << " must be in [1, " << kPageBytes << "] so a block holds an entry";
   data_alloc_ = config_.wal_pages;
 }
 
@@ -32,35 +35,53 @@ uint64_t KvStore::AllocExtent(uint64_t pages) {
 }
 
 void KvStore::Load(uint64_t num_keys) {
-  // Install the pre-existing database as evenly sized L1 runs.
+  DD_CHECK(next_sstable_id_ == 1 && next_lsn_ == 0)
+      << "KvStore::Load: the store already holds " << sstables_.size()
+      << " runs and " << next_lsn_ << " Puts";
+  // Install the pre-existing database as evenly sized L1 runs of
+  // consecutive keys; Locate finds a key's run from its value.
   const uint64_t epp = entries_per_page();
-  const uint64_t keys_per_run = std::max<uint64_t>(epp, num_keys / 8);
-  location_.Reserve(num_keys);
-  for (uint64_t start = 0; start < num_keys; start += keys_per_run) {
-    const uint64_t end = std::min(num_keys, start + keys_per_run);
+  loaded_keys_ = num_keys;
+  loaded_run_keys_ = std::max<uint64_t>(epp, num_keys / 8);
+  for (uint64_t start = 0; start < num_keys; start += loaded_run_keys_) {
+    const uint64_t keys = std::min(num_keys - start, loaded_run_keys_);
     SsTable table;
     table.id = next_sstable_id_++;
     table.level = 1;
-    table.keys.reserve(end - start);
-    for (uint64_t k = start; k < end; ++k) {
-      table.keys.push_back(k);
-      location_.Set(k, table.id);
-    }
-    table.num_pages = std::max<uint64_t>(1, (table.keys.size() + epp - 1) / epp);
+    table.num_pages = std::max<uint64_t>(1, (keys + epp - 1) / epp);
     table.base_lba = AllocExtent(table.num_pages);
     sstables_.emplace(table.id, std::move(table));
   }
 }
 
+uint64_t KvStore::Locate(uint64_t key) const {
+  if (const uint64_t* loc = location_.Find(key)) {
+    return *loc;
+  }
+  return key < loaded_keys_ ? 1 + key / loaded_run_keys_ : kNoRun;
+}
+
+std::optional<uint64_t> KvStore::DataBlockOf(uint64_t key) const {
+  // kMemtableLoc and kNoRun name no run.
+  auto table = sstables_.find(Locate(key));
+  if (table == sstables_.end()) {
+    return std::nullopt;
+  }
+  return BlockOf(table->second, key);
+}
+
 void KvStore::WarmCache(uint64_t num_keys) {
-  for (uint64_t key = 0; key < num_keys; ++key) {
-    const uint64_t* loc = location_.Find(key);
-    if (loc == nullptr || *loc == kMemtableLoc) {
-      continue;
-    }
-    auto table = sstables_.find(*loc);
-    if (table != sstables_.end()) {
-      cache_.Insert(BlockOf(table->second, key));
+  DD_CHECK(cache_.size() == 0) << "KvStore::WarmCache: the block cache "
+                               << "already holds " << cache_.size()
+                               << " blocks";
+  // Inserting the keys' blocks in ascending key order would leave the last
+  // `capacity` distinct blocks cached, the most recent first. Walking the
+  // keys down from the last one, each new block entering as the coldest,
+  // builds that state directly and stops once the cache is full.
+  cache_.Reserve(num_keys);
+  for (uint64_t key = num_keys; key > 0 && !cache_.full();) {
+    if (const std::optional<uint64_t> block = DataBlockOf(--key)) {
+      cache_.InsertColdest(*block);
     }
   }
 }
@@ -78,17 +99,12 @@ void KvStore::ReadBlock(uint64_t lba, Callback done) {
 
 void KvStore::Get(uint64_t key, Callback done) {
   io_->Compute(config_.cpu_per_op, [this, key, done = std::move(done)]() mutable {
-    const uint64_t* loc = location_.Find(key);
-    if (loc == nullptr || *loc == kMemtableLoc) {
+    const std::optional<uint64_t> block = DataBlockOf(key);
+    if (!block) {
       done();  // served from the memtable, or not found: no I/O
       return;
     }
-    auto table_it = sstables_.find(*loc);
-    if (table_it == sstables_.end()) {
-      done();
-      return;
-    }
-    const uint64_t lba = BlockOf(table_it->second, key);
+    const uint64_t lba = *block;
     // Rare bloom-filter false positive: one extra block probe first.
     if (rng_.NextBool(config_.bloom_fp) && !sstables_.empty()) {
       const uint64_t fp_lba = lba > 0 ? lba - 1 : lba + 1;
@@ -133,9 +149,8 @@ void KvStore::AddToMemtable(uint64_t key) {
 }
 
 bool KvStore::Contains(uint64_t key) const {
-  const uint64_t* loc = location_.Find(key);
-  return loc != nullptr &&
-         (*loc == kMemtableLoc || sstables_.count(*loc) != 0);
+  const uint64_t loc = Locate(key);
+  return loc == kMemtableLoc || sstables_.count(loc) != 0;
 }
 
 KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
@@ -144,6 +159,8 @@ KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
   // runs survive only up to the last acknowledged checkpoint barrier —
   // an L0 run whose FLUSH never acked may be partially on media, so its
   // manifest entry is not trusted (its records are re-replayed from the WAL).
+  // Load's runs carry no key lists: a key no surviving newer run holds
+  // falls back to them through Locate.
   memtable_.clear();
   location_.Clear();
   for (auto it = sstables_.begin(); it != sstables_.end();) {
@@ -231,26 +248,23 @@ void KvStore::ScanBlocks(std::shared_ptr<ScanState> scan) {
 
 void KvStore::Scan(uint64_t key, int n, Callback done) {
   io_->Compute(config_.cpu_per_op, [this, key, n, done = std::move(done)]() mutable {
-    const uint64_t* loc = location_.Find(key);
-    uint64_t lba = 0;
-    if (loc != nullptr && *loc != kMemtableLoc) {
-      auto table_it = sstables_.find(*loc);
-      if (table_it != sstables_.end()) {
-        const SsTable& table = table_it->second;
-        lba = BlockOf(table, key);
-        // Clamp the scan inside the run.
-        const uint64_t span =
-            std::max<uint64_t>(1, (static_cast<uint64_t>(n) + entries_per_page() - 1) /
-                                      entries_per_page());
-        const uint64_t end = std::min(lba + span, table.base_lba + table.num_pages);
-        // Read the covered blocks sequentially through the cache.
-        auto scan = std::make_shared<ScanState>();
-        scan->cur = lba;
-        scan->end = end;
-        scan->done = std::move(done);
-        ScanBlocks(std::move(scan));
-        return;
-      }
+    // kMemtableLoc and kNoRun name no run.
+    auto table_it = sstables_.find(Locate(key));
+    if (table_it != sstables_.end()) {
+      const SsTable& table = table_it->second;
+      const uint64_t lba = BlockOf(table, key);
+      // Clamp the scan inside the run.
+      const uint64_t span =
+          std::max<uint64_t>(1, (static_cast<uint64_t>(n) + entries_per_page() - 1) /
+                                    entries_per_page());
+      const uint64_t end = std::min(lba + span, table.base_lba + table.num_pages);
+      // Read the covered blocks sequentially through the cache.
+      auto scan = std::make_shared<ScanState>();
+      scan->cur = lba;
+      scan->end = end;
+      scan->done = std::move(done);
+      ScanBlocks(std::move(scan));
+      return;
     }
     done();  // memtable-resident or missing: CPU only
   });

@@ -11,13 +11,18 @@
 // read-mostly workloads are CPU/cache-bound while update-heavy workloads
 // exercise the storage stack.
 //
-// Per-key state is flat: one KeyIndex maps every live key to the run that
-// holds it, or to kMemtableLoc, which is the memtable's only membership
-// record; the memtable itself is an unsorted vector of its unique keys,
-// sorted when it flushes (the order std::map gave). The index is never
-// iterated, so its hash order cannot reach the simulation: every walk over
-// keys goes through a run's sorted key vector, the memtable's sorted keys,
-// or the WAL slots in ascending LBA.
+// Per-key state exists only for keys written since the load: Load's runs
+// are dense key ranges, run i holding keys [i * run_keys, (i + 1) *
+// run_keys). One KeyIndex maps each key written since then to the flushed
+// or compacted run that holds it, or to kMemtableLoc, which is the
+// memtable's only membership record; Locate falls back to the pre-loaded
+// run for a key the index does not hold. The memtable itself is an
+// unsorted vector of its unique keys, sorted when it flushes (the order
+// std::map gave). Flushed and compacted runs keep sorted key lists, which
+// Recover re-indexes. The index is never iterated, so its hash order
+// cannot reach the simulation: every walk over keys goes through a run's
+// sorted key vector, the memtable's sorted keys, a key range, or the WAL
+// slots in ascending LBA.
 #ifndef DAREDEVIL_SRC_APPS_KVSTORE_H_
 #define DAREDEVIL_SRC_APPS_KVSTORE_H_
 
@@ -25,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/apps/app_io.h"
@@ -66,12 +72,13 @@ class KvStore {
 
   KvStore(AppIoContext* io, const KvStoreConfig& config, Rng rng);
 
-  // Instantly installs a pre-existing database of num_keys keys as L1 runs
-  // (no simulated I/O), modelling YCSB's pre-loaded table.
+  // Instantly installs a pre-existing database of keys [0, num_keys) as L1
+  // runs (no simulated I/O), modelling YCSB's pre-loaded table. The store
+  // must be new: no run and no Put before it.
   void Load(uint64_t num_keys);
-  // Seeds the block cache with the data blocks of the first num_keys keys
-  // (the zipfian-hottest ones), modelling a warmed cache; bounded by the
-  // cache capacity.
+  // Seeds the empty block cache as Inserts of the data blocks of keys 0, 1,
+  // ..., num_keys - 1 (the zipfian-hottest ones) would, modelling a warmed
+  // cache; bounded by the cache capacity.
   void WarmCache(uint64_t num_keys);
 
   void Get(uint64_t key, Callback done);
@@ -131,6 +138,12 @@ class KvStore {
   uint64_t BlockOf(const SsTable& table, uint64_t key) const {
     return table.base_lba + key % table.num_pages;
   }
+  // Where `key` is served from: its location_ entry (a run id or
+  // kMemtableLoc), else the pre-loaded run that holds it, else kNoRun.
+  uint64_t Locate(uint64_t key) const;
+  // The data block of `key` in the run it is located in, or nullopt when
+  // the key is memtable-resident or missing.
+  std::optional<uint64_t> DataBlockOf(uint64_t key) const;
   uint64_t AllocExtent(uint64_t pages);
   void ReadBlock(uint64_t lba, Callback done);
   struct ScanState;
@@ -150,8 +163,13 @@ class KvStore {
   LruCache cache_;
 
   std::vector<uint64_t> memtable_;  // unique keys, unsorted
-  KeyIndex<uint64_t, kNoRun> location_;  // key -> sstable id or kMemtableLoc
+  // Keys written since Load -> sstable id or kMemtableLoc.
+  KeyIndex<uint64_t, kNoRun> location_;
   std::map<uint64_t, SsTable> sstables_;
+  // Load's runs: ids 1, 2, ... hold keys [0, loaded_keys_) in ascending
+  // ranges of loaded_run_keys_ keys, and keep no key lists.
+  uint64_t loaded_keys_ = 0;
+  uint64_t loaded_run_keys_ = 1;
   std::vector<uint64_t> l0_order_;  // oldest first
   uint64_t next_sstable_id_ = 1;
 

@@ -5,14 +5,17 @@
 // links of the recency list (head = most recently used), and a flat
 // KeyIndex maps id -> slot. The table grows to at most `capacity` slots;
 // after that a miss reuses the least recently used id's slot, so inserts,
-// hits and evictions allocate nothing. The index is never iterated (its
-// slot order is hash order); recency order lives only in the links, so runs
-// stay deterministic.
+// hits and evictions allocate nothing. A cache that is warmed in one pass
+// (Reserve, then InsertColdest) sizes both tables once instead of doubling
+// them as it fills. The index is never iterated (its slot order is hash
+// order); recency order lives only in the links, so runs stay deterministic.
 #ifndef DAREDEVIL_SRC_APPS_LRU_CACHE_H_
 #define DAREDEVIL_SRC_APPS_LRU_CACHE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/apps/key_index.h"
@@ -45,20 +48,34 @@ class LruCache {
       MoveToFront(*slot);
       return;
     }
-    uint32_t slot = free_;
-    if (slot != kNil) {
-      free_ = slots_[slot].next;
-    } else if (slots_.size() < capacity_) {
-      slot = static_cast<uint32_t>(slots_.size());
-      slots_.emplace_back();
-    } else {  // full: evict the least recently used id
-      slot = tail_;
-      Unlink(slot);
-      index_.Erase(slots_[slot].id);
-    }
+    const uint32_t slot = full() ? EvictColdest() : NewSlot();
     slots_[slot].id = id;
     PushFront(slot);
     index_.Set(id, slot);
+  }
+
+  // Caches `id` as the least recently used id; an id already cached keeps
+  // its place. The cache must not be full. Calling it with the ids of a
+  // sequence of Inserts from the last one back, until the cache is full,
+  // leaves the state those Inserts leave in an empty cache: the last
+  // `capacity` distinct ids, the most recently inserted first.
+  void InsertColdest(uint64_t id) {
+    DD_CHECK(!full()) << "LruCache: InsertColdest into a full cache of "
+                      << capacity_ << " ids";
+    if (index_.Find(id) != nullptr) {
+      return;
+    }
+    const uint32_t slot = NewSlot();
+    slots_[slot].id = id;
+    PushBack(slot);
+    index_.Set(id, slot);
+  }
+
+  // Sizes the slot table and the index once for min(n, capacity) ids.
+  void Reserve(size_t n) {
+    n = std::min(n, capacity_);
+    slots_.reserve(n);
+    index_.Reserve(n);
   }
 
   void Erase(uint64_t id) {
@@ -81,6 +98,7 @@ class LruCache {
 
   size_t size() const { return index_.size(); }
   size_t capacity() const { return capacity_; }
+  bool full() const { return size() >= capacity_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
@@ -103,6 +121,27 @@ class LruCache {
     slots_[s].next = head_;
     (head_ == kNil ? tail_ : slots_[head_].prev) = s;
     head_ = s;
+  }
+  void PushBack(uint32_t s) {
+    slots_[s].prev = tail_;
+    slots_[s].next = kNil;
+    (tail_ == kNil ? head_ : slots_[tail_].next) = s;
+    tail_ = s;
+  }
+  // Drops the least recently used id and returns its slot.
+  uint32_t EvictColdest() {
+    const uint32_t s = tail_;
+    Unlink(s);
+    index_.Erase(slots_[s].id);
+    return s;
+  }
+  // A vacant slot: an erased one, or a new one at the end of the table.
+  uint32_t NewSlot() {
+    if (free_ != kNil) {
+      return std::exchange(free_, slots_[free_].next);
+    }
+    slots_.emplace_back();
+    return static_cast<uint32_t>(slots_.size() - 1);
   }
   void MoveToFront(uint32_t s) {
     if (s != head_) {

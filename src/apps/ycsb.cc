@@ -22,10 +22,17 @@ const char* YcsbOpName(YcsbOp op) {
 
 YcsbWorkload::YcsbWorkload(KvStore* store, const YcsbConfig& config, Rng rng,
                            Simulator* sim, Tick measure_start, Tick measure_end)
+    : YcsbWorkload(store, config,
+                   ZipfianGenerator(config.record_count, config.zipf_theta),
+                   rng, sim, measure_start, measure_end) {}
+
+YcsbWorkload::YcsbWorkload(KvStore* store, const YcsbConfig& config,
+                           const ZipfianGenerator& zipf, Rng rng,
+                           Simulator* sim, Tick measure_start, Tick measure_end)
     : store_(store),
       config_(config),
       rng_(rng),
-      zipf_(config.record_count, config.zipf_theta),
+      zipf_(zipf),
       sim_(sim),
       measure_start_(measure_start),
       measure_end_(measure_end),
@@ -33,6 +40,11 @@ YcsbWorkload::YcsbWorkload(KvStore* store, const YcsbConfig& config, Rng rng,
   DD_CHECK(config_.workload == 'A' || config_.workload == 'B' ||
            config_.workload == 'E' || config_.workload == 'F')
       << "unsupported YCSB workload '" << config_.workload << "'";
+  DD_CHECK(zipf_.n() == config_.record_count &&
+           zipf_.theta() == config_.zipf_theta)
+      << "YCSB key generator spans " << zipf_.n() << " keys with theta "
+      << zipf_.theta() << ", the config " << config_.record_count
+      << " with theta " << config_.zipf_theta;
 }
 
 YcsbOp YcsbWorkload::NextOp() {

@@ -33,6 +33,12 @@ class YcsbWorkload {
  public:
   YcsbWorkload(KvStore* store, const YcsbConfig& config, Rng rng,
                Simulator* sim, Tick measure_start, Tick measure_end);
+  // Draws keys from `zipf`, which must span config.record_count keys with
+  // skew config.zipf_theta. Clients of one shape can share one generator
+  // and so compute its record_count-term zeta sum once.
+  YcsbWorkload(KvStore* store, const YcsbConfig& config,
+               const ZipfianGenerator& zipf, Rng rng, Simulator* sim,
+               Tick measure_start, Tick measure_end);
 
   // Runs ops back-to-back until the simulation ends.
   void Start();

@@ -19,8 +19,9 @@
 //
 // The intervals have one derivation (BlockingIntervals). One index, built
 // once per record set, answers the full-run report and every SLO episode
-// (slo.h); the trace exporter builds its own for its NSQ / fetch-engine
-// tracks (trace_export.h).
+// (slo.h) and draws the trace exporter's NSQ / fetch-engine tracks
+// (TraceExportInput::intervals; the exporter builds its own only when the
+// caller passes none).
 #ifndef DAREDEVIL_SRC_STATS_HOLB_H_
 #define DAREDEVIL_SRC_STATS_HOLB_H_
 

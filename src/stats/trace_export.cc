@@ -9,6 +9,7 @@
 #include <cstring>
 #include <iterator>
 #include <numeric>
+#include <optional>
 
 #include "src/core/invariant.h"
 #include "src/stats/holb.h"
@@ -419,7 +420,10 @@ std::vector<ChromeEvent> EmitChromeEvents(const TraceExportInput& input) {
   // Built before the event vector is reserved: allocated after it, these
   // short-lived arrays left the heap fragmented (peak RSS 43 -> 51 MB in
   // perfbench's blkmq-slo workload on a 4-core VM).
-  const BlockingIntervals intervals(input.requests);
+  std::optional<BlockingIntervals> own;
+  const BlockingIntervals& intervals = input.intervals != nullptr
+                                           ? *input.intervals
+                                           : own.emplace(input.requests);
   // At most 25 events per record (lifecycle, resource tracks, instants).
   size_t capacity = input.requests.size() * 25 + input.events.size() +
                     static_cast<size_t>(std::max(input.num_cores, 0)) +

@@ -47,9 +47,10 @@
 
 namespace daredevil {
 
-class StateSampler;      // src/stats/state_sampler.h
-struct SloReport;        // src/stats/slo.h
-struct SloTenantReport;  // src/stats/slo.h
+class BlockingIntervals;  // src/stats/holb.h
+class StateSampler;       // src/stats/state_sampler.h
+struct SloReport;         // src/stats/slo.h
+struct SloTenantReport;   // src/stats/slo.h
 
 // --- Per-request lifecycle capture ---------------------------------------
 
@@ -151,6 +152,10 @@ struct TraceExportInput {
   std::vector<TraceEvent> events;  // TraceLog::Events(), may be empty
   // Completed-request records (RequestTimelineLog::Records()); may be empty.
   std::vector<RequestRecord> requests;
+  // Optional: the interval index built from `requests` (before they moved
+  // here, which keeps its record positions), so a caller that already built
+  // it for the HOL report does not pay for a second one.
+  const BlockingIntervals* intervals = nullptr;
   const StateSampler* sampler = nullptr;      // optional counter tracks
   // Optional finalized SLO report: renders violation episodes as slices and
   // per-window burn rates as counters on per-tenant SLO tracks.

@@ -431,9 +431,10 @@ ScenarioResult ScenarioEnv::Finish() {
     result.timeline_dropped = timeline_->dropped();
 
     std::vector<RequestRecord> records = timeline_->Records();
+    // One interval index serves the HOL report, every SLO episode and the
+    // trace export.
+    const BlockingIntervals intervals(records);
     {
-      // One interval index serves the HOL report and every SLO episode.
-      const BlockingIntervals intervals(records);
       HolbOptions holb_opts;
       holb_opts.tenant_names = tenant_names;
       const HolbAnalyzer holb(records, intervals, holb_opts);
@@ -453,6 +454,7 @@ ScenarioResult ScenarioEnv::Finish() {
         input.events = trace_->Events();
       }
       input.requests = std::move(records);
+      input.intervals = &intervals;
       input.sampler = sampler_.get();
       input.slo = &result.slo;
       input.tenant_names = std::move(tenant_names);

@@ -2,11 +2,15 @@
 // mini LSM KV store, YCSB driver, SimpleFs, and the mailserver workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
+#include <set>
+#include <string>
 
 #include "src/apps/key_index.h"
 #include "src/apps/kvstore.h"
@@ -184,6 +188,62 @@ TEST(LruCacheTest, MatchesListAndMapReference) {
   }
 }
 
+// A cache filled in one pass, InsertColdest from the last id back until it
+// is full (KvStore::WarmCache's walk), must equal one filled by Inserts of
+// the same ids in order: the same ids in the same recency order, so every
+// later hit, miss and eviction agrees. The ids repeat, as a run's blocks do
+// across its keys.
+TEST(LruCacheTest, OnePassWarmEqualsForwardInserts) {
+  for (const size_t capacity : {0, 1, 2, 3, 64}) {
+    for (const size_t n : {size_t{0}, size_t{1}, capacity / 2, 5 * capacity + 3}) {
+      SCOPED_TRACE(testing::Message() << "capacity " << capacity << " ids "
+                                      << n);
+      std::mt19937_64 rng(capacity * 131 + n);
+      const uint64_t span = capacity + 5;
+      std::vector<uint64_t> ids(n);
+      for (uint64_t& id : ids) {
+        id = rng() % span;
+      }
+      LruCache forward(capacity);
+      for (const uint64_t id : ids) {
+        forward.Insert(id);
+      }
+      LruCache warm(capacity);
+      warm.Reserve(ids.size());
+      for (size_t i = ids.size(); i > 0 && !warm.full();) {
+        warm.InsertColdest(ids[--i]);
+      }
+      ASSERT_EQ(warm.size(), forward.size());
+      // Recency order: after j fresh inserts, the same j ids are gone.
+      for (size_t j = 0; j <= capacity; ++j) {
+        LruCache f = forward;
+        LruCache w = warm;
+        for (uint64_t fresh = 0; fresh < j; ++fresh) {
+          f.Insert(span + fresh);
+          w.Insert(span + fresh);
+        }
+        for (uint64_t id = 0; id < span; ++id) {
+          ASSERT_EQ(w.Touch(id), f.Touch(id)) << "id " << id << ", " << j
+                                              << " fresh inserts";
+        }
+      }
+      // A follow-up mix of lookups and inserts over a wider span.
+      for (int op = 0; op < 2000; ++op) {
+        const uint64_t id = rng() % (2 * span);
+        if (rng() % 2 == 0) {
+          ASSERT_EQ(warm.Touch(id), forward.Touch(id)) << "op " << op;
+        } else {
+          warm.Insert(id);
+          forward.Insert(id);
+        }
+      }
+      EXPECT_EQ(warm.hits(), forward.hits());
+      EXPECT_EQ(warm.misses(), forward.misses());
+      EXPECT_EQ(warm.size(), forward.size());
+    }
+  }
+}
+
 // KeyIndex against std::map under random Set / Erase / Find / Clear /
 // Reserve over a key domain of a few hundred ids, so the table runs near
 // its 7/8 load bound and erases shift probe runs back all the time.
@@ -233,6 +293,21 @@ TEST(KeyIndexTest, MatchesStdMap) {
   }
 }
 
+// Vanilla blk-mq that logs the LBA of every read it routes.
+class ReadLoggingStack : public BlkMqStack {
+ public:
+  using BlkMqStack::BlkMqStack;
+  std::vector<uint64_t> reads;
+
+ protected:
+  int RouteRequest(Request* rq) override {
+    if (!rq->is_write && !rq->is_flush) {
+      reads.push_back(rq->lba.value());
+    }
+    return BlkMqStack::RouteRequest(rq);
+  }
+};
+
 // Fixture providing an app I/O environment over a vanilla stack.
 class AppsTest : public ::testing::Test {
  protected:
@@ -246,8 +321,8 @@ class AppsTest : public ::testing::Test {
     device_config.namespace_pages = {1 << 18};  // 1GiB
     device_config.flash.erase_after_programs = 0;
     device_ = std::make_unique<Device>(&sim_, device_config);
-    stack_ = std::make_unique<BlkMqStack>(machine_.get(), device_.get(),
-                                          StackCosts{});
+    stack_ = std::make_unique<ReadLoggingStack>(machine_.get(), device_.get(),
+                                                StackCosts{});
     tenant_.id = TenantId{1};
     tenant_.core = 0;
     stack_->OnTenantStart(&tenant_);
@@ -258,7 +333,7 @@ class AppsTest : public ::testing::Test {
   Simulator sim_;
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<Device> device_;
-  std::unique_ptr<BlkMqStack> stack_;
+  std::unique_ptr<ReadLoggingStack> stack_;
   Tenant tenant_;
   std::unique_ptr<AppIoContext> io_;
 };
@@ -498,6 +573,197 @@ TEST_F(AppsTest, KvStoreKeysSpanTheWholeDomain) {
   put(1ULL << 41);  // the recovered store keeps accepting writes
   EXPECT_TRUE(store.Contains(1ULL << 41));
 }
+
+// Load's runs keep no per-key state: a key resolves to its location_ entry
+// when it was written since the load, and otherwise falls back to the
+// pre-loaded run that holds it. Every key in [0, kLoaded + 20) is checked
+// through Contains and through the block its Get reads (no block cache, so
+// every run-resident Get reads one) after the load, in the memtable, after
+// a flush and an L0 compaction, and after a Recover that drops an L0 run
+// whose flush barrier never acked.
+TEST_F(AppsTest, KvStoreKeysFallBackToTheirPreloadedRun) {
+  constexpr uint64_t kLoaded = 100;
+  constexpr uint64_t kKeys = kLoaded + 20;
+  KvStoreConfig config;
+  config.memtable_entries = 8;
+  config.l0_compaction_trigger = 2;
+  config.block_cache_pages = 0;
+  config.bloom_fp = 0.0;
+  KvStore store(io_.get(), config, Rng(1));
+  store.Load(kLoaded);
+
+  // The block each Get reads, or nullopt when it reads none.
+  auto get_read = [&](uint64_t key) -> std::optional<uint64_t> {
+    const size_t before = stack_->reads.size();
+    bool done = false;
+    store.Get(key, [&]() { done = true; });
+    sim_.RunUntilIdle();
+    EXPECT_TRUE(done) << key;
+    EXPECT_LE(stack_->reads.size(), before + 1) << key;
+    if (stack_->reads.size() == before) {
+      return std::nullopt;
+    }
+    return stack_->reads.back();
+  };
+  std::vector<uint64_t> preloaded_block(kLoaded);
+  for (uint64_t key = 0; key < kLoaded; ++key) {
+    const std::optional<uint64_t> block = get_read(key);
+    ASSERT_TRUE(block.has_value()) << key;
+    preloaded_block[key] = *block;
+  }
+  const uint64_t last_preloaded_block =
+      *std::max_element(preloaded_block.begin(), preloaded_block.end());
+
+  enum class Where { kPreloaded, kNewerRun, kMemtable };
+  std::map<uint64_t, Where> written;  // keys written since the load
+  auto where = [&](uint64_t key) -> std::optional<Where> {
+    auto it = written.find(key);
+    if (it != written.end()) {
+      return it->second;
+    }
+    return key < kLoaded ? std::optional<Where>(Where::kPreloaded)
+                         : std::nullopt;
+  };
+  auto expect_contains = [&]() {
+    for (uint64_t key = 0; key < kKeys; ++key) {
+      EXPECT_EQ(store.Contains(key), where(key).has_value()) << key;
+    }
+  };
+  auto expect_reads = [&]() {
+    for (uint64_t key = 0; key < kKeys; ++key) {
+      const std::optional<uint64_t> block = get_read(key);
+      const std::optional<Where> w = where(key);
+      if (!w || *w == Where::kMemtable) {
+        EXPECT_FALSE(block.has_value()) << key;
+      } else if (*w == Where::kPreloaded) {
+        EXPECT_EQ(block, preloaded_block[key]) << key;
+      } else {  // newer runs lie past Load's extents
+        ASSERT_TRUE(block.has_value()) << key;
+        EXPECT_GT(*block, last_preloaded_block) << key;
+      }
+    }
+  };
+  std::set<uint64_t> memtable;
+  auto put = [&](uint64_t key) {
+    bool done = false;
+    store.Put(key, [&]() { done = true; });
+    sim_.RunUntilIdle();
+    ASSERT_TRUE(done) << key;
+    written[key] = Where::kMemtable;
+    memtable.insert(key);
+    if (memtable.size() == config.memtable_entries) {  // flushed
+      for (uint64_t k : memtable) {
+        written[k] = Where::kNewerRun;
+      }
+      memtable.clear();
+    }
+  };
+
+  {
+    SCOPED_TRACE("after the load");
+    expect_contains();
+    expect_reads();
+  }
+  for (uint64_t key : {3, 15, 27, 40, 99, 100, 105, 119}) {
+    put(key);
+  }
+  EXPECT_EQ(store.flushes(), 1u);
+  for (uint64_t key : {0, 11, 12, 50}) {
+    put(key);
+  }
+  {
+    SCOPED_TRACE("after a flush, with keys in the memtable");
+    expect_contains();
+    expect_reads();
+  }
+  for (uint64_t key : {98, 101, 110, 3}) {
+    put(key);
+  }
+  EXPECT_EQ(store.flushes(), 2u);
+  EXPECT_EQ(store.compactions(), 1u);
+  {
+    SCOPED_TRACE("after an L0 compaction");
+    expect_contains();
+    expect_reads();
+  }
+
+  // The eighth Put fills the memtable and flushes a third run; the machine
+  // crashes before that run's flush barrier acks, so Recover drops the run
+  // and replays its keys from the WAL into the memtable.
+  const uint64_t kLastBatch[] = {4, 15, 60, 102, 111, 118, 7, 99};
+  for (size_t i = 0; i + 1 < std::size(kLastBatch); ++i) {
+    put(kLastBatch[i]);
+  }
+  bool acked = false;
+  store.Put(kLastBatch[std::size(kLastBatch) - 1], [&]() { acked = true; });
+  while (!acked && sim_.Step()) {
+  }
+  ASSERT_TRUE(acked);
+  EXPECT_EQ(store.flushes(), 3u);
+  EXPECT_EQ(store.num_sstables(), 1 + (kLoaded + 11) / 12 + 1u);
+  device_->Crash();
+  const KvRecoveryReport rep = store.Recover([&](uint64_t lba) {
+    return device_->PersistedAt(/*nsid=*/0, Lba{lba});
+  });
+  EXPECT_TRUE(rep.clean()) << "lost_acked=" << rep.lost_acked;
+  EXPECT_EQ(rep.replayed, std::size(kLastBatch));
+  EXPECT_EQ(store.num_sstables(), 1 + (kLoaded + 11) / 12);
+  for (uint64_t key : kLastBatch) {
+    written[key] = Where::kMemtable;
+  }
+  EXPECT_EQ(store.memtable_size(), std::size(kLastBatch));
+  SCOPED_TRACE("after a Recover that dropped an L0 run");
+  expect_contains();
+  // The cut-short flush job still completes as the simulator runs the Gets;
+  // it re-queues the dropped run's id, one short of the compaction trigger,
+  // and moves no key.
+  expect_reads();
+}
+
+#if DAREDEVIL_INVARIANTS
+
+TEST_F(AppsDeathTest, KvStoreLoadOnANonEmptyStoreAborts) {
+  KvStoreConfig config;
+  KvStore loaded(io_.get(), config, Rng(1));
+  loaded.Load(100);
+  EXPECT_DEATH(loaded.Load(100),
+               "KvStore::Load: the store already holds 9 runs and 0 Puts");
+  KvStore written(io_.get(), config, Rng(1));
+  written.Put(7, nullptr);
+  EXPECT_DEATH(written.Load(100),
+               "KvStore::Load: the store already holds 0 runs and 1 Puts");
+}
+
+TEST_F(AppsDeathTest, KvStoreWarmCacheOnANonEmptyCacheAborts) {
+  KvStoreConfig config;
+  KvStore store(io_.get(), config, Rng(1));
+  store.Load(1000);
+  store.WarmCache(10);
+  EXPECT_DEATH(store.WarmCache(10),
+               "KvStore::WarmCache: the block cache already holds 10 blocks");
+}
+
+TEST_F(AppsDeathTest, KvStoreBadValueBytesAborts) {
+  for (const uint64_t value_bytes : {uint64_t{0}, kPageBytes + 1}) {
+    KvStoreConfig config;
+    config.value_bytes = static_cast<uint32_t>(value_bytes);
+    EXPECT_DEATH(KvStore(io_.get(), config, Rng(1)),
+                 "value_bytes=" + std::to_string(value_bytes) +
+                     " must be in \\[1, 4096\\]");
+  }
+}
+
+TEST_F(AppsDeathTest, YcsbGeneratorOfAnotherShapeAborts) {
+  KvStoreConfig kv_config;
+  KvStore store(io_.get(), kv_config, Rng(1));
+  YcsbConfig config;
+  config.record_count = 1000;
+  const ZipfianGenerator zipf(999, config.zipf_theta);
+  EXPECT_DEATH(YcsbWorkload(&store, config, zipf, Rng(7), &sim_, 0, kSecond),
+               "YCSB key generator spans 999 keys");
+}
+
+#endif  // DAREDEVIL_INVARIANTS
 
 TEST_F(AppsTest, YcsbMixRatios) {
   KvStoreConfig kv_config;

@@ -219,17 +219,20 @@ uint64_t KvSetupAllocations(uint64_t keys) {
   return g_allocs - allocs_before;
 }
 
-// Per-key state lives in flat tables, so ten times the keys adds only their
-// doubling steps: the block cache's slot vector and index each double about
-// ceil(log2(10)) = 4 times more, and the location index is sized once per
-// Load. Node containers made one allocation per key (about 7k and 66k).
-TEST(HotPathAllocTest, KvSetupAllocationsGrowOnlyByTableDoublings) {
+// Set-up is O(runs): Load's runs are key ranges with no per-key state, and
+// the warm sizes the block cache's slot vector and index once, for the
+// smaller of its capacity and the keys warmed. So the allocations do not
+// depend on the key count.
+TEST(HotPathAllocTest, KvSetupAllocationsDoNotGrowWithKeys) {
   const uint64_t small = KvSetupAllocations(5000);
   const uint64_t large = KvSetupAllocations(50000);
+  const uint64_t huge = KvSetupAllocations(1000000);
   RecordProperty("kv_setup_allocs_5k", std::to_string(small));
   RecordProperty("kv_setup_allocs_50k", std::to_string(large));
-  EXPECT_LE(small, 64u);
-  EXPECT_LE(large, small + 2 * 4);
+  RecordProperty("kv_setup_allocs_1m", std::to_string(huge));
+  EXPECT_LE(small, 16u);
+  EXPECT_EQ(large, small);
+  EXPECT_EQ(huge, small);
 }
 
 TEST(HotPathAllocTest, TraceExportAllocationsDoNotGrowWithRecords) {

@@ -9,7 +9,9 @@ exits 1 with every reason when a run is not correct, a HEAD run header is
 off HEAD's tools/perfbench-fingerprints.txt, or HEAD is slower on a
 workload both trees name (signed-rank p <= ALPHA and a median more than
 MIN_SLOWDOWN below the base's). The level assumes a pair's two runs are
-exchangeable under no change. See EXPERIMENTS.md "Perf gate".
+exchangeable under no change. The table also prints each side's median
+SETUP_METRIC, which is reported and not gated. See EXPERIMENTS.md "Perf
+gate".
 """
 
 import itertools
@@ -24,6 +26,7 @@ PAIRS = 10
 SEED = 1
 SECONDS = 3
 METRIC = "sim_ios_per_s"
+SETUP_METRIC = "setup_s"
 ALPHA = 0.005
 MIN_SLOWDOWN = 0.05
 
@@ -45,8 +48,9 @@ def read_pins(path):
 
 
 def parse_run(stdout):
-    """One run.py output -> {"header", "correct", "failed", "rate"}."""
-    run = {"header": None, "correct": None, "failed": None, "rate": None}
+    """One run.py output -> {"header", "correct", "failed", "rate", "setup"}."""
+    run = {"header": None, "correct": None, "failed": None, "rate": None,
+           "setup": None}
     lines = stdout.strip().splitlines()
     for line in lines:
         if line.startswith("run header: "):
@@ -57,7 +61,9 @@ def parse_run(stdout):
         return run
     run["correct"] = result.get("correct")
     run["failed"] = result.get("failed")
-    run["rate"] = result.get("metrics", {}).get(METRIC, {}).get("value")
+    metrics = result.get("metrics", {})
+    run["rate"] = metrics.get(METRIC, {}).get("value")
+    run["setup"] = metrics.get(SETUP_METRIC, {}).get("value")
     return run
 
 
@@ -92,8 +98,9 @@ def signed_rank_p(pairs):
     return sum(total >= lost for total in sums) / len(sums)
 
 
-def rates_of(runs):
-    return [run["rate"] for run in runs if run["rate"] is not None]
+def median_of(runs, key):
+    values = [run[key] for run in runs if run[key] is not None]
+    return statistics.median(values) if values else None
 
 
 def judge(workload, base, head, pin):
@@ -120,13 +127,11 @@ def judge(workload, base, head, pin):
              if b["rate"] is not None and h["rate"] is not None]
     wins = sum(h > b for b, h in pairs)
     losses = sum(h < b for b, h in pairs)
-    base_rates, head_rates = rates_of(base or []), rates_of(head)
-    row = {"workload": workload, "base": None, "head": None, "ratio": None,
-           "p": None, "wins": wins, "losses": losses}
-    if head_rates:
-        row["head"] = statistics.median(head_rates)
-    if base_rates:
-        row["base"] = statistics.median(base_rates)
+    row = {"workload": workload, "base": median_of(base or [], "rate"),
+           "head": median_of(head, "rate"), "ratio": None, "p": None,
+           "wins": wins, "losses": losses,
+           "base_setup": median_of(base or [], "setup"),
+           "head_setup": median_of(head, "setup")}
     if pairs:
         row["ratio"] = row["head"] / row["base"]
         row["p"] = signed_rank_p(pairs)
@@ -145,15 +150,19 @@ def judge(workload, base, head, pin):
 def table(rows):
     def num(x, fmt):
         return "-" if x is None else format(x, fmt)
+    def ms(seconds):
+        return num(None if seconds is None else seconds * 1e3, ".2f")
     out = [f"| workload | base median {METRIC} | HEAD median | HEAD/base | "
-           "HEAD wins/losses | signed-rank p | verdict |",
-           "|---|---|---|---|---|---|---|"]
+           "HEAD wins/losses | signed-rank p | verdict | "
+           f"base median {SETUP_METRIC} (ms) | HEAD median (ms) |",
+           "|---|---|---|---|---|---|---|---|---|"]
     for r in rows:
         out.append(
             f"| {r['workload']} | {num(r['base'], '.0f')} | "
             f"{num(r['head'], '.0f')} | {num(r['ratio'], '.3f')} | "
             f"{r['wins']}/{r['losses']} | {num(r['p'], '.4f')} | "
-            f"{r['verdict']} |")
+            f"{r['verdict']} | {ms(r['base_setup'])} | "
+            f"{ms(r['head_setup'])} |")
     return "\n".join(out)
 
 
