@@ -26,11 +26,11 @@ int main() {
     cfg.stack = kind;
     cfg.warmup = ScaledMs(40);
     cfg.duration = ScaledMs(400);
+    cfg.seed = 777;
+    AddTTenants(cfg, 8);
     ScenarioEnv env(cfg);
 
-    Rng rng(777);
     struct User {
-      Tenant tenant;
       std::unique_ptr<AppIoContext> io;
       std::unique_ptr<SimpleFs> fs;
       std::unique_ptr<MailServer> mail;
@@ -38,36 +38,23 @@ int main() {
     std::vector<std::unique_ptr<User>> users;
     for (int i = 0; i < kUsers; ++i) {
       auto user = std::make_unique<User>();
-      user->tenant.id = TenantId{static_cast<uint64_t>(1 + i)};
-      user->tenant.name = "mail" + std::to_string(i);
-      user->tenant.group = "APP";
-      user->tenant.ionice = IoniceClass::kRealtime;
-      user->tenant.core = i % 4;
-      env.stack().OnTenantStart(&user->tenant);
+      Tenant& tenant = env.AddAppTenant("mail" + std::to_string(i), "APP",
+                                        IoniceClass::kRealtime, i % 4);
       user->io = std::make_unique<AppIoContext>(&env.machine(), &env.stack(),
-                                                &user->tenant, /*nsid=*/0);
+                                                &tenant, /*nsid=*/0);
       SimpleFsConfig fs_cfg;
       // Size the page cache below the working set so ~3/4 of reads are
       // cache-served (the paper reports ~77% cache-resident operations).
       fs_cfg.page_cache_pages = 6000;
       user->fs = std::make_unique<SimpleFs>(user->io.get(), fs_cfg);
       MailServerConfig mail_cfg;
-      user->mail = std::make_unique<MailServer>(user->fs.get(), mail_cfg,
-                                                rng.Fork(), &env.sim(),
-                                                env.measure_start(),
-                                                env.measure_end());
+      user->mail = std::make_unique<MailServer>(
+          user->fs.get(), mail_cfg, env.shard().rng().Fork(), &env.sim(),
+          env.measure_start(), env.measure_end());
       user->mail->Start();
       users.push_back(std::move(user));
     }
-
-    std::vector<std::unique_ptr<FioJob>> jobs;
-    for (int i = 0; i < 8; ++i) {
-      FioJobSpec spec = TTenantSpec(i);
-      jobs.push_back(std::make_unique<FioJob>(
-          &env.machine(), &env.stack(), spec, static_cast<uint64_t>(100 + i),
-          i % 4, rng.Fork(), env.measure_start(), env.measure_end()));
-      jobs.back()->Start();
-    }
+    env.Start();
 
     env.sim().RunUntil(env.measure_end());
 

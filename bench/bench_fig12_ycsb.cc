@@ -28,14 +28,15 @@ CellResult RunCell(char workload, StackKind kind, const ZipfianGenerator& zipf) 
   cfg.stack = kind;
   cfg.warmup = ScaledMs(40);
   cfg.duration = ScaledMs(400);
+  cfg.seed = 1234;
+  // 8 background streaming T-tenants share the cores.
+  AddTTenants(cfg, 8);
   ScenarioEnv env(cfg);
 
   // The RocksDB-like application is an L-tenant (realtime ionice, §7.4);
   // each client thread has its own task_struct and is managed at thread
   // granularity (§6). Threads drive independent DB shards.
-  Rng rng(1234);
   struct Client {
-    Tenant tenant;
     std::unique_ptr<AppIoContext> io;
     std::unique_ptr<KvStore> store;
     std::unique_ptr<YcsbWorkload> ycsb;
@@ -44,15 +45,12 @@ CellResult RunCell(char workload, StackKind kind, const ZipfianGenerator& zipf) 
   KvStoreConfig kv_cfg;
   for (int i = 0; i < kClientThreads; ++i) {
     auto client = std::make_unique<Client>();
-    client->tenant.id = TenantId{static_cast<uint64_t>(1 + i)};
-    client->tenant.name = "rocksdb" + std::to_string(i);
-    client->tenant.group = "APP";
-    client->tenant.ionice = IoniceClass::kRealtime;
-    client->tenant.core = i % 4;
-    env.stack().OnTenantStart(&client->tenant);
+    Tenant& tenant = env.AddAppTenant("rocksdb" + std::to_string(i), "APP",
+                                      IoniceClass::kRealtime, i % 4);
     client->io = std::make_unique<AppIoContext>(&env.machine(), &env.stack(),
-                                                &client->tenant, /*nsid=*/0);
-    client->store = std::make_unique<KvStore>(client->io.get(), kv_cfg, rng.Fork());
+                                                &tenant, /*nsid=*/0);
+    client->store = std::make_unique<KvStore>(client->io.get(), kv_cfg,
+                                              env.shard().rng().Fork());
     client->store->Load(kKeysPerClient);
     // YCSB runs against a warmed database: the zipfian-hottest blocks are
     // cached, so reads/scans are mostly CPU/cache-bound (§7.4's analysis).
@@ -61,23 +59,12 @@ CellResult RunCell(char workload, StackKind kind, const ZipfianGenerator& zipf) 
     ycsb_cfg.workload = workload;
     ycsb_cfg.record_count = kKeysPerClient;
     client->ycsb = std::make_unique<YcsbWorkload>(
-        client->store.get(), ycsb_cfg, zipf, rng.Fork(), &env.sim(),
-        env.measure_start(), env.measure_end());
+        client->store.get(), ycsb_cfg, zipf, env.shard().rng().Fork(),
+        &env.sim(), env.measure_start(), env.measure_end());
     client->ycsb->Start();
     clients.push_back(std::move(client));
   }
-
-  // 8 background streaming T-tenants share the cores.
-  std::vector<std::unique_ptr<FioJob>> jobs;
-  for (int i = 0; i < 8; ++i) {
-    FioJobSpec spec = TTenantSpec(i);
-    jobs.push_back(std::make_unique<FioJob>(&env.machine(), &env.stack(), spec,
-                                            static_cast<uint64_t>(100 + i),
-                                            i % 4, rng.Fork(),
-                                            env.measure_start(),
-                                            env.measure_end()));
-    jobs.back()->Start();
-  }
+  env.Start();
 
   env.sim().RunUntil(env.measure_end());
 

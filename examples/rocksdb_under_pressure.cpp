@@ -6,8 +6,6 @@
 // KvStore + YcsbWorkload), mixing it with FIO tenants inside one ScenarioEnv,
 // and reading per-operation latency histograms.
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "src/apps/kvstore.h"
 #include "src/apps/ycsb.h"
@@ -29,40 +27,28 @@ int main() {
     cfg.stack = kind;
     cfg.warmup = 20 * kMillisecond;
     cfg.duration = 200 * kMillisecond;
+    cfg.seed = 2024;
+    AddTTenants(cfg, 8);
     ScenarioEnv env(cfg);
 
     // The database runs with realtime ionice: its point operations are
     // latency-sensitive. Put WAL writes are synchronous (outlier L-requests).
-    Tenant db;
-    db.id = TenantId{1};
-    db.name = "rocksdb";
-    db.group = "APP";
-    db.ionice = IoniceClass::kRealtime;
-    db.core = 0;
-    env.stack().OnTenantStart(&db);
-
-    Rng rng(2024);
+    Tenant& db = env.AddAppTenant("rocksdb", "APP", IoniceClass::kRealtime,
+                                  /*core=*/0);
     AppIoContext io(&env.machine(), &env.stack(), &db, /*nsid=*/0);
     KvStoreConfig kv_cfg;
-    KvStore store(&io, kv_cfg, rng.Fork());
+    KvStore store(&io, kv_cfg, env.shard().rng().Fork());
     store.Load(100000);
     store.WarmCache(4 * kv_cfg.block_cache_pages);
 
     YcsbConfig ycsb_cfg;
     ycsb_cfg.workload = 'A';
     ycsb_cfg.record_count = 100000;
-    YcsbWorkload ycsb(&store, ycsb_cfg, rng.Fork(), &env.sim(),
+    YcsbWorkload ycsb(&store, ycsb_cfg, env.shard().rng().Fork(), &env.sim(),
                       env.measure_start(), env.measure_end());
     ycsb.Start();
-
-    std::vector<std::unique_ptr<FioJob>> background;
-    for (int i = 0; i < 8; ++i) {
-      background.push_back(std::make_unique<FioJob>(
-          &env.machine(), &env.stack(), TTenantSpec(i),
-          static_cast<uint64_t>(100 + i), i % 4, rng.Fork(),
-          env.measure_start(), env.measure_end()));
-      background.back()->Start();
-    }
+    // The config's 8 T-tenants start after the database.
+    env.Start();
 
     env.sim().RunUntil(env.measure_end());
 

@@ -88,17 +88,17 @@ void KvStore::WarmCache(uint64_t num_keys) {
 
 void KvStore::ReadBlock(uint64_t lba, Callback done) {
   if (cache_.Touch(lba)) {
-    io_->Compute(config_.cpu_per_block, std::move(done));
+    io_->Compute(config_.cpu_per_block, Live(std::move(done)));
     return;
   }
-  io_->Read(lba, 1, [this, lba, done = std::move(done)]() {
+  io_->Read(lba, 1, Live([this, lba, done = std::move(done)]() mutable {
     cache_.Insert(lba);
-    io_->Compute(config_.cpu_per_block, std::move(done));
-  });
+    io_->Compute(config_.cpu_per_block, Live(std::move(done)));
+  }));
 }
 
 void KvStore::Get(uint64_t key, Callback done) {
-  io_->Compute(config_.cpu_per_op, [this, key, done = std::move(done)]() mutable {
+  io_->Compute(config_.cpu_per_op, Live([this, key, done = std::move(done)]() mutable {
     const std::optional<uint64_t> block = DataBlockOf(key);
     if (!block) {
       done();  // served from the memtable, or not found: no I/O
@@ -114,7 +114,7 @@ void KvStore::Get(uint64_t key, Callback done) {
       return;
     }
     ReadBlock(lba, std::move(done));
-  });
+  }));
 }
 
 void KvStore::Put(uint64_t key, Callback done) {
@@ -127,18 +127,18 @@ void KvStore::Put(uint64_t key, Callback done) {
   // *durability*: the record is on media before the memtable insert.
   const uint64_t cid = io_->WriteFua(
       wal_lba, 1, /*meta=*/false,
-      [this, key, lsn, wal_lba, done = std::move(done)]() mutable {
+      Live([this, key, lsn, wal_lba, done = std::move(done)]() mutable {
         WalRecord& rec = wal_log_[wal_lba];
         if (rec.written && rec.lsn == lsn) {
           rec.acked = true;
         }
         io_->Compute(config_.cpu_per_op,
-                     [this, key, done = std::move(done)]() {
+                     Live([this, key, done = std::move(done)]() {
                        AddToMemtable(key);
                        MaybeFlush();
                        done();
-                     });
-      });
+                     }));
+      }));
   wal_log_[wal_lba] = WalRecord{lsn, key, cid, /*acked=*/false, /*written=*/true};
 }
 
@@ -161,6 +161,9 @@ KvRecoveryReport KvStore::Recover(const DurabilityView& view) {
   // manifest entry is not trusted (its records are re-replayed from the WAL).
   // Load's runs carry no key lists: a key no surviving newer run holds
   // falls back to them through Locate.
+  ++epoch_;
+  flush_in_progress_ = false;
+  compaction_in_progress_ = false;
   memtable_.clear();
   location_.Clear();
   for (auto it = sstables_.begin(); it != sstables_.end();) {
@@ -247,7 +250,7 @@ void KvStore::ScanBlocks(std::shared_ptr<ScanState> scan) {
 }
 
 void KvStore::Scan(uint64_t key, int n, Callback done) {
-  io_->Compute(config_.cpu_per_op, [this, key, n, done = std::move(done)]() mutable {
+  io_->Compute(config_.cpu_per_op, Live([this, key, n, done = std::move(done)]() mutable {
     // kMemtableLoc and kNoRun name no run.
     auto table_it = sstables_.find(Locate(key));
     if (table_it != sstables_.end()) {
@@ -267,7 +270,7 @@ void KvStore::Scan(uint64_t key, int n, Callback done) {
       return;
     }
     done();  // memtable-resident or missing: CPU only
-  });
+  }));
 }
 
 void KvStore::ReadModifyWrite(uint64_t key, Callback done) {
@@ -306,12 +309,12 @@ void KvStore::MaybeFlush() {
     // The run's data writes are only in the device write cache; a FLUSH
     // barrier makes them durable, and only its acknowledgement advances the
     // checkpoint (an unacked checkpoint leaves the WAL authoritative).
-    io_->Flush([this, id, seal]() {
+    io_->Flush(Live([this, id, seal]() {
       acked_checkpoint_lsn_ = std::max(acked_checkpoint_lsn_, seal);
       l0_order_.push_back(id);
       flush_in_progress_ = false;
       MaybeCompact();
-    });
+    }));
   });
 }
 
@@ -401,7 +404,7 @@ void KvStore::BackgroundJob(uint64_t read_base, uint64_t read_pages,
       chunk = static_cast<uint32_t>(std::min<uint64_t>(chunk, ns_pages - lba));
       next += chunk;
       ++job->outstanding;
-      auto on_done = [job]() {
+      auto on_done = Live([job]() {
         --job->outstanding;
         if (job->outstanding == 0 && job->read_next >= job->read_end &&
             job->write_next >= job->write_end) {
@@ -410,7 +413,7 @@ void KvStore::BackgroundJob(uint64_t read_base, uint64_t read_pages,
           return;
         }
         job->pump();
-      };
+      });
       if (is_read) {
         io_->Read(lba, chunk, on_done);
       } else {

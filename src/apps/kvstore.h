@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/apps/app_io.h"
@@ -88,8 +89,10 @@ class KvStore {
   // persisted snapshot — per-record checksums (modeled as a cid match on the
   // persisted page) reject torn and stale slots, LSN gaps flag reordering —
   // and rebuilds the memtable from every valid record past the last
-  // acknowledged checkpoint. Call only after the device crashed; the
-  // simulation must be drained (no I/O is issued).
+  // acknowledged checkpoint. Call only after the device crashed; Recover
+  // issues no I/O. The process that launched the store's in-flight work
+  // died with the machine: what of it completes later has no effect and
+  // never calls its `done`, and the recovered store runs on.
   KvRecoveryReport Recover(const DurabilityView& view);
   // True when `key` is serveable (memtable or a live sorted run).
   DD_OBSERVER bool Contains(uint64_t key) const;
@@ -134,6 +137,17 @@ class KvStore {
     bool acked = false;  // the FUA completion reached the application
     bool written = false;  // the slot has held a record since start-up
   };
+
+  // Wraps a continuation so that it runs only if no Recover came between
+  // its launch and its call (see Recover).
+  template <typename F>
+  auto Live(F fn) {
+    return [this, epoch = epoch_, fn = std::move(fn)]() mutable {
+      if (epoch == epoch_) {
+        fn();
+      }
+    };
+  }
 
   uint64_t BlockOf(const SsTable& table, uint64_t key) const {
     return table.base_lba + key % table.num_pages;
@@ -180,6 +194,7 @@ class KvStore {
   uint64_t data_alloc_ = 0;
   bool flush_in_progress_ = false;
   bool compaction_in_progress_ = false;
+  uint64_t epoch_ = 0;  // Recovers so far
 
   uint64_t wal_appends_ = 0;
   uint64_t flushes_ = 0;

@@ -140,15 +140,6 @@ using CoreId = StrongId<struct CoreIdTag, int>;
 // "No core": cross-core penalties are skipped for anonymous accesses.
 inline constexpr CoreId kNoCore{-1};
 
-// An independent simulation partition: one simulator + machine + device set
-// with its own event engine, arena and RNG stream (ShardContext,
-// src/sim/shard.h). Today every run is shard 0; the sharded parallel
-// simulation (ROADMAP item 2) will run N of them on N threads, synchronized
-// at conservative time-window barriers.
-using ShardId = StrongId<struct ShardIdTag, int>;
-
-inline constexpr ShardId kShard0{0};
-
 // A tenant (process) id. Zero means "no tenant".
 using TenantId = StrongId<struct TenantIdTag, uint64_t>;
 

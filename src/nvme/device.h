@@ -69,10 +69,6 @@ struct DeviceConfig {
 
   // Namespace sizes in 4KB pages. Namespaces share the same NQs (NVMe spec).
   std::vector<uint64_t> namespace_pages = {1ULL << 22};  // one 16GiB namespace
-
-  // One source of truth with the block layer's page unit: a request's
-  // bytes() and the device's transfer accounting must agree.
-  uint32_t page_bytes = kPageBytes;
 };
 
 class Device {

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 
-#include "src/core/types.h"
 #include "src/sim/rng.h"
 #include "src/sim/simulator.h"
 
@@ -35,12 +34,9 @@ class ShardContext {
   // The shard's RNG stream is seeded directly with the scenario seed, so a
   // single-shard run draws the exact sequence the pre-shard code drew from
   // its local master Rng — fingerprints stay byte-identical.
-  explicit ShardContext(uint64_t seed, ShardId id = kShard0)
-      : id_(id), sim_(id), rng_(seed) {}
+  explicit ShardContext(uint64_t seed) : rng_(seed) {}
   ShardContext(const ShardContext&) = delete;
   ShardContext& operator=(const ShardContext&) = delete;
-
-  ShardId id() const { return id_; }
 
   Simulator& sim() { return sim_; }
   const Simulator& sim() const { return sim_; }
@@ -58,7 +54,6 @@ class ShardContext {
   MetricsRegistry* metrics() const { return metrics_; }
 
  private:
-  ShardId id_;
   Simulator sim_;  // owns the event engine + event arena
   Rng rng_;
   MetricsRegistry* metrics_ = nullptr;

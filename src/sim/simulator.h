@@ -25,13 +25,8 @@ namespace daredevil {
 class Simulator {
  public:
   Simulator() = default;
-  // Tags the loop with the shard it drives (ShardContext, src/sim/shard.h).
-  // Purely an identity: single-shard construction stays the default.
-  explicit Simulator(ShardId shard) : shard_(shard) {}
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  ShardId shard() const { return shard_; }
 
   Tick now() const { return now_; }
   // Events dispatched (cancelled events never dispatch and are not counted).
@@ -94,7 +89,6 @@ class Simulator {
   // its callable in place. Returns false when no such event exists.
   bool FireNext(Tick limit);
 
-  ShardId shard_ = kShard0;
   Tick now_ = 0;
   uint64_t events_processed_ = 0;
   LadderQueue engine_;

@@ -1,5 +1,7 @@
 #include "src/stack/storage_stack.h"
 
+#include <utility>
+
 #include "src/stats/trace_export.h"
 
 namespace daredevil {
@@ -205,6 +207,17 @@ void StorageStack::PumpScheduler(int nsq) {
   }
 }
 
+void StorageStack::ReleaseDispatchSlot(const Request& rq) {
+  if (sched_kind_ == IoSchedulerKind::kNone || rq.routed_nsq < 0) {
+    return;
+  }
+  SchedState& state = sched_[static_cast<size_t>(rq.routed_nsq)];
+  if (state.outstanding > 0) {
+    --state.outstanding;
+  }
+  PumpScheduler(rq.routed_nsq);
+}
+
 void StorageStack::SubmitSplit(Request* rq) {
   // Decompose into <= split_threshold_ chunks; each chunk traverses the full
   // submission path. The parent completes when the last chunk does.
@@ -303,26 +316,14 @@ void StorageStack::RingOrBatchDoorbell(int nsq) {
       << lifecycle_.last_violation();
   DoorbellState& db = doorbells_[static_cast<size_t>(nsq)];
   if (!db.policy.batched) {
-    if (trace_ != nullptr) {
-      trace_->Record(machine_->now(), TraceCategory::kDoorbell, 0, nsq, 1);
-    }
-    ++doorbells_rung_;
-    ++doorbell_rqs_rung_;
-    device_->RingDoorbell(nsq);
+    RingDoorbell(nsq, 1);
     return;
   }
   // Postpone notifying the controller until a batch accumulated (§5.3,
   // SLA-aware submission dispatching for low-priority NSQs).
   ++db.pending;
   if (db.pending >= db.policy.batch) {
-    if (trace_ != nullptr) {
-      trace_->Record(machine_->now(), TraceCategory::kDoorbell, 0, nsq,
-                     db.pending);
-    }
-    ++doorbells_rung_;
-    doorbell_rqs_rung_ += static_cast<uint64_t>(db.pending);
-    db.pending = 0;
-    device_->RingDoorbell(nsq);
+    RingDoorbell(nsq, std::exchange(db.pending, 0));
     return;
   }
   if (!db.timer_armed) {
@@ -331,17 +332,19 @@ void StorageStack::RingOrBatchDoorbell(int nsq) {
       DoorbellState& state = doorbells_[static_cast<size_t>(nsq)];
       state.timer_armed = false;
       if (state.pending > 0) {
-        if (trace_ != nullptr) {
-          trace_->Record(machine_->now(), TraceCategory::kDoorbell, 0, nsq,
-                         state.pending);
-        }
-        ++doorbells_rung_;
-        doorbell_rqs_rung_ += static_cast<uint64_t>(state.pending);
-        state.pending = 0;
-        device_->RingDoorbell(nsq);
+        RingDoorbell(nsq, std::exchange(state.pending, 0));
       }
     });
   }
+}
+
+void StorageStack::RingDoorbell(int nsq, int rqs) {
+  if (trace_ != nullptr) {
+    trace_->Record(machine_->now(), TraceCategory::kDoorbell, 0, nsq, rqs);
+  }
+  ++doorbells_rung_;
+  doorbell_rqs_rung_ += static_cast<uint64_t>(rqs);
+  device_->RingDoorbell(nsq);
 }
 
 void StorageStack::EnablePolledCompletion(int ncq, TickDuration interval) {
@@ -423,13 +426,7 @@ void StorageStack::DeliverCompletion(const NvmeCompletion& cqe, int ncq_id,
     DisarmWatchdog(rq->id);
   }
   ++requests_completed_;
-  if (sched_kind_ != IoSchedulerKind::kNone && rq->routed_nsq >= 0) {
-    SchedState& state = sched_[static_cast<size_t>(rq->routed_nsq)];
-    if (state.outstanding > 0) {
-      --state.outstanding;
-    }
-    PumpScheduler(rq->routed_nsq);
-  }
+  ReleaseDispatchSlot(*rq);
   if (rq->status != IoStatus::kOk) {
     ++error_completions_;
     if (watchdog_enabled_ && rq->fault_retries < recovery_.max_retries) {
@@ -580,13 +577,7 @@ void StorageStack::EscalateTimeout(Request* rq) {
   // The aborted attempt will never see DeliverCompletion: balance the
   // routing hook and the scheduler dispatch window here.
   OnRequestCompleted(rq);
-  if (sched_kind_ != IoSchedulerKind::kNone && rq->routed_nsq >= 0) {
-    SchedState& state = sched_[static_cast<size_t>(rq->routed_nsq)];
-    if (state.outstanding > 0) {
-      --state.outstanding;
-    }
-    PumpScheduler(rq->routed_nsq);
-  }
+  ReleaseDispatchSlot(*rq);
   if (rq->fault_retries < recovery_.max_retries) {
     ++fault_retries_;
     ++es.retries;

@@ -224,8 +224,14 @@ class StorageStack {
   void SubmitSplit(Request* rq);
   void DispatchOrSchedule(Request* rq, int nsq);
   void PumpScheduler(int nsq);
+  // The request left the device: frees its slot in the scheduler's dispatch
+  // window on its NSQ and pumps that scheduler (no-op without a scheduler).
+  void ReleaseDispatchSlot(const Request& rq);
   void EnqueueLocked(Request* rq, int nsq);
   void RingOrBatchDoorbell(int nsq);
+  // Makes `rqs` queued requests visible: trace record, doorbell counters and
+  // the device doorbell.
+  void RingDoorbell(int nsq, int rqs);
   void OnDeviceIrq(int ncq_id);
   void IsrBody(int ncq_id);
   void PollBody(int ncq_id, TickDuration interval);

@@ -287,6 +287,18 @@ ScenarioEnv::ScenarioEnv(const ScenarioConfig& config)
   }
 }
 
+Tenant& ScenarioEnv::AddAppTenant(std::string name, std::string group,
+                                  IoniceClass ionice, int core) {
+  Tenant& t = *app_tenants_.emplace_back(std::make_unique<Tenant>());
+  t.id = TenantId{next_tenant_id_++};
+  t.name = std::move(name);
+  t.group = std::move(group);
+  t.ionice = ionice;
+  t.core = core;
+  stack_->OnTenantStart(&t);
+  return t;
+}
+
 void ScenarioEnv::Start() {
   // Every layer registers its accounting into one registry; the result is a
   // snapshot of that registry instead of hand-copied per-class getters. The
@@ -320,8 +332,9 @@ void ScenarioEnv::Start() {
                                       measure_end());
 
   // One tenant per spec, closed-loop jobs first. Each forks the shard's RNG
-  // (seeded with config.seed at construction, with no draws in between), so
-  // a tenant's stream depends only on its position in that order.
+  // (seeded with config.seed at construction, and forked since only by a
+  // harness's app tenants), so a tenant's stream depends only on its
+  // position in that order.
   const auto wire = [this](TenantIo& io) {
     const Tenant& t = io.tenant();
     io.AttachMetrics(registry_.get());
@@ -345,15 +358,15 @@ void ScenarioEnv::Start() {
       next_core = (next_core + 1) % machine_.num_cores();
     }
     jobs_.push_back(std::make_unique<FioJob>(
-        &machine_, stack_.get(), spec, tenants_.size() + 1, core,
+        &machine_, stack_.get(), spec, next_tenant_id_++, core,
         shard_.rng().Fork(), measure_start(), measure_end()));
     wire(*jobs_.back());
     jobs_.back()->Start();
   }
   for (const OpenLoopSpec& spec : config_.open_loop) {
     open_loop_.push_back(std::make_unique<OpenLoopJob>(
-        &machine_, stack_.get(), spec, tenants_.size() + 1,
-        shard_.rng().Fork(), measure_start(), measure_end()));
+        &machine_, stack_.get(), spec, next_tenant_id_++, shard_.rng().Fork(),
+        measure_start(), measure_end()));
     wire(*open_loop_.back());
     open_loop_.back()->Start();
     // Arrivals refused at max_outstanding, per group; FIO-only runs keep
@@ -376,6 +389,9 @@ void ScenarioEnv::Start() {
 
 std::map<uint64_t, std::string> ScenarioEnv::TenantNames() const {
   std::map<uint64_t, std::string> names;
+  for (const auto& t : app_tenants_) {
+    names[t->id.value()] = t->name;
+  }
   for (TenantIo* io : tenants_) {
     names[io->tenant().id.value()] = io->tenant().name;
   }

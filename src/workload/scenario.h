@@ -1,6 +1,7 @@
 // Scenario runner: builds a machine + device + storage stack + tenants, runs
 // the simulation, and aggregates per-group statistics. Every test, example
-// and bench builds its run from one ScenarioConfig through ScenarioEnv.
+// and bench builds its run from one ScenarioConfig through ScenarioEnv, and
+// adds application tenants through ScenarioEnv::AddAppTenant.
 #ifndef DAREDEVIL_SRC_WORKLOAD_SCENARIO_H_
 #define DAREDEVIL_SRC_WORKLOAD_SCENARIO_H_
 
@@ -243,13 +244,22 @@ class ScenarioEnv {
   // Null unless config.faults was non-empty.
   FaultPlan* fault_plan() { return device_.fault_plan(); }
 
+  // Adds an application tenant for the harness to drive through an
+  // AppIoContext. The env owns it (for its own lifetime), starts it on the
+  // stack, names it in TenantNames() and gives it the next tenant id: added
+  // before Start(), k app tenants take ids 1..k and the config's jobs and
+  // sources follow.
+  Tenant& AddAppTenant(std::string name, std::string group, IoniceClass ionice,
+                       int core);
+
   // Wires the run, in this order: the metrics registry (machine, device,
   // stack, sampler), published on the shard; the sampler over the
   // measurement window; the SLO tracker; one FioJob per config.jobs entry
-  // (tenant ids from 1, spec.core or round-robin when negative), then one
-  // OpenLoopJob per config.open_loop entry (ids continuing, spec.core as
-  // given), each with one shard-RNG fork, metrics, series and SLO hooks,
-  // started as built; and the CPU-busy snapshot at measure_start. Call once.
+  // (tenant ids after the app tenants', spec.core or round-robin when
+  // negative), then one OpenLoopJob per config.open_loop entry (ids
+  // continuing, spec.core as given), each with one shard-RNG fork, metrics,
+  // series and SLO hooks, started as built; and the CPU-busy snapshot at
+  // measure_start. Call once.
   void Start();
   // The result of a started run that reached measure_end(): groups and
   // totals, fault accounting, the metrics snapshot and the observers' outputs
@@ -264,7 +274,7 @@ class ScenarioEnv {
     return open_loop_;
   }
   SloTracker* slo_tracker() { return slo_.get(); }
-  // Tenant id -> name over every started job and source.
+  // Tenant id -> name over every app tenant and every started job and source.
   std::map<uint64_t, std::string> TenantNames() const;
 
  private:
@@ -288,7 +298,9 @@ class ScenarioEnv {
   std::unique_ptr<SloTracker> slo_;
   std::vector<std::unique_ptr<FioJob>> jobs_;
   std::vector<std::unique_ptr<OpenLoopJob>> open_loop_;
-  std::vector<TenantIo*> tenants_;  // jobs_ then open_loop_: id = index + 1
+  std::vector<TenantIo*> tenants_;  // jobs_ then open_loop_
+  std::vector<std::unique_ptr<Tenant>> app_tenants_;
+  uint64_t next_tenant_id_ = 1;  // shared by app tenants, jobs and sources
   TickDuration busy_at_warmup_;
 };
 

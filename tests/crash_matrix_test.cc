@@ -81,13 +81,10 @@ class CrashEnv {
  public:
   CrashEnv(StackKind kind, const FaultPlan& faults)
       : env_(CrashConfig(kind, faults)) {
-    tenant_.id = TenantId{1};
-    tenant_.name = "app";
-    tenant_.group = "APP";
-    tenant_.core = 0;
-    env_.stack().OnTenantStart(&tenant_);
+    Tenant& tenant = env_.AddAppTenant("app", "APP", IoniceClass::kBestEffort,
+                                       /*core=*/0);
     io_ = std::make_unique<AppIoContext>(&env_.machine(), &env_.stack(),
-                                         &tenant_, /*nsid=*/0);
+                                         &tenant, /*nsid=*/0);
   }
 
   Simulator& sim() { return env_.sim(); }
@@ -118,14 +115,17 @@ class CrashEnv {
 
  private:
   ScenarioEnv env_;
-  Tenant tenant_;
   std::unique_ptr<AppIoContext> io_;
 };
 
 // ---------------------------------------------------------------------------
 // KV store: sequential Puts with small memtables (so flush checkpoints and
-// compactions interleave with the WAL appends), crash, WAL replay.
+// compactions interleave with the WAL appends), crash, WAL replay, then a
+// run-on of the recovered store.
 // ---------------------------------------------------------------------------
+
+constexpr uint64_t kKvOps = 48;  // Puts before the crash, and again after
+constexpr Tick kKvRunOn = 2 * kSecond;
 
 struct KvCrashOutcome {
   KvRecoveryReport report;
@@ -133,6 +133,11 @@ struct KvCrashOutcome {
   uint64_t served = 0;   // acked keys the recovered store still serves
   uint64_t events = 0;   // events processed when the crash hit
   bool crashed = false;  // false: the schedule drained before crash_at
+  // The run-on: kKvOps Puts of new keys to the recovered store, then
+  // kKvRunOn of simulated time.
+  uint64_t acked_after = 0;   // of those Puts, the ones acked
+  uint64_t served_after = 0;  // acked ones the store serves at the end
+  bool flushed_again = false;  // a flush barrier acked after Recover
 };
 
 KvCrashOutcome RunKvCrash(StackKind kind, uint64_t crash_at,
@@ -143,18 +148,22 @@ KvCrashOutcome RunKvCrash(StackKind kind, uint64_t crash_at,
   config.l0_compaction_trigger = 2;  // and L0 compactions
   KvStore store(env.io(), config, Rng(11));
 
-  constexpr uint64_t kOps = 48;
+  // Puts one key after another until `limit` were issued, adding each acked
+  // key to `*acked_into`.
   uint64_t issued = 0;
+  uint64_t limit = kKvOps;
   bool all_done = false;
   std::set<uint64_t> acked;
+  std::set<uint64_t> acked_after;
+  std::set<uint64_t>* acked_into = &acked;
   std::function<void()> put_next = [&]() {
-    if (issued >= kOps) {
+    if (issued >= limit) {
       all_done = true;
       return;
     }
     const uint64_t key = issued++ * 7;  // sparse keys, all distinct
     store.Put(key, [&, key]() {
-      acked.insert(key);
+      acked_into->insert(key);
       put_next();
     });
   };
@@ -169,6 +178,18 @@ KvCrashOutcome RunKvCrash(StackKind kind, uint64_t crash_at,
   for (uint64_t key : acked) {
     out.served += store.Contains(key) ? 1 : 0;
   }
+
+  // Run on with kKvOps Puts of keys never issued before.
+  const uint64_t checkpoint = store.acked_checkpoint_lsn();
+  acked_into = &acked_after;
+  limit = issued + kKvOps;
+  put_next();
+  env.sim().RunUntil(env.sim().now() + kKvRunOn);
+  out.acked_after = acked_after.size();
+  for (uint64_t key : acked_after) {
+    out.served_after += store.Contains(key) ? 1 : 0;
+  }
+  out.flushed_again = store.acked_checkpoint_lsn() > checkpoint;
   return out;
 }
 
@@ -208,6 +229,12 @@ TEST_P(KvCrashMatrixTest, EveryCrashPointRecoversAckedPuts) {
                   out.report.lost_unacked,
               out.report.scanned)
         << "WAL scan accounting leak at event " << out.events;
+    // The recovered store runs on: every new Put acks and is served, and
+    // its memtable checkpoints again.
+    EXPECT_EQ(out.acked_after, kKvOps) << "crash at event " << out.events;
+    EXPECT_EQ(out.served_after, out.acked_after)
+        << "crash at event " << out.events;
+    EXPECT_TRUE(out.flushed_again) << "crash at event " << out.events;
   }
   EXPECT_GT(crashes, 0u) << "stride " << stride << " skipped every event";
   AppendCrashReport("kv clean stack=" + std::string(StackKindName(kind)) +
@@ -240,6 +267,8 @@ TEST_P(KvCrashMatrixTest, TornWritesAreDetectedNeverServed) {
     // as an acknowledged loss — silent drops are the one illegal outcome.
     EXPECT_LE(out.acked - out.served, out.report.lost_acked)
         << "silently dropped acked key at event " << out.events;
+    EXPECT_EQ(out.served_after, out.acked_after)
+        << "acked Put not served in the run-on after event " << out.events;
     if (!out.crashed) {
       break;
     }
@@ -263,6 +292,20 @@ INSTANTIATE_TEST_SUITE_P(Stacks, KvCrashMatrixTest,
                            }
                            return name;
                          });
+
+// A crash at event 120 of the vanilla schedule drops an L0 run whose flush
+// job is still in flight. That job's late FLUSH ack must not re-queue the
+// dropped run: the run-on's next compaction would look it up and throw.
+TEST(KvCrashRunOnTest, DroppedRunStaysDroppedInTheRunOn) {
+  KvCrashOutcome out;
+  ASSERT_NO_THROW(out = RunKvCrash(StackKind::kVanilla, 120, FaultPlan()));
+  ASSERT_TRUE(out.crashed);
+  EXPECT_TRUE(out.report.clean());
+  EXPECT_EQ(out.served, out.acked);
+  EXPECT_EQ(out.acked_after, kKvOps);
+  EXPECT_EQ(out.served_after, out.acked_after);
+  EXPECT_TRUE(out.flushed_again);
+}
 
 // ---------------------------------------------------------------------------
 // SimpleFs: a mail-like create/append/fsync/delete script, crash, fsck.

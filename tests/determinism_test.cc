@@ -390,11 +390,11 @@ TEST(DeterminismGate, TraceExportIsByteIdentical) {
 }
 
 // Golden faults-off fingerprints for the gate scenario (seed 42), recorded
-// when the fault-injection layer landed. CI additionally regenerates these
-// via FingerprintManifest in both build configs (Debug/invariants-ON and
-// Release/OFF) and diffs them, so the constants are config-independent. A
-// mismatch here means a change moved the fault-free simulation - if that was
-// intentional, update this table in the same commit and say so.
+// when the fault-injection layer landed. CI checks them in a Debug
+// (invariants ON) and a Release (invariants OFF) build, so the constants are
+// config-independent. A mismatch here means a change moved the fault-free
+// simulation - if that was intentional, update this table in the same
+// commit and say so.
 struct GoldenFingerprint {
   StackKind kind;
   uint64_t fingerprint;
@@ -424,11 +424,15 @@ std::string GoldenName(const GoldenFingerprint& golden) {
 }
 
 TEST(DeterminismGate, FingerprintManifest) {
-  // Emits the per-stack fingerprints so different build configurations can be
-  // diffed against each other. CI builds the tree twice - Debug with
-  // DAREDEVIL_INVARIANTS=ON and Release with OFF - runs this test in both
-  // with DD_FINGERPRINT_OUT set, and diffs the two files: DD_CHECK must have
-  // no fingerprint-visible side effects, and neither may the optimizer.
+  // Prints every value this file pins (goldens and trace hashes, export
+  // digests, the mixed-sources digest), and writes them to
+  // DD_FINGERPRINT_OUT when set, so two builds can be diffed by hand, e.g.
+  // when re-recording. CI diffs nothing: its Debug (invariants ON) and
+  // Release (invariants OFF) test legs check each line against its pinned
+  // value (FaultsOffMatchesRecordedFingerprints,
+  // ExportAndReportBytesMatchRecordedDigests,
+  // MixedSourcesMatchRecordedDigest), so DD_CHECK and the optimizer cannot
+  // move them unseen.
   std::string manifest;
   for (const GoldenFingerprint& golden : kGoldenFingerprints) {
     const ScenarioResult r = RunScenario(GoldenConfig(golden));
@@ -595,12 +599,8 @@ uint64_t CrashRecoveryDigest(StackKind kind) {
   cfg.stack = kind;
   cfg.seed = 42;
   ScenarioEnv env(cfg);
-  Tenant tenant;
-  tenant.id = TenantId{1};
-  tenant.name = "kv";
-  tenant.group = "APP";
-  tenant.core = 0;
-  env.stack().OnTenantStart(&tenant);
+  Tenant& tenant =
+      env.AddAppTenant("kv", "APP", IoniceClass::kBestEffort, /*core=*/0);
   AppIoContext io(&env.machine(), &env.stack(), &tenant, /*nsid=*/0);
   KvStoreConfig kv_cfg;
   kv_cfg.memtable_entries = 10;

@@ -206,10 +206,8 @@ uint64_t ExportAllocations(Tick duration, size_t* records) {
 // block caches' worth of keys.
 uint64_t KvSetupAllocations(uint64_t keys) {
   ScenarioEnv env(MakeSvmConfig(2));
-  Tenant tenant;
-  tenant.id = TenantId{1};
-  tenant.core = 0;
-  env.stack().OnTenantStart(&tenant);
+  Tenant& tenant =
+      env.AddAppTenant("kv", "APP", IoniceClass::kBestEffort, /*core=*/0);
   AppIoContext io(&env.machine(), &env.stack(), &tenant, /*nsid=*/0);
   const KvStoreConfig kv_cfg;
   KvStore store(&io, kv_cfg, Rng(1));

@@ -296,13 +296,8 @@ TEST_P(ScenarioTelemetry, TimelineIsMonotonicPerRequest) {
   cfg.stack = GetParam();
   ScenarioEnv env(cfg);
 
-  Tenant tenant;
-  tenant.id = TenantId{1};
-  tenant.name = "probe";
-  tenant.group = "P";
-  tenant.ionice = IoniceClass::kRealtime;
-  tenant.core = 0;
-  env.stack().OnTenantStart(&tenant);
+  Tenant& tenant =
+      env.AddAppTenant("probe", "P", IoniceClass::kRealtime, /*core=*/0);
 
   Rng rng(7);
   std::vector<std::unique_ptr<Request>> requests;

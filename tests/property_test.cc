@@ -350,12 +350,8 @@ TEST(FailureInjection, RandomCrashPointsRecoverAckedWrites) {
     cfg.stack = stacks[trial % 2];
     cfg.seed = 5000 + trial;
     ScenarioEnv env(cfg);
-    Tenant tenant;
-    tenant.id = TenantId{1};
-    tenant.name = "kv";
-    tenant.group = "APP";
-    tenant.core = 0;
-    env.stack().OnTenantStart(&tenant);
+    Tenant& tenant =
+        env.AddAppTenant("kv", "APP", IoniceClass::kBestEffort, /*core=*/0);
     AppIoContext io(&env.machine(), &env.stack(), &tenant, /*nsid=*/0);
     KvStoreConfig kv_cfg;
     kv_cfg.memtable_entries = 8;  // checkpoints interleave with the puts

@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/apps/kvstore.h"
+#include "src/apps/ycsb.h"
 #include "src/core/daredevil_stack.h"
 #include "src/workload/scenario.h"
 
@@ -286,6 +290,90 @@ TEST(ScenarioTest, OpenLoopSpecsJoinTheRun) {
   EXPECT_GT(r.latency_series.at("OL").num_windows(), 1u);
   EXPECT_NE(r.slo.Find("ol0"), nullptr);
   EXPECT_NE(r.slo.Find("ol1"), nullptr);
+}
+
+TEST(ScenarioTest, AppTenantsTakeTheFirstIds) {
+  // App tenants added before Start() take ids 1..k, and the config's jobs
+  // and sources continue from k + 1. TenantNames() lists every tenant.
+  ScenarioConfig cfg = TinyConfig(StackKind::kDareFull);
+  AddLTenants(cfg, 1);
+  AddTTenants(cfg, 2);
+  OpenLoopSpec ol;
+  ol.name = "ol0";
+  cfg.open_loop.push_back(ol);
+  ScenarioEnv env(cfg);
+  Tenant& kv = env.AddAppTenant("kv", "APP", IoniceClass::kRealtime, 1);
+  Tenant& mail = env.AddAppTenant("mail", "APP", IoniceClass::kBestEffort, 0);
+  EXPECT_EQ(kv.id.value(), 1u);
+  EXPECT_EQ(kv.group, "APP");
+  EXPECT_EQ(kv.ionice, IoniceClass::kRealtime);
+  EXPECT_EQ(kv.core, 1);
+  EXPECT_EQ(mail.id.value(), 2u);
+  env.Start();
+  ASSERT_EQ(env.jobs().size(), 3u);
+  for (size_t i = 0; i < env.jobs().size(); ++i) {
+    EXPECT_EQ(env.jobs()[i]->tenant().id.value(), 3 + i) << "spec " << i;
+  }
+  ASSERT_EQ(env.open_loop_jobs().size(), 1u);
+  EXPECT_EQ(env.open_loop_jobs()[0]->tenant().id.value(), 6u);
+  const std::map<uint64_t, std::string> want = {
+      {1, "kv"}, {2, "mail"}, {3, "L0"}, {4, "T1"}, {5, "T2"}, {6, "ol0"}};
+  EXPECT_EQ(env.TenantNames(), want);
+  // The env started each app tenant on the stack: Daredevil's troute holds
+  // its state.
+  const TRoute& troute = static_cast<DaredevilStack&>(env.stack()).troute();
+  EXPECT_NE(troute.GetState(kv.id), nullptr);
+  EXPECT_NE(troute.GetState(mail.id), nullptr);
+}
+
+// Two KV/YCSB app tenants beside 4 T jobs: the run's result JSON followed by
+// each client's YCSB latency histograms.
+std::string AppTenantRunBytes(uint64_t seed) {
+  ScenarioConfig cfg = TinyConfig(StackKind::kDareFull);
+  cfg.seed = seed;
+  AddTTenants(cfg, 4);
+  ScenarioEnv env(cfg);
+  struct Client {
+    std::unique_ptr<AppIoContext> io;
+    std::unique_ptr<KvStore> store;
+    std::unique_ptr<YcsbWorkload> ycsb;
+  };
+  std::vector<Client> clients(2);
+  for (int i = 0; i < 2; ++i) {
+    Tenant& t = env.AddAppTenant("kv" + std::to_string(i), "APP",
+                                 IoniceClass::kRealtime, i);
+    Client& c = clients[static_cast<size_t>(i)];
+    c.io = std::make_unique<AppIoContext>(&env.machine(), &env.stack(), &t,
+                                          /*nsid=*/0);
+    c.store = std::make_unique<KvStore>(c.io.get(), KvStoreConfig{},
+                                        env.shard().rng().Fork());
+    c.store->Load(2000);
+    YcsbConfig ycsb_cfg;
+    ycsb_cfg.workload = 'A';
+    ycsb_cfg.record_count = 2000;
+    c.ycsb = std::make_unique<YcsbWorkload>(
+        c.store.get(), ycsb_cfg, env.shard().rng().Fork(), &env.sim(),
+        env.measure_start(), env.measure_end());
+    c.ycsb->Start();
+  }
+  env.Start();
+  env.sim().RunUntil(env.measure_end());
+  std::string bytes = env.Finish().ToJson();
+  for (const Client& c : clients) {
+    EXPECT_GT(c.ycsb->OpCount(YcsbOp::kUpdate), 0u);
+    for (YcsbOp op : {YcsbOp::kRead, YcsbOp::kUpdate}) {
+      JsonWriter w;
+      AppendHistogramJson(w, c.ycsb->OpLatency(op));
+      bytes += w.str();
+    }
+  }
+  return bytes;
+}
+
+TEST(ScenarioTest, AppTenantRunsFollowTheConfigSeed) {
+  const std::string a = AppTenantRunBytes(5);
+  EXPECT_EQ(a, AppTenantRunBytes(5));
+  EXPECT_NE(a, AppTenantRunBytes(6));
 }
 
 TEST(ScenarioTest, MakeConfigsMatchPaperSetups) {
