@@ -306,7 +306,9 @@ void Device::FinishFetch() {
     // A write's pages land in the volatile write cache; they reach the
     // persisted snapshot only via a flush barrier, a FUA completion, or
     // (torn) a crash mid-service. Consecutive pages with the same hazard
-    // outcome share one extent: without faults, the whole command.
+    // outcome share one extent: without faults, the whole command. A write
+    // the crash caught in the fetch pipe (aborted) caches nothing.
+    const bool caches = cmd.is_write && cmd.status != IoStatus::kAborted;
     uint64_t run_lo = base;
     VolatilePage run{cmd.cid};
     for (uint32_t p = 0; p < cmd.pages; ++p) {
@@ -315,7 +317,7 @@ void Device::FinishFetch() {
           flash_.SchedulePage(sim_->now(), base + p, cmd.is_write, &start);
       sim_->At(done, [this, slot]() { OnPageDone(slot); });
       flash_start = p == 0 ? start : std::min(flash_start, start);
-      if (cmd.is_write && faults_ != nullptr) {
+      if (caches && faults_ != nullptr) {
         // Durability hazards are decided here — the same hazard point as
         // flash errors — and are invisible on the transport path: the command
         // still completes kOk.
@@ -354,7 +356,7 @@ void Device::FinishFetch() {
         }
       }
     }
-    if (cmd.is_write) {
+    if (caches) {
       volatile_writes_.Assign(run_lo, base + cmd.pages, run);
     }
   }
@@ -615,6 +617,22 @@ void Device::Crash() {
     const uint64_t base = GlobalPage(cmd->nsid, cmd->lba);
     persisted_.FillGaps(base, base + cmd->pages,
                         PersistedPage{cmd->cid, true});
+  }
+  // The power loss ends every command the controller had taken: in the
+  // fetch pipe, in flash service or waiting for its CQE post. Each still
+  // completes, with kAborted, so it persists nothing (a FUA persist or a
+  // flush barrier rides only a kOk CQE). Commands still in an NSQ are
+  // served afterwards as new work.
+  if (fetch_busy_) {
+    fetching_.status = IoStatus::kAborted;
+  }
+  for (InflightCommand& ic : inflight_) {
+    if (ic.pages_remaining > 0) {
+      ic.cmd.status = IoStatus::kAborted;
+    }
+  }
+  for (size_t i = 0; i < completion_pending_.size(); ++i) {
+    completion_pending_[i].cmd.status = IoStatus::kAborted;
   }
 }
 

@@ -186,7 +186,9 @@ class Device {
   // current tick: volatile pages are dropped (prior persisted content, if
   // any, remains visible), torn-marked volatile pages and pages of writes
   // still in flash service persist as *torn* (detectably corrupt, never
-  // silently served). Safe to call at any tick; idempotent thereafter.
+  // silently served). Every command fetched and not yet completed then
+  // completes with kAborted and persists nothing. Safe to call at any tick;
+  // idempotent thereafter.
   void Crash();
   bool crashed() const { return crashed_; }
   // What recovery sees at (nsid, lba) after Crash(). Before a crash this

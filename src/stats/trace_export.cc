@@ -347,10 +347,10 @@ void BuildCounterEvents(const TraceExportInput& input, EventSink& sink) {
 // The export order of `events`: the metadata prefix as emitted, then the
 // data events by a stable LSD radix sort on the signed timestamp, so equal
 // timestamps keep emission order (which preserves begin/end pairing within
-// each request's nested async slices). A digit on which all keys agree is
-// skipped, so a run shorter than 2^33 ns takes three passes.
+// each request's nested async slices). A 16-bit digit on which all keys
+// agree is skipped, so a run shorter than 2^32 ns takes two passes.
 std::vector<uint32_t> TimestampOrder(const std::vector<ChromeEvent>& events) {
-  constexpr int kDigitBits = 11;
+  constexpr int kDigitBits = 16;
   constexpr uint64_t kMask = (uint64_t{1} << kDigitBits) - 1;
   DD_CHECK(events.size() <= UINT32_MAX) << events.size() << " trace events";
   std::vector<uint32_t> order(events.size());
@@ -377,13 +377,15 @@ std::vector<uint32_t> TimestampOrder(const std::vector<ChromeEvent>& events) {
   const uint64_t varying = any ^ all;  // the bits some keys differ in
   std::vector<uint64_t> keys_out(n);
   std::vector<uint32_t> index_out(n);
+  // Bucket counts, then positions: one heap array for every pass.
+  std::vector<uint32_t> next(kMask + 1);
   uint32_t* index = order.data() + first;
   uint32_t* index_next = index_out.data();
   for (int shift = 0; shift < 64; shift += kDigitBits) {
     if (((varying >> shift) & kMask) == 0) {
       continue;
     }
-    std::array<uint32_t, kMask + 1> next{};  // bucket counts, then positions
+    std::fill(next.begin(), next.end(), 0u);
     for (const uint64_t key : keys) {
       ++next[(key >> shift) & kMask];
     }
@@ -496,6 +498,21 @@ class JsonCursor {
     Claim(20);
     p_ = std::to_chars(p_, end_, v).ptr;
   }
+  // The same digits for an integer that is mostly below 100 (pids, tids,
+  // queue ids, page counts): one or two digits without to_chars.
+  template <typename Integer>
+  void Small(Integer v) {
+    const auto u = static_cast<uint64_t>(v);  // a negative v fails u < 100
+    if (u >= 100) {
+      Int(v);
+      return;
+    }
+    Claim(2);
+    if (u >= 10) {
+      *p_++ = static_cast<char>('0' + u / 10);
+    }
+    *p_++ = static_cast<char>('0' + u % 10);
+  }
   // "%.15g" keeps integer-valued doubles exact.
   void Double(double v) {
     Claim(32);
@@ -526,6 +543,16 @@ class JsonCursor {
   void Text(std::string_view s) {
     Reserve(s.size() + kRoom);
     Copy(s.data(), s.size());
+  }
+  // The first `n` bytes of `s` by one copy of kSpan bytes, which kRoom
+  // covers: kSpan bytes must be readable at `s`. The bytes copied past `n`
+  // are overwritten by the next write or trimmed by Finish.
+  template <size_t kSpan>
+  void Span(const char* s, size_t n) {
+    DD_CHECK(n <= kSpan) << "JsonCursor: a span of " << n << " bytes";
+    Claim(kSpan);
+    std::memcpy(p_, s, kSpan);
+    p_ += n;
   }
   void Escaped(std::string_view s) {
     Reserve(kJsonEscapeGrowth * s.size() + kRoom);
@@ -574,44 +601,62 @@ void WriteField(JsonCursor& w, const TraceEvent& te, TraceField field) {
   }
 }
 
-// "rq <id> <L|T> <pages>p <W|R>".
-void WriteRequestLabel(JsonCursor& w, const RequestRecord& r) {
-  w.Lit("rq ");
-  w.Int(r.id);
-  if (r.latency_sensitive) {
-    w.Lit(" L ");
-  } else {
-    w.Lit(" T ");
+// The longest request label: "rq " + 20 id digits + " L " + 10 page digits
+// + "p W".
+constexpr size_t kMaxLabelSize = 3 + 20 + 3 + 10 + 3;
+// The fixed copies of a label and of its id digits (at +3), both read from
+// the label's start in the text arena, which ends in kLabelSpan bytes of
+// padding.
+constexpr size_t kLabelSpan = 40;
+constexpr size_t kIdSpan = 24;
+static_assert(kMaxLabelSize <= kLabelSpan && 3 + kIdSpan <= kLabelSpan);
+
+// The stage slice names in fixed slots, each written by one copy of the
+// slot (a name longer than its slot does not compile).
+struct StageName {
+  char text[16] = {};
+  uint8_t size = 0;
+};
+constexpr std::array<StageName, kNumStages> MakeStageNames() {
+  std::array<StageName, kNumStages> names{};
+  for (size_t s = 0; s < names.size(); ++s) {
+    const std::string_view name = kStageSpans[s].trace_name;
+    for (size_t i = 0; i < name.size(); ++i) {
+      names[s].text[i] = name[i];
+    }
+    names[s].size = static_cast<uint8_t>(name.size());
   }
-  w.Int(r.pages);
-  if (r.is_write) {
-    w.Lit("p W");
-  } else {
-    w.Lit("p R");
-  }
+  return names;
 }
+constexpr std::array<StageName, kNumStages> kStageNames = MakeStageNames();
+
+constexpr char kNoId[kIdSpan] = {};  // readable for the id's fixed copy
 
 // Ends an event's name and writes what comes before its args: the category
-// ("" = none), the async or flow id and a flow's binding point. Returns the
-// category.
+// (none for ""), the async or flow id (`id`: the record's id digits in the
+// text arena, the only id an event carries) and a flow's binding point.
+// Returns the category.
+template <size_t N>
 std::string_view CloseName(JsonCursor& w, const ChromeEvent& e,
-                           std::string_view cat) {
+                           const char (&cat)[N],
+                           std::string_view id = {kNoId, 0}) {
   w.Put('"');
-  if (!cat.empty()) {
+  if constexpr (N > 1) {
     w.Lit(",\"cat\":\"");
-    w.Text(cat);
+    w.Lit(cat);
     w.Put('"');
   }
   if (e.has_id()) {
+    DD_CHECK(!id.empty()) << "an event with an id but no request record";
     w.Lit(",\"id\":\"");
-    w.Int(e.id);
+    w.Span<kIdSpan>(id.data(), id.size());
     w.Put('"');
   }
   if (e.ph == 's' || e.ph == 'f') {
     // Legacy flow finish binds to the enclosing slice.
     w.Lit(",\"bp\":\"e\"");
   }
-  return cat;
+  return {cat, N - 1};
 }
 
 std::string TenantName(const TraceExportInput& input, uint64_t tenant_id) {
@@ -633,12 +678,45 @@ std::string JsonEscaped(std::string_view s) {
 
 ChromeEventRenderer::ChromeEventRenderer(const TraceExportInput& input)
     : input_(input) {
+  // Each tenant's JSON string literal and (once placed) its offset in text_.
+  std::map<uint64_t, std::pair<std::string, size_t>> tenants;
+  size_t tenant_bytes = 0;
   for (const RequestRecord& r : input.requests) {
-    if (quoted_tenants_.count(r.tenant_id) == 0) {
-      quoted_tenants_.emplace(
-          r.tenant_id, '"' + JsonEscaped(TenantName(input, r.tenant_id)) + '"');
+    if (tenants.count(r.tenant_id) == 0) {
+      std::string quoted =
+          '"' + JsonEscaped(TenantName(input, r.tenant_id)) + '"';
+      tenant_bytes += quoted.size();
+      tenants.emplace(r.tenant_id, std::make_pair(std::move(quoted), 0));
     }
   }
+  text_.reserve(tenant_bytes + input.requests.size() * kMaxLabelSize +
+                kLabelSpan);
+  for (auto& entry : tenants) {
+    entry.second.second = text_.size();
+    text_ += entry.second.first;
+  }
+  records_.reserve(input.requests.size());
+  for (const RequestRecord& r : input.requests) {
+    const std::pair<std::string, size_t>& tenant = tenants.at(r.tenant_id);
+    const std::string& quoted = tenant.first;
+    const size_t at = tenant.second;
+    char label[kMaxLabelSize];
+    std::memcpy(label, "rq ", 3);
+    char* p = std::to_chars(label + 3, label + 3 + 20, r.id).ptr;
+    const auto id_size = static_cast<uint8_t>(p - (label + 3));
+    std::memcpy(p, r.latency_sensitive ? " L " : " T ", 3);
+    p = std::to_chars(p + 3, p + 3 + 10, r.pages).ptr;
+    std::memcpy(p, r.is_write ? "p W" : "p R", 3);
+    p += 3;
+    RecordText& rt = records_.emplace_back();
+    rt.label = text_.size();
+    rt.tenant = at;
+    rt.tenant_size = static_cast<uint32_t>(quoted.size());
+    rt.label_size = static_cast<uint8_t>(p - label);
+    rt.id_size = id_size;
+    text_.append(label, rt.label_size);
+  }
+  text_.append(kLabelSpan, '\0');  // the fixed copies' padding
   if (input.slo != nullptr) {
     for (const auto& [tenant, report] : input.slo->tenants) {
       slo_.emplace_back(JsonEscaped(tenant), &report);
@@ -651,14 +729,24 @@ ChromeEventRenderer::ChromeEventRenderer(const TraceExportInput& input)
   }
 }
 
-const std::string& ChromeEventRenderer::QuotedTenant(uint64_t tenant_id) const {
-  return quoted_tenants_.at(tenant_id);
+void ChromeEventRenderer::WriteLabel(JsonCursor& w,
+                                     const RecordText& rt) const {
+  w.Span<kLabelSpan>(text_.data() + rt.label, rt.label_size);
+}
+
+void ChromeEventRenderer::WriteId(JsonCursor& w, const RecordText& rt) const {
+  const std::string_view id = IdDigits(rt);
+  w.Span<kIdSpan>(id.data(), id.size());
 }
 
 std::string_view ChromeEventRenderer::Render(const ChromeEvent& e,
                                              JsonCursor& w) const {
-  const RequestRecord* r =
-      e.ref < input_.requests.size() ? &input_.requests[e.ref] : nullptr;
+  // The record and its text, for the request kinds.
+  const bool has_record = e.ref < records_.size();
+  const RequestRecord* r = has_record ? &input_.requests[e.ref] : nullptr;
+  const RecordText* rt = has_record ? &records_[e.ref] : nullptr;
+  DD_CHECK(!e.has_id() || (r != nullptr && e.id == r->id))
+      << "an event's id is its request record's id";
   w.Lit("{\"ph\":\"");
   w.Put(e.ph);
   w.Put('"');
@@ -671,9 +759,9 @@ std::string_view ChromeEventRenderer::Render(const ChromeEvent& e,
     w.Micros(e.dur);
   }
   w.Lit(",\"pid\":");
-  w.Int(e.pid);
+  w.Small(e.pid);
   w.Lit(",\"tid\":");
-  w.Int(e.tid);
+  w.Small(e.tid);
   w.Lit(",\"name\":\"");
   std::string_view cat;
   switch (e.kind) {
@@ -692,70 +780,71 @@ std::string_view ChromeEventRenderer::Render(const ChromeEvent& e,
       w.Lit("\"}");
       break;
     case ChromeEventKind::kRequest:
-      WriteRequestLabel(w, *r);
-      cat = CloseName(w, e, "rq");
+      WriteLabel(w, *rt);
+      cat = CloseName(w, e, "rq", IdDigits(*rt));
       if (e.ph == 'b') {  // the end event carries no args
         w.Lit(",\"args\":{\"tenant\":");
-        w.Text(QuotedTenant(r->tenant_id));
+        w.Text(QuotedTenant(*rt));
         w.Lit(",\"nsq\":");
-        w.Int(r->nsq);
+        w.Small(r->nsq);
         w.Lit(",\"ncq\":");
-        w.Int(r->ncq);
+        w.Small(r->ncq);
         w.Lit(",\"pages\":");
-        w.Int(r->pages);
+        w.Small(r->pages);
         w.Put('}');
       }
       break;
     case ChromeEventKind::kStage:
-      w.Text(kStageSpans[e.sub].trace_name);
-      cat = CloseName(w, e, "rq");
+      w.Span<sizeof(StageName::text)>(kStageNames[e.sub].text,
+                                      kStageNames[e.sub].size);
+      cat = CloseName(w, e, "rq", IdDigits(*rt));
       break;
     case ChromeEventKind::kFlash:
       w.Lit("flash ");
-      WriteRequestLabel(w, *r);
-      cat = CloseName(w, e, "flash");
+      WriteLabel(w, *rt);
+      cat = CloseName(w, e, "flash", IdDigits(*rt));
       break;
     case ChromeEventKind::kCqe:
       w.Lit("cqe ");
-      WriteRequestLabel(w, *r);
+      WriteLabel(w, *rt);
       w.Lit(" NCQ");
-      w.Int(r->ncq);
-      cat = CloseName(w, e, "cqe");
+      w.Small(r->ncq);
+      cat = CloseName(w, e, "cqe", IdDigits(*rt));
       break;
     case ChromeEventKind::kSubmit:
       w.Lit("submit rq");
-      w.Int(r->id);
+      WriteId(w, *rt);
       cat = CloseName(w, e, "");
       break;
     case ChromeEventKind::kDrain:
       w.Lit("drain rq");
-      w.Int(r->id);
+      WriteId(w, *rt);
       cat = CloseName(w, e, "");
       break;
     case ChromeEventKind::kComplete:
       w.Lit("complete rq");
-      w.Int(r->id);
+      WriteId(w, *rt);
       cat = CloseName(w, e, "");
       break;
     case ChromeEventKind::kIrqHop:
       w.Lit("irq-hop");
-      cat = CloseName(w, e, "irq-hop");
+      cat = CloseName(w, e, "irq-hop", IdDigits(*rt));
       break;
     case ChromeEventKind::kNsqHead:
-      WriteRequestLabel(w, *r);
+      WriteLabel(w, *rt);
       cat = CloseName(w, e, "");
       w.Lit(",\"args\":{\"tenant\":");
-      w.Text(QuotedTenant(r->tenant_id));
+      w.Text(QuotedTenant(*rt));
       w.Lit(",\"pages\":");
-      w.Int(r->pages);
+      w.Small(r->pages);
       w.Put('}');
       break;
     case ChromeEventKind::kFetch:
       w.Lit("fetch ");
-      WriteRequestLabel(w, *r);
+      WriteLabel(w, *rt);
       cat = CloseName(w, e, "");
       w.Lit(",\"args\":{\"nsq\":");
-      w.Int(r->nsq);
+      w.Small(r->nsq);
       w.Put('}');
       break;
     case ChromeEventKind::kTraceEvent: {
@@ -892,7 +981,7 @@ void ChromeEventRenderer::WriteTrackName(JsonCursor& w,
   switch (e.pid) {
     case kTracePidHost:
       w.Lit("core ");
-      w.Int(e.tid);
+      w.Small(e.tid);
       return;
     case kTracePidNsq: {
       auto it = input_.nsq_labels.find(e.tid);
@@ -900,7 +989,7 @@ void ChromeEventRenderer::WriteTrackName(JsonCursor& w,
         w.Escaped(it->second);
       } else {
         w.Lit("NSQ ");
-        w.Int(e.tid);
+        w.Small(e.tid);
       }
       return;
     }

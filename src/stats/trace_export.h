@@ -26,11 +26,15 @@
 //
 // Cost: events are compact references into the export input (they own no
 // strings), put in time order by a stable LSD radix sort on (timestamp,
-// emission index) keys - three passes for a run shorter than 2^33 ns - and
-// written in that order straight into the output string by one cursor that
-// reserves a bound per event and then copies literals and to_chars digits
-// without further checks. The number of allocations does not depend on the
-// number of records (tests/hot_path_alloc_test.cc holds it to that).
+// emission index) keys - 16-bit digits, two passes for a run shorter than
+// 2^32 ns - and written in that order straight into the output string by one
+// cursor that reserves a bound per event and then copies without further
+// checks. A request's recurring text (its label with its id digits, and its
+// tenant's quoted name) is rendered once per export into a text arena that
+// its ~25 events copy from; pids, tids, queue ids and page counts below 100
+// are written digit by digit, ticks and other integers by to_chars. The
+// number of allocations does not depend on the number of records
+// (tests/hot_path_alloc_test.cc holds it to that).
 #ifndef DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 #define DAREDEVIL_SRC_STATS_TRACE_EXPORT_H_
 
@@ -192,17 +196,36 @@ class ChromeEventRenderer {
  private:
   friend std::string SerializeChromeTrace(const TraceExportInput& input);
 
+  // Where one record's text lies in text_.
+  struct RecordText {
+    size_t label = 0;   // "rq <id> <L|T> <pages>p <W|R>", id digits at +3
+    size_t tenant = 0;  // the tenant's name as a JSON string literal
+    uint32_t tenant_size = 0;
+    uint8_t label_size = 0;
+    uint8_t id_size = 0;
+  };
+
   // The one description of each event kind: writes the event as one JSON
   // object (its name, category, id and args together) and returns its
   // category. The caller reserves the cursor's fixed room first.
   std::string_view Render(const ChromeEvent& e, JsonCursor& w) const;
   // Writes the process / thread name a metadata event announces, escaped.
   void WriteTrackName(JsonCursor& w, const ChromeEvent& e) const;
-  const std::string& QuotedTenant(uint64_t tenant_id) const;
+  // Copy a record's label, or its id digits, out of text_.
+  void WriteLabel(JsonCursor& w, const RecordText& rt) const;
+  void WriteId(JsonCursor& w, const RecordText& rt) const;
+  std::string_view IdDigits(const RecordText& rt) const {
+    return {text_.data() + rt.label + 3, rt.id_size};
+  }
+  std::string_view QuotedTenant(const RecordText& rt) const {
+    return {text_.data() + rt.tenant, rt.tenant_size};
+  }
 
   const TraceExportInput& input_;
-  // JSON string literals of the tenant names, by tenant id.
-  std::map<uint64_t, std::string> quoted_tenants_;
+  // Each tenant's quoted name once, then every record's label: one
+  // allocation, sized before it is written.
+  std::string text_;
+  std::vector<RecordText> records_;  // by position in input_.requests
   // Positional views of the maps events index into, each name JSON-escaped
   // once.
   std::vector<std::pair<std::string, const SloTenantReport*>> slo_;

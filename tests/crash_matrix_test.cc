@@ -89,6 +89,7 @@ class CrashEnv {
 
   Simulator& sim() { return env_.sim(); }
   Device& device() { return env_.device(); }
+  StorageStack& stack() { return env_.stack(); }
   AppIoContext* io() { return io_.get(); }
 
   // The recovery view applications consume: the device's persisted snapshot.
@@ -625,6 +626,84 @@ TEST(CrashModelTest, InFlightRewriteKeepsPriorDurableVersion) {
   EXPECT_TRUE(pv.present);
   EXPECT_FALSE(pv.torn);
   EXPECT_EQ(pv.cid, v1_cid);
+}
+
+// Eight one-page FUA first writes, LBAs 97 apart, issued together. The
+// power fails once `fetched` of them were fetched and the rest left their
+// NSQ: all eight are enqueued and none waits in a queue, so a write not yet
+// fetched is in the fetch pipe.
+struct FuaWritesAtCrash {
+  explicit FuaWritesAtCrash(uint64_t fetched)
+      : env(StackKind::kVanilla, FaultPlan{}) {
+    for (uint64_t i = 0; i < kWrites; ++i) {
+      env.io()->WriteFua(Lba(i), 1, /*meta=*/false, [this]() { ++acked; });
+    }
+    Device& device = env.device();
+    auto enqueued = [&device] {
+      int64_t n = 0;
+      for (int i = 0; i < device.nr_ncq(); ++i) {
+        n += device.ncq(i).in_flight_rqs();
+      }
+      return n;
+    };
+    while (!(device.commands_fetched() >= fetched &&
+             device.TotalNsqOccupancy() == 0 && enqueued() == kWrites) &&
+           env.sim().Step()) {
+    }
+    device.Crash();
+  }
+  static uint64_t Lba(uint64_t i) { return 97 * i; }
+  // Runs the simulation on past every completion.
+  void RunOn() { env.sim().RunUntil(env.sim().now() + kSecond); }
+
+  static constexpr uint64_t kWrites = 8;
+  CrashEnv env;
+  uint64_t acked = 0;  // callbacks run (the callback carries no status)
+};
+
+// A command the controller had fetched when the power failed never reaches
+// the flash durably, so its CQE must not acknowledge it: all eight FUA
+// writes, caught in flash service, complete as errors, and their first-write
+// pages read back torn.
+TEST(CrashModelTest, CommandsInFlightAtCrashCompleteAborted) {
+  FuaWritesAtCrash run(FuaWritesAtCrash::kWrites);
+  ASSERT_EQ(run.env.device().commands_fetched(), FuaWritesAtCrash::kWrites);
+  ASSERT_EQ(run.acked, 0u);  // all still in flight at the crash
+  run.RunOn();
+  EXPECT_EQ(run.acked, FuaWritesAtCrash::kWrites);
+  EXPECT_EQ(run.env.device().commands_errored(), FuaWritesAtCrash::kWrites);
+  EXPECT_EQ(run.env.stack().error_completions(), FuaWritesAtCrash::kWrites);
+  EXPECT_EQ(run.env.device().fua_persists(), 0u);
+  for (uint64_t i = 0; i < FuaWritesAtCrash::kWrites; ++i) {
+    const PersistedPageView pv =
+        run.env.device().PersistedAt(0, Lba{FuaWritesAtCrash::Lba(i)});
+    EXPECT_TRUE(pv.present) << "write " << i;
+    EXPECT_TRUE(pv.torn) << "write " << i;
+  }
+}
+
+// The aborted writes leave nothing in the write cache, including the one the
+// crash caught in the fetch pipe: a FLUSH issued after the crash completes
+// and leaves the seven torn pages torn and the eighth page absent.
+TEST(CrashModelTest, FlushAfterCrashLeavesAbortedWritesUnpersisted) {
+  FuaWritesAtCrash run(FuaWritesAtCrash::kWrites - 1);
+  ASSERT_EQ(run.env.device().commands_fetched(), FuaWritesAtCrash::kWrites - 1);
+  bool flushed = false;
+  run.env.io()->Flush([&]() { flushed = true; });
+  run.RunOn();
+  ASSERT_TRUE(flushed);
+  EXPECT_EQ(run.env.device().flushes_completed(), 1u);
+  EXPECT_EQ(run.env.device().commands_errored(), FuaWritesAtCrash::kWrites);
+  for (uint64_t i = 0; i + 1 < FuaWritesAtCrash::kWrites; ++i) {
+    const PersistedPageView pv =
+        run.env.device().PersistedAt(0, Lba{FuaWritesAtCrash::Lba(i)});
+    EXPECT_TRUE(pv.present) << "write " << i;
+    EXPECT_TRUE(pv.torn) << "write " << i;
+  }
+  EXPECT_FALSE(run.env.device()
+                   .PersistedAt(0, Lba{FuaWritesAtCrash::Lba(
+                                       FuaWritesAtCrash::kWrites - 1)})
+                   .present);
 }
 
 TEST(CrashModelTest, OverlappingInFlightFirstWritesGoToTheLowerCid) {

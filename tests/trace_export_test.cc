@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <iterator>
 #include <map>
 #include <random>
@@ -438,6 +440,191 @@ TEST(TraceExportTest, NegativeTicksRenderSignAndMagnitude) {
   for (const char* ts : {"\"ts\":-1.500,", "\"ts\":-0.500,", "\"ts\":-0.007,",
                          "\"ts\":0.000,", "\"ts\":1.500,"}) {
     EXPECT_NE(json.find(ts), std::string::npos) << ts;
+  }
+}
+
+// printf's digits: "%lld.%03lld" of (ns / 1000, ns % 1000) for a tick, with
+// a minus sign and the magnitude below zero; "%llu" for an id; "%lld" for
+// any other integer.
+std::string TickText(Tick ns) {
+  const uint64_t mag = ns < 0 ? 0 - static_cast<uint64_t>(ns)
+                              : static_cast<uint64_t>(ns);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s%lld.%03lld", ns < 0 ? "-" : "",
+                static_cast<long long>(mag / 1000),
+                static_cast<long long>(mag % 1000));
+  return buf;
+}
+std::string IdText(uint64_t id) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(id));
+  return buf;
+}
+std::string IntText(long long v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%lld", v);
+  return buf;
+}
+
+// Every number the serializer writes, digit for digit against printf: ticks
+// of every digit count from 1 to 19 and below zero (as instants), and request
+// ids, page counts, queue ids and tids across the one- and two-digit edges
+// of the small-integer writer (as records, whose label text is rendered once
+// per export).
+TEST(TraceExportTest, RenderedNumbersMatchPrintf) {
+  const uint64_t kIds[] = {0, 9, 10, 99, 100, (uint64_t{1} << 32) + 1,
+                           UINT64_MAX};
+  const uint32_t kPages[] = {1, 9, 10, 99, 100, 4096};
+  const int kSmall[] = {-1, 0, 9, 10, 99, 100, 127};  // queue ids and tids
+  std::vector<Tick> ticks;
+  for (Tick p = 1;; p *= 10) {  // 0, 1, 9, 10, 99, 100, ..., 10^18
+    ticks.push_back(p - 1);
+    ticks.push_back(p);
+    if (p > INT64_MAX / 10) {
+      break;
+    }
+  }
+  for (const Tick t : {(Tick{1} << 32) - 1, Tick{1} << 32, Tick{1} << 40,
+                       Tick{INT64_MAX}, Tick{-1}, Tick{-999}, Tick{-1000},
+                       Tick{INT64_MIN}}) {
+    ticks.push_back(t);
+  }
+
+  std::vector<RequestRecord> records;
+  for (size_t i = 0; i < std::size(kIds); ++i) {
+    const Tick at = 100'000 * static_cast<Tick>(i + 1);
+    RequestRecord r = MakeRecord(kIds[i], kSmall[i], at, at + 50, at + 70,
+                                 kPages[i % std::size(kPages)], i % 2 == 0);
+    r.is_write = i % 3 == 0;
+    r.irq_core = kSmall[(i + 1) % std::size(kSmall)];  // IRQ-hop flows
+    records.push_back(r);
+  }
+  TraceExportInput input = MakeInput(std::move(records));
+  input.num_cores = 128;  // thread names for every tid above
+  input.nr_nsq = 128;
+  for (size_t i = 0; i < ticks.size(); ++i) {
+    TraceEvent te;
+    te.at = ticks[i];
+    te.category = TraceCategory::kMigrate;
+    te.id = kIds[i % std::size(kIds)];
+    te.a = kSmall[i % std::size(kSmall)];
+    te.b = ticks[i];
+    input.events.push_back(te);
+  }
+  for (const int v : kSmall) {
+    TraceEvent te;
+    te.category = TraceCategory::kDoorbell;  // tid a
+    te.a = v;
+    te.b = v;
+    input.events.push_back(te);
+  }
+
+  const ChromeEventRenderer renderer(input);
+  std::map<ChromeEventKind, size_t> checked;
+  std::set<Tick> ticks_seen;
+  for (const ChromeEvent& e : BuildChromeEvents(input)) {
+    std::string json;
+    renderer.AppendJson(json, e);
+    std::string want = "{\"ph\":\"" + std::string(1, e.ph) + "\"";
+    if (e.ph != 'M') {
+      want += ",\"ts\":" + TickText(e.ts);
+    }
+    if (e.ph == 'X') {
+      want += ",\"dur\":" + TickText(e.dur);
+    }
+    want += ",\"pid\":" + IntText(e.pid) + ",\"tid\":" + IntText(e.tid) +
+            ",\"name\":\"";
+    // The rest, from the name on, for the kinds that name numbers.
+    const RequestRecord* r =
+        e.ref < input.requests.size() ? &input.requests[e.ref] : nullptr;
+    std::string label, id;
+    if (r != nullptr) {
+      label = "rq " + IdText(r->id) + (r->latency_sensitive ? " L " : " T ") +
+              IntText(r->pages) + (r->is_write ? "p W" : "p R");
+      id = ",\"id\":\"" + IdText(r->id) + "\"";
+    }
+    const std::string tenant =
+        r != nullptr ? "\"" + input.tenant_names.at(r->tenant_id) + "\"" : "";
+    switch (e.kind) {
+      case ChromeEventKind::kThreadName:
+        if (e.pid == kTracePidHost) {
+          want += "thread_name\",\"args\":{\"name\":\"core " +
+                  IntText(e.tid) + "\"}}";
+        } else if (e.pid == kTracePidNsq) {
+          want += "thread_name\",\"args\":{\"name\":\"NSQ " +
+                  IntText(e.tid) + "\"}}";
+        }
+        break;
+      case ChromeEventKind::kRequest:
+        want += label + "\",\"cat\":\"rq\"" + id;
+        if (e.ph == 'b') {
+          want += ",\"args\":{\"tenant\":" + tenant +
+                  ",\"nsq\":" + IntText(r->nsq) + ",\"ncq\":" +
+                  IntText(r->ncq) + ",\"pages\":" + IntText(r->pages) + "}";
+        }
+        want += "}";
+        break;
+      case ChromeEventKind::kStage:
+        want += std::string(kStageSpans[e.sub].trace_name) +
+                "\",\"cat\":\"rq\"" + id + "}";
+        break;
+      case ChromeEventKind::kFlash:
+        want += "flash " + label + "\",\"cat\":\"flash\"" + id + "}";
+        break;
+      case ChromeEventKind::kCqe:
+        want += "cqe " + label + " NCQ" + IntText(r->ncq) +
+                "\",\"cat\":\"cqe\"" + id + "}";
+        break;
+      case ChromeEventKind::kSubmit:
+        want += "submit rq" + IdText(r->id) + "\"}";
+        break;
+      case ChromeEventKind::kDrain:
+        want += "drain rq" + IdText(r->id) + "\"}";
+        break;
+      case ChromeEventKind::kComplete:
+        want += "complete rq" + IdText(r->id) + "\"}";
+        break;
+      case ChromeEventKind::kIrqHop:
+        want += "irq-hop\",\"cat\":\"irq-hop\"" + id + ",\"bp\":\"e\"}";
+        break;
+      case ChromeEventKind::kNsqHead:
+        want += label + "\",\"args\":{\"tenant\":" + tenant +
+                ",\"pages\":" + IntText(r->pages) + "}}";
+        break;
+      case ChromeEventKind::kFetch:
+        want += "fetch " + label + "\",\"args\":{\"nsq\":" +
+                IntText(r->nsq) + "}}";
+        break;
+      case ChromeEventKind::kTraceEvent: {
+        const TraceEvent& te = input.events[e.ref];
+        if (te.category == TraceCategory::kMigrate) {
+          want += "migrate tenant" + IdText(te.id) + "\",\"args\":{\"a\":" +
+                  IntText(te.a) + ",\"b\":" + IntText(te.b) + "}}";
+          ticks_seen.insert(e.ts);
+        } else {
+          want += "doorbell\",\"args\":{\"batch\":" + IntText(te.b) + "}}";
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    if (want.back() == '}') {  // the whole event
+      EXPECT_EQ(json, want);
+      ++checked[e.kind];
+    } else {  // up to its name
+      EXPECT_EQ(json.substr(0, want.size()), want);
+    }
+  }
+  EXPECT_EQ(ticks_seen, std::set<Tick>(ticks.begin(), ticks.end()));
+  for (const ChromeEventKind kind :
+       {ChromeEventKind::kThreadName, ChromeEventKind::kRequest,
+        ChromeEventKind::kStage, ChromeEventKind::kFlash, ChromeEventKind::kCqe,
+        ChromeEventKind::kSubmit, ChromeEventKind::kDrain,
+        ChromeEventKind::kComplete, ChromeEventKind::kIrqHop,
+        ChromeEventKind::kNsqHead, ChromeEventKind::kFetch,
+        ChromeEventKind::kTraceEvent}) {
+    EXPECT_GT(checked[kind], 0u) << static_cast<int>(kind);
   }
 }
 

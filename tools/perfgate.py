@@ -10,8 +10,8 @@ off HEAD's tools/perfbench-fingerprints.txt, or HEAD is slower on a
 workload both trees name (signed-rank p <= ALPHA and a median more than
 MIN_SLOWDOWN below the base's). The level assumes a pair's two runs are
 exchangeable under no change. The table also prints each side's median
-SETUP_METRIC, which is reported and not gated. See EXPERIMENTS.md "Perf
-gate".
+SETUP_METRIC and RSS_METRIC, which are reported and not gated. See
+EXPERIMENTS.md "Perf gate".
 """
 
 import itertools
@@ -27,6 +27,7 @@ SEED = 1
 SECONDS = 3
 METRIC = "sim_ios_per_s"
 SETUP_METRIC = "setup_s"
+RSS_METRIC = "peak_rss_mb"
 ALPHA = 0.005
 MIN_SLOWDOWN = 0.05
 
@@ -48,9 +49,10 @@ def read_pins(path):
 
 
 def parse_run(stdout):
-    """One run.py output -> {"header", "correct", "failed", "rate", "setup"}."""
+    """One run.py output -> {"header", "correct", "failed", "rate", "setup",
+    "rss"}."""
     run = {"header": None, "correct": None, "failed": None, "rate": None,
-           "setup": None}
+           "setup": None, "rss": None}
     lines = stdout.strip().splitlines()
     for line in lines:
         if line.startswith("run header: "):
@@ -64,6 +66,7 @@ def parse_run(stdout):
     metrics = result.get("metrics", {})
     run["rate"] = metrics.get(METRIC, {}).get("value")
     run["setup"] = metrics.get(SETUP_METRIC, {}).get("value")
+    run["rss"] = metrics.get(RSS_METRIC, {}).get("value")
     return run
 
 
@@ -131,7 +134,9 @@ def judge(workload, base, head, pin):
            "head": median_of(head, "rate"), "ratio": None, "p": None,
            "wins": wins, "losses": losses,
            "base_setup": median_of(base or [], "setup"),
-           "head_setup": median_of(head, "setup")}
+           "head_setup": median_of(head, "setup"),
+           "base_rss": median_of(base or [], "rss"),
+           "head_rss": median_of(head, "rss")}
     if pairs:
         row["ratio"] = row["head"] / row["base"]
         row["p"] = signed_rank_p(pairs)
@@ -154,15 +159,17 @@ def table(rows):
         return num(None if seconds is None else seconds * 1e3, ".2f")
     out = [f"| workload | base median {METRIC} | HEAD median | HEAD/base | "
            "HEAD wins/losses | signed-rank p | verdict | "
-           f"base median {SETUP_METRIC} (ms) | HEAD median (ms) |",
-           "|---|---|---|---|---|---|---|---|---|"]
+           f"base median {SETUP_METRIC} (ms) | HEAD median (ms) | "
+           f"base median {RSS_METRIC} (MB) | HEAD median (MB) |",
+           "|---|---|---|---|---|---|---|---|---|---|---|"]
     for r in rows:
         out.append(
             f"| {r['workload']} | {num(r['base'], '.0f')} | "
             f"{num(r['head'], '.0f')} | {num(r['ratio'], '.3f')} | "
             f"{r['wins']}/{r['losses']} | {num(r['p'], '.4f')} | "
             f"{r['verdict']} | {ms(r['base_setup'])} | "
-            f"{ms(r['head_setup'])} |")
+            f"{ms(r['head_setup'])} | {num(r['base_rss'], '.2f')} | "
+            f"{num(r['head_rss'], '.2f')} |")
     return "\n".join(out)
 
 

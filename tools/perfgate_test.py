@@ -19,10 +19,10 @@ N = perfgate.PAIRS
 VARIED = [90, 95, 100, 105, 110] * (N // 5)  # base rates that differ by pair
 
 
-def run(rate, correct=True, failed=0, pin=PIN, setup=0.01):
+def run(rate, correct=True, failed=0, pin=PIN, setup=0.01, rss=30.0):
     header = {"fingerprint": pin[0], "events_per_rep": int(pin[1])}
     return {"header": header, "correct": correct, "failed": failed,
-            "rate": rate, "setup": setup}
+            "rate": rate, "setup": setup, "rss": rss}
 
 
 def runs(rates, **kwargs):
@@ -79,15 +79,18 @@ class DecisionRuleTest(unittest.TestCase):
         row, reasons = judge(even(), even())
         self.assertEqual((row["wins"], row["losses"], reasons), (0, 0, []))
 
-    def test_setup_medians_are_reported_not_gated(self):
-        base = runs([100] * N, setup=0.010)
-        head = runs([100] * N, setup=0.020)
-        head[0] = run(100, setup=None)  # a run without the metric is skipped
-        head[1] = run(100, setup=0.001)
+    def test_setup_and_rss_medians_are_reported_not_gated(self):
+        base = runs([100] * N, setup=0.010, rss=30.0)
+        head = runs([100] * N, setup=0.020, rss=45.5)
+        # A run without the metrics is skipped.
+        head[0] = run(100, setup=None, rss=None)
+        head[1] = run(100, setup=0.001, rss=10.0)
         row, reasons = judge(base, head)
         self.assertEqual(reasons, [])
         self.assertEqual((row["base_setup"], row["head_setup"]), (0.010, 0.020))
-        self.assertIn("| pass | 10.00 | 20.00 |", perfgate.table([row]))
+        self.assertEqual((row["base_rss"], row["head_rss"]), (30.0, 45.5))
+        self.assertIn("| pass | 10.00 | 20.00 | 30.00 | 45.50 |",
+                      perfgate.table([row]))
 
     def test_bad_run_on_either_side_fails(self):
         for bad, text in ((run(100, correct=False), "correct: False"),
@@ -143,7 +146,7 @@ class DecisionRuleTest(unittest.TestCase):
             ("base", "dd-mixed"), ("head", "dd-mixed"), ("head", "new-wl")])
         self.assertEqual(len(calls), 3 * N)
         self.assertIn("| new-wl | - | 100 | - | 0/0 | - | pass (HEAD only) | "
-                      "- | 10.00 |", out.getvalue())
+                      "- | 10.00 | - | 30.00 |", out.getvalue())
 
     def test_parse_run_reads_header_verdict_and_rate(self):
         stdout = (
@@ -151,10 +154,12 @@ class DecisionRuleTest(unittest.TestCase):
             '"fingerprint": "7822807077767781553", "workload": "dd-mixed"}\n'
             '{"correct": true, "attempted": 9, "failed": 0, "metrics": '
             '{"sim_ios_per_s": {"value": 631500.5, "unit": "IO/s"}, '
-            '"setup_s": {"value": 0.0066, "unit": "s"}}}\n')
+            '"setup_s": {"value": 0.0066, "unit": "s"}, '
+            '"peak_rss_mb": {"value": 34.8, "unit": "MB"}}}\n')
         parsed = perfgate.parse_run(stdout)
         self.assertEqual((parsed["correct"], parsed["failed"], parsed["rate"],
-                          parsed["setup"]), (True, 0, 631500.5, 0.0066))
+                          parsed["setup"], parsed["rss"]),
+                         (True, 0, 631500.5, 0.0066, 34.8))
         self.assertEqual(judge([parsed] * N, [parsed] * N)[1], [])
 
 
